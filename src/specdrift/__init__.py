@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, ConvergenceError, DegenerateGapError, DomainError,
                      EdgeError, EmptyWindowError, InvalidProfileError,
-                     OutsideSupportError, SpecdriftError)
+                     OutsideSupportError, RankDeficientError, SpecdriftError)
 from .laws import (PerturbationExpansion, ldos, overlap_cauchy, overlap_full,
                    overlap_goe, perturbation_expansion, perturbative_diag,
                    perturbative_offdiag, perturbed_quantile)

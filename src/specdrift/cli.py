@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -290,18 +289,22 @@ def cmd_subspace(args) -> int:
         "empirical_distance": empirical,
         "empirical_stderr": result.distance.stderr_re,
         "predicted_distance": predicted,
-        "ratio": empirical / predicted if predicted > 0 else math.inf,
+        "ratio": empirical / predicted if predicted > 0 else None,
         "mean_P": result.mean_p,
         "mean_Q": result.mean_q,
+        "rank_deficient_samples": result.rank_deficient,
         "config": config.describe(),
     }
     out = _out_dir(args) / "subspace_report.json"
     with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
+        json.dump(report, fh, indent=2, allow_nan=False)
         fh.write("\n")
-    _finish(args, "subspace", [out], started)
+    _finish(args, "subspace", [out], started,
+            extra={"rank_deficient_samples": result.rank_deficient})
+    ratio = "n/a" if report["ratio"] is None else f"{report['ratio']:.3f}"
     print(f"empirical D = {empirical:.6g} +- {result.distance.stderr_re:.2g}, "
-          f"predicted {predicted:.6g}, ratio {report['ratio']:.3f}")
+          f"predicted {predicted:.6g}, ratio {ratio}, "
+          f"{result.rank_deficient} rank-deficient samples left out")
     return EXIT_OK
 
 

@@ -39,5 +39,9 @@ class EmptyWindowError(DomainError):
     """A spectral window selected no eigenvalues."""
 
 
+class RankDeficientError(DomainError):
+    """Every sampled overlap block was rank deficient (infinite distance)."""
+
+
 class ConfigError(SpecdriftError, ValueError):
     """Invalid experiment or CLI configuration."""

@@ -19,7 +19,6 @@ import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,13 +44,24 @@ class GOEInitial:
 
 @dataclass(frozen=True)
 class ProfileInitial:
-    """Deterministic initial matrix with eigenvalues a((i-1/2)/n)."""
+    """Deterministic initial matrix with eigenvalues a((i-1/2)/n).
+
+    The eigenvalues do not depend on the sample, so they are evaluated once
+    per n (a root find per entry for quantile profiles) and shared, read
+    only, by every sample.
+    """
 
     profile: SpectralProfile
+    _by_n: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def eigenvalues(self, n: int, gen: np.random.Generator) -> np.ndarray:
-        x = (np.arange(1, n + 1) - 0.5) / n
-        return np.asarray(self.profile.eval(x), dtype=float)
+        a = self._by_n.get(n)
+        if a is None:
+            x = (np.arange(1, n + 1) - 0.5) / n
+            a = np.array(self.profile.eval(x), dtype=float)
+            a.setflags(write=False)
+            self._by_n[n] = a
+        return a
 
     def describe(self):
         return {"kind": "profile", "profile": self.profile.kind}
@@ -229,35 +239,37 @@ def run_overlap_experiment(config: ExperimentConfig, workers: int = 1):
 # binning
 
 
-@lru_cache(maxsize=16)
 def _band_smoother(n: int, window: int) -> np.ndarray:
-    """Symmetric doubly stochastic band matrix of bandwidth `window`.
+    """Symmetric doubly stochastic n x n moving-average matrix of width
+    `window`, with reflect-boundary (half-sample) boxes.
 
-    A plain truncated moving average either loses mass or distorts constant
-    curves at the boundary; symmetric Sinkhorn scaling of the band of ones
-    restores both properties exactly (rows and columns sum to 1).
+    Row i averages indices i - h .. i + h (window = 2h + 1); an index j
+    outside [0, n-1] is reflected to -1 - j on the left and 2n - 1 - j on the
+    right, so no mass is lost and a constant curve stays constant. An even
+    window averages the two boxes at offsets -w/2 .. w/2 - 1 and
+    -w/2 + 1 .. w/2, i.e. the centred 2 x w moving average whose end offsets
+    carry half weight. Both kernels are symmetric, so the reflected matrix
+    is exactly symmetric: weights are summed as integers (units of 1/(2w))
+    and divided once.
     """
     if window < 1 or window > n:
         raise DomainError("window must lie in [1, n]")
-    if window == 1:
-        return np.eye(n)
-    h = (window - 1) // 2
-    band = np.zeros((n, n))
-    for i in range(n):
-        band[i, max(0, i - h):min(n, i + (window - h))] = 1.0
-    band = (band + band.T) / 2.0  # keep it symmetric for even windows
-    k = band.copy()
-    for _ in range(100000):
-        k /= k.sum(axis=1, keepdims=True)
-        k /= k.sum(axis=0, keepdims=True)
-        err = np.max(np.abs(k.sum(axis=1) - 1.0))
-        if err < 1e-15:
-            return (k + k.T) / 2.0
-    raise DomainError("band smoother scaling did not converge")
+    h = window // 2
+    weight = np.full(2 * h + 1, 2)
+    if window % 2 == 0:
+        weight[[0, -1]] = 1
+    j = np.arange(n)[:, None] + np.arange(-h, h + 1)
+    j = np.where(j < 0, -1 - j, np.where(j >= n, 2 * n - 1 - j, j))
+    counts = np.zeros((n, n), dtype=np.int64)
+    np.add.at(counts, (np.arange(n)[:, None], j), weight)
+    return counts / (2 * window)
 
 
 def bin_overlap_curve(curve: OverlapCurve, window: int) -> OverlapCurve:
-    """Moving-average smoothing over index windows, mass preserving."""
+    """Moving-average smoothing over index windows with reflect-boundary
+    boxes (see `_band_smoother`; an even window uses the centred 2 x w
+    average). Mass preserving: the smoothing matrix is symmetric and doubly
+    stochastic. Standard errors propagate as independent per-index errors."""
     k = _band_smoother(curve.n, window)
     return OverlapCurve(index=curve.index, n=curve.n, t=curve.t, a=curve.a,
                         values=k @ curve.values,

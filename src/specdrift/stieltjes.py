@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad_vec
+from scipy.integrate import quad, quad_vec
 
 from .errors import ConvergenceError, DomainError
 from .profiles import SpectralProfile
@@ -180,7 +180,7 @@ def solve_fixed_point(profile: SpectralProfile, t: float, z: complex,
     if res > tol:
         raise ConvergenceError(
             f"fixed point not converged at z={z} (residual {res:.3e})",
-            residual=res)
+            residual=res, iterations=max_iter)
     return m
 
 
@@ -207,13 +207,20 @@ def density_and_hilbert(profile: SpectralProfile, t: float, lam: float,
 
     Outside the support (extrapolated Im G below threshold) the line comes
     back with rho = 0 and the real limit in `hilbert`.
+
+    At t = 0 inside the support the line is exact: rho_0 is the profile's
+    density and H_0 the principal value int rho_0(s)/(s - lam) ds (Cauchy
+    weight quadrature), with no eta schedule.
     """
     if t == 0:
-        lo, hi = profile.support
         rho = profile.density(lam)
         if rho <= SUPPORT_RHO_THRESHOLD:
             g = solve_fixed_point(profile, 0.0, complex(lam, 1e-9), tol=tol)
             return DensityLine(lam=lam, rho=0.0, hilbert=g.real)
+        lo, hi = profile.support
+        h0, _err = quad(profile.density, lo, hi, weight="cauchy", wvar=lam,
+                        epsabs=tol, epsrel=tol, limit=200)
+        return DensityLine(lam=lam, rho=rho, hilbert=h0)
     etas = sorted(set(float(e) for e in eta_schedule), reverse=True)
     if not etas or etas[-1] <= 0:
         raise DomainError("eta schedule must be positive")

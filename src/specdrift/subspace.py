@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError, EmptyWindowError
+from .errors import DomainError, EmptyWindowError, RankDeficientError
 from .matrices import EigenSystem
 from .montecarlo import ExperimentConfig, ScalarEstimate, _draw_sample, _map_samples
 
@@ -189,15 +189,22 @@ def gram_entry_predictions(t: float, a_i: float, a_j: float, window: WindowSpec,
 @dataclass
 class SubspaceExperimentResult:
     window: WindowSpec
-    distance: ScalarEstimate
+    distance: ScalarEstimate  # over the full-rank samples
     mean_p: float
     mean_q: float
-    distances: np.ndarray  # per-sample
+    distances: np.ndarray  # per-sample, +inf where rank deficient
+    rank_deficient: int  # samples left out of `distance`
 
 
 def run_subspace_experiment(config: ExperimentConfig, window: WindowSpec,
                             workers: int = 1) -> SubspaceExperimentResult:
-    """Per-sample overlap-block distance between the window subspaces."""
+    """Per-sample overlap-block distance between the window subspaces.
+
+    A rank-deficient block (e.g. fewer perturbed than initial eigenvalues
+    in the windows) has infinite distance; such samples are counted and
+    left out of the mean. Raises RankDeficientError when no sample has
+    full rank.
+    """
 
     def worker(k):
         a, lam, vecs = _draw_sample(config, k)
@@ -211,10 +218,14 @@ def run_subspace_experiment(config: ExperimentConfig, window: WindowSpec,
 
     rows = _map_samples(config, worker, workers)
     ds = np.array([r[0] for r in rows])
-    est = ScalarEstimate(value=complex(ds.mean()),
-                         stderr_re=float(ds.std(ddof=1) / np.sqrt(len(ds))) if len(ds) > 1 else 0.0,
-                         stderr_im=0.0, samples=len(ds))
+    full = ds[np.isfinite(ds)]
+    if len(full) == 0:
+        raise RankDeficientError(f"all {len(ds)} samples have a rank-deficient "
+                                 "overlap block; widen delta or lower t")
+    est = ScalarEstimate(value=complex(full.mean()),
+                         stderr_re=float(full.std(ddof=1) / np.sqrt(len(full))) if len(full) > 1 else 0.0,
+                         stderr_im=0.0, samples=len(full))
     return SubspaceExperimentResult(window=window, distance=est,
                                     mean_p=float(np.mean([r[1] for r in rows])),
                                     mean_q=float(np.mean([r[2] for r in rows])),
-                                    distances=ds)
+                                    distances=ds, rank_deficient=len(ds) - len(full))

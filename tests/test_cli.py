@@ -151,6 +151,17 @@ class TestSubspaceCmd:
         assert report["empirical_distance"] >= 0
         assert report["predicted_distance"] > 0
         assert math.isfinite(report["ratio"])
+        assert report["rank_deficient_samples"] == 0
+        manifest = json.loads((tmp_path / "subspace_manifest.json").read_text())
+        assert manifest["config"]["rank_deficient_samples"] == 0
+
+    def test_all_rank_deficient_refused(self, tmp_path):
+        # t = 4 spreads the spectrum so far that every sample has fewer
+        # perturbed than initial eigenvalues in the windows (Q < P)
+        rc = main(["subspace", "--n", "100", "--samples", "5", "--t", "4",
+                   "--gamma", "-1", "1", "--delta", "0.01", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_DOMAIN
+        assert not (tmp_path / "subspace_report.json").exists()
 
 
 class TestThetaCdfCmds:

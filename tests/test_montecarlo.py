@@ -7,7 +7,8 @@ from specdrift import (ConfigError, ExperimentConfig, GOEInitial, LinearProfile,
                        OverlapAccumulator, ProfileInitial, bin_overlap_curve,
                        empirical_cdf, estimate_theta, resolvent_diagonal,
                        run_overlap_experiment, solve_fixed_point)
-from specdrift.montecarlo import (OverlapCurve, _draw_sample, accumulate_overlaps,
+from specdrift.montecarlo import (OverlapCurve, _band_smoother, _draw_sample,
+                                  accumulate_overlaps,
                                   curves_from_accumulator, theta_sample,
                                   theta_sample_resolvent)
 
@@ -58,6 +59,10 @@ class TestDrawSample:
         config = small_config(initial=ProfileInitial(linear_profile))
         a, _lam, _vecs = _draw_sample(config, 0)
         assert np.allclose(a, (np.arange(1, 41) - 0.5) / 40)
+        # evaluated once per n, shared read-only, bit-identical to eval
+        a1, _lam, _vecs = _draw_sample(config, 1)
+        assert a1 is a and not a.flags.writeable
+        assert np.array_equal(a, linear_profile.eval((np.arange(1, 41) - 0.5) / 40))
 
 
 class TestAccumulator:
@@ -245,12 +250,25 @@ class TestProperties:
         _a, _lam, vecs = _draw_sample(config, 0)
         assert np.max(np.abs((vecs ** 2).sum(axis=0) - 1.0)) <= 1e-10
 
-    @given(window=st.integers(min_value=1, max_value=20))
-    @settings(max_examples=20, deadline=None)
-    def test_binning_mass_any_window(self, window):
-        gen = np.random.default_rng(window)
-        n = 60
-        c = OverlapCurve(index=1, n=n, t=1.0, a=np.linspace(-1, 1, n),
-                         values=gen.uniform(0, 2, n), stderr=np.zeros(n), samples=1)
-        b = bin_overlap_curve(c, window)
-        assert b.values.sum() == pytest.approx(c.values.sum(), abs=1e-10)
+    def test_binning_mass_any_window(self):
+        # every window of several sizes, odd and even: mass preserved, and the
+        # smoothing matrix is a symmetric doubly stochastic band
+        for n in (2, 3, 7, 60):
+            gen = np.random.default_rng(n)
+            i, j = np.indices((n, n))
+            for window in range(1, n + 1):
+                c = OverlapCurve(index=1, n=n, t=1.0, a=np.linspace(-1, 1, n),
+                                 values=gen.uniform(0, 2, n), stderr=np.zeros(n),
+                                 samples=1)
+                b = bin_overlap_curve(c, window)
+                assert b.values.sum() == pytest.approx(c.values.sum(), abs=1e-10)
+                k = _band_smoother(n, window)
+                assert np.array_equal(k, k.T)
+                assert np.max(np.abs(k.sum(axis=0) - 1.0)) <= 1e-12
+                assert np.max(np.abs(k.sum(axis=1) - 1.0)) <= 1e-12
+                assert np.all(k >= 0)
+                assert np.all(k[np.abs(i - j) > window // 2] == 0)
+                if window % 2:
+                    h = window // 2
+                    for row in range(h, n - h):
+                        assert np.all(k[row, row - h:row + h + 1] == 1.0 / window)

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdrift import (DomainError, LinearProfile, SemicircleQuantileProfile,
+from specdrift import (ConvergenceError, DomainError, LinearProfile, SemicircleQuantileProfile,
                        cdf_limit, density_and_hilbert, semicircle_density,
                        semicircle_hilbert, semicircle_stieltjes, solve_fixed_point,
                        solve_grid, support_bounds, theta_limit)
-from specdrift.stieltjes import fixed_point_residual, richardson_extrapolate
+from specdrift.stieltjes import (DEFAULT_TOL, fixed_point_residual,
+                                 richardson_extrapolate)
 
 
 def semicircle_oracle(z):
@@ -46,6 +47,12 @@ class TestSolveFixedPoint:
         with pytest.raises(DomainError):
             solve_fixed_point(goe_profile, 1.0, 2.0 + 0j)
 
+    def test_iterations_reported(self, goe_profile):
+        with pytest.raises(ConvergenceError) as info:
+            solve_fixed_point(goe_profile, 1.0, 0.3 + 0.01j, max_iter=1)
+        assert info.value.iterations == 1
+        assert info.value.residual > DEFAULT_TOL
+
     def test_lower_half_plane(self, goe_profile):
         m_up = solve_fixed_point(goe_profile, 1.0, 0.3 + 0.1j)
         m_dn = solve_fixed_point(goe_profile, 1.0, 0.3 - 0.1j)
@@ -77,6 +84,17 @@ class TestDensityAndHilbert:
     def test_t0_shortcut(self, linear_profile):
         line = density_and_hilbert(linear_profile, 0.0, 0.5)
         assert line.rho == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("profile,lam,rho,hilbert", [
+        (LinearProfile(0.0, 1.0), 0.2, 1.0, math.log(4.0)),
+        (SemicircleQuantileProfile(), 1.9, semicircle_density(0.0, 1.9),
+         semicircle_hilbert(0.0, 1.9)),
+    ], ids=["linear", "goe"])
+    def test_t0_exact_line(self, profile, lam, rho, hilbert):
+        # rho_0 straight from the profile, H_0 as one principal-value integral
+        line = density_and_hilbert(profile, 0.0, lam)
+        assert abs(line.rho - rho) <= 1e-12
+        assert abs(line.hilbert - hilbert) <= 1e-12
 
 
 class TestSemicircleClosedForms:

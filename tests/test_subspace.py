@@ -198,6 +198,19 @@ class TestExperiment:
         r2 = run_subspace_experiment(config, w)
         assert np.array_equal(r1.distances, r2.distances)
 
+    def test_rank_deficient_samples_counted(self):
+        # a thin margin at n = 40 makes some blocks rank deficient (Q < P)
+        w = WindowSpec(-1.0, 1.0, 0.001)
+        config = ExperimentConfig(n=40, t=0.05, samples=20,
+                                  initial=GOEInitial(1.0), master_seed=5)
+        result = run_subspace_experiment(config, w)
+        finite = result.distances[np.isfinite(result.distances)]
+        assert 0 < result.rank_deficient < config.samples
+        assert result.rank_deficient == config.samples - len(finite)
+        assert result.distance.samples == len(finite)
+        assert result.distance.value.real == pytest.approx(finite.mean(), abs=1e-15)
+        assert math.isfinite(result.distance.stderr_re)
+
 
 class TestProperties:
     @given(s=st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=10))
