@@ -15,9 +15,7 @@ from .errors import (ConfigError, ConvergenceError, DegenerateGapError, DomainEr
 from .laws import (PerturbationExpansion, ldos, overlap_cauchy, overlap_full,
                    overlap_goe, perturbation_expansion, perturbative_diag,
                    perturbative_offdiag, perturbed_quantile)
-from .matrices import (EigenSystem, RngStream, build_diagonal_from_profile,
-                       eigen_decompose, overlap_matrix, sample_brownian_increment,
-                       sample_goe)
+from .matrices import RngStream, sample_goe
 from .montecarlo import (ExperimentConfig, GOEInitial, OverlapAccumulator,
                          OverlapCurve, ProfileInitial, bin_overlap_curve,
                          empirical_cdf, estimate_theta, resolvent_diagonal,
@@ -27,6 +25,5 @@ from .profiles import (LinearProfile, SemicircleQuantileProfile, SpectralProfile
 from .stieltjes import (DensityLine, StieltjesSolution, cdf_limit, density_and_hilbert,
                         semicircle_density, semicircle_hilbert, semicircle_stieltjes,
                         solve_fixed_point, solve_grid, support_bounds, theta_limit)
-from .subspace import (SubspaceReport, WindowSpec, build_overlap_block,
-                       distance_from_singular_values, gram_entry_predictions,
-                       predicted_distance, run_subspace_experiment, subspace_report)
+from .subspace import (WindowSpec, distance_from_singular_values, gram_entry_predictions,
+                       overlap_block, predicted_distance, run_subspace_experiment)

@@ -47,19 +47,24 @@ def parse_profile(spec: str):
     csv:path"""
     kind, _, rest = spec.partition(":")
     kind = kind.lower()
-    if kind == "goe":
-        return make_profile("goe")
-    if kind == "linear":
-        if rest:
-            lo, hi = (float(v) for v in rest.split(","))
-            return make_profile("linear", lo=lo, hi=hi)
-        return make_profile("linear")
-    if kind in ("semicircle", "semicircle-quantile"):
-        return make_profile("semicircle", radius=float(rest) if rest else 2.0)
-    if kind == "uniform-gap":
-        return make_profile("uniform-gap", span=float(rest) if rest else 1.0)
-    if kind == "csv":
-        return TabulatedProfile.from_csv(rest)
+    try:
+        if kind == "goe":
+            return make_profile("goe")
+        if kind == "linear":
+            if rest:
+                lo, hi = (float(v) for v in rest.split(","))
+                return make_profile("linear", lo=lo, hi=hi)
+            return make_profile("linear")
+        if kind in ("semicircle", "semicircle-quantile"):
+            return make_profile("semicircle", radius=float(rest) if rest else 2.0)
+        if kind == "uniform-gap":
+            return make_profile("uniform-gap", span=float(rest) if rest else 1.0)
+        if kind == "csv":
+            return TabulatedProfile.from_csv(rest)
+    except InvalidProfileError:
+        raise
+    except (ValueError, IndexError, OSError) as exc:
+        raise ConfigError(f"malformed profile spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown profile spec {spec!r}")
 
 
@@ -77,7 +82,10 @@ def parse_g(spec: str):
     if spec == "one":
         return lambda x: 1.0
     if spec.startswith("indicator:"):
-        thr = float(spec.split(":", 1)[1])
+        try:
+            thr = float(spec.split(":", 1)[1])
+        except ValueError as exc:
+            raise ConfigError(f"malformed weight function {spec!r}") from exc
         return lambda x: 1.0 if x <= thr else 0.0
     raise ConfigError(f"unknown weight function {spec!r} (use one | indicator:THR)")
 
@@ -98,6 +106,12 @@ def _finish(args, name, outputs, started, tolerances=None, extra=None):
                    [str(p) for p in outputs], time.time() - started,
                    tolerances=tolerances)
     return manifest_path
+
+
+def _write_report(path, obj):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def _write_prediction_csv(path, a_grid, values, regime):
@@ -158,14 +172,20 @@ def cmd_predict(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
+    """Config of simulate, theta and cdf. An explicit --profile must match a GOE
+    start's own semicircle; a profile start defaults to goe."""
     if args.initial == "goe":
         initial = GOEInitial(args.scale)
+        if (args.profile is not None
+                and parse_profile(args.profile).cache_token != initial.profile.cache_token):
+            raise ConfigError(f"--profile {args.profile} conflicts with the GOE start "
+                              f"(semicircle of radius {initial.profile.radius:g})")
     else:
-        initial = ProfileInitial(parse_profile(args.profile))
+        initial = ProfileInitial(parse_profile(args.profile or "goe"))
     return ExperimentConfig(n=args.n, t=args.t, samples=args.samples,
                             initial=initial,
-                            target_indices=tuple(args.index or ()),
-                            master_seed=args.seed, binning=args.binning)
+                            target_indices=tuple(getattr(args, "index", None) or ()),
+                            master_seed=args.seed, binning=getattr(args, "binning", 1))
 
 
 def cmd_simulate(args) -> int:
@@ -186,11 +206,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _parabolic_peak(a, values, half_width=0.4):
-    """Peak abscissa from a quadratic fit around the argmax (variance
+def _parabolic_peak(a, values):
+    """Peak abscissa from a quadratic fit within 0.4 of the argmax (variance
     reduction over a bare argmax on a noisy, flat-topped curve)."""
     j = int(np.argmax(values))
-    sel = np.abs(a - a[j]) <= half_width
+    sel = np.abs(a - a[j]) <= 0.4
     if sel.sum() < 3:
         return float(a[j])
     coef = np.polyfit(a[sel], values[sel], 2)
@@ -244,17 +264,14 @@ def cmd_reproduce(args) -> int:
     out = _out_dir(args)
     emp_path = out / f"{args.figure}_empirical.csv"
     curve.to_csv(emp_path)
-    profile = make_profile("goe")
     pred_path = out / f"{args.figure}_prediction.csv"
     x = (np.arange(1, params["n"] + 1) - 0.5) / params["n"]
-    a_grid = np.asarray(profile.eval(x))
+    a_grid = np.asarray(config.initial.profile.eval(x))
     _write_prediction_csv(pred_path, a_grid,
                           laws.overlap_goe(params["t"], report["lambda_used"], a_grid),
                           "goe-closed-form")
     report_path = out / f"{args.figure}_report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_report(report_path, report)
     _finish(args, "reproduce", [emp_path, pred_path, report_path], started,
             tolerances={"rel_tol": FIGURE_REL_TOL, "peak_tol": FIGURE_PEAK_TOL},
             extra={"config": config.describe()})
@@ -279,7 +296,7 @@ def cmd_subspace(args) -> int:
     config = ExperimentConfig(n=args.n, t=args.t, samples=args.samples,
                               initial=GOEInitial(args.scale), master_seed=args.seed)
     result = subspace.run_subspace_experiment(config, window, workers=args.workers)
-    profile = make_profile("goe")
+    profile = config.initial.profile
     predicted = subspace.predicted_distance(args.t, window, profile.density,
                                             profile.support)
     empirical = result.distance.value.real
@@ -296,9 +313,7 @@ def cmd_subspace(args) -> int:
         "config": config.describe(),
     }
     out = _out_dir(args) / "subspace_report.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    _write_report(out, report)
     _finish(args, "subspace", [out], started,
             extra={"rank_deficient_samples": result.rank_deficient})
     ratio = "n/a" if report["ratio"] is None else f"{report['ratio']:.3f}"
@@ -312,7 +327,10 @@ def cmd_stieltjes(args) -> int:
     started = time.time()
     profile = parse_profile(args.profile)
     grid = parse_grid(args.grid)
-    etas = tuple(float(v) for v in args.eta.split(",")) if args.eta else stieltjes.DEFAULT_ETA_SCHEDULE
+    try:
+        etas = tuple(float(v) for v in args.eta.split(",")) if args.eta else stieltjes.DEFAULT_ETA_SCHEDULE
+    except ValueError as exc:
+        raise ConfigError(f"--eta must be comma-separated numbers, got {args.eta!r}") from exc
     sol = stieltjes.solve_grid(profile, args.t, grid, eta_schedule=etas, tol=args.tol)
     out = _out_dir(args) / "stieltjes.csv"
     sol.to_csv(out)
@@ -323,15 +341,11 @@ def cmd_stieltjes(args) -> int:
 
 def cmd_theta(args) -> int:
     started = time.time()
-    profile = parse_profile(args.profile)
     z = complex(args.z[0], args.z[1])
     g = parse_g(args.g)
-    config = ExperimentConfig(n=args.n, t=args.t, samples=args.samples,
-                              initial=GOEInitial(args.scale) if args.initial == "goe"
-                              else ProfileInitial(profile),
-                              master_seed=args.seed)
+    config = _experiment_config(args)
     est = montecarlo.estimate_theta(config, z, g, workers=args.workers)
-    limit = stieltjes.theta_limit(profile, args.t, z, g)
+    limit = stieltjes.theta_limit(config.initial.profile, args.t, z, g)
     report = {
         "z": [z.real, z.imag], "g": args.g,
         "empirical": [est.value.real, est.value.imag],
@@ -340,9 +354,7 @@ def cmd_theta(args) -> int:
         "config": config.describe(),
     }
     out = _out_dir(args) / "theta.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_report(out, report)
     _finish(args, "theta", [out], started)
     print(f"Theta_N = {est.value:.6g} (+- {est.stderr_re:.2g}/{est.stderr_im:.2g}), "
           f"limit {limit:.6g}")
@@ -351,22 +363,16 @@ def cmd_theta(args) -> int:
 
 def cmd_cdf(args) -> int:
     started = time.time()
-    profile = parse_profile(args.profile)
-    config = ExperimentConfig(n=args.n, t=args.t, samples=args.samples,
-                              initial=GOEInitial(args.scale) if args.initial == "goe"
-                              else ProfileInitial(profile),
-                              master_seed=args.seed)
+    config = _experiment_config(args)
     est = montecarlo.empirical_cdf(config, args.lam, args.alpha, workers=args.workers)
-    limit = stieltjes.cdf_limit(profile, args.t, args.lam, args.alpha)
+    limit = stieltjes.cdf_limit(config.initial.profile, args.t, args.lam, args.alpha)
     report = {
         "lambda": args.lam, "alpha": args.alpha,
         "empirical": est.value.real, "stderr": est.stderr_re,
         "limit": limit, "config": config.describe(),
     }
     out = _out_dir(args) / "cdf.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_report(out, report)
     _finish(args, "cdf", [out], started)
     print(f"Phi_N({args.lam}, {args.alpha}) = {est.value.real:.6g} "
           f"+- {est.stderr_re:.2g}, limit {limit:.6g}")
@@ -377,11 +383,11 @@ def cmd_cdf(args) -> int:
 # parser
 
 
-def _add_common(sp):
+def _add_common(sp, workers=True):
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--workers", type=int, default=1)
+    if workers:  # the Monte Carlo subcommands
+        sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--out-dir", default=".")
-    sp.add_argument("--tol", type=float, default=1e-12)
     sp.add_argument("--config", default=None, help="INI file; section per subcommand")
 
 
@@ -398,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--regime", choices=["auto", "full", "goe", "cauchy"], default="auto")
     p.add_argument("--grid", default=None, help="a_j grid lo:hi:step")
-    _add_common(p)
+    _add_common(p, workers=False)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("simulate", help="finite-N overlap experiment")
@@ -408,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, nargs="+", required=True)
     p.add_argument("--initial", choices=["goe", "profile"], default="goe")
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--profile", default="goe")
+    p.add_argument("--profile", default=None)
     p.add_argument("--binning", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
@@ -434,11 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--grid", required=True, help="lambda grid lo:hi:step")
     p.add_argument("--eta", default=None, help="comma-separated eta schedule")
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=stieltjes.DEFAULT_TOL)
+    _add_common(p, workers=False)
     p.set_defaults(func=cmd_stieltjes)
 
     p = sub.add_parser("theta", help="resolvent trace functional, empirical vs limit")
-    p.add_argument("--profile", default="goe")
+    p.add_argument("--profile", default=None)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--samples", type=int, required=True)
@@ -450,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("cdf", help="bivariate overlap CDF, empirical vs limit")
-    p.add_argument("--profile", default="goe")
+    p.add_argument("--profile", default=None)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--samples", type=int, required=True)
@@ -470,6 +477,8 @@ def _apply_config_file(argv):
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        raise ConfigError("--config needs a file path")
     path = argv[idx + 1]
     sub = argv[0]
     cp = configparser.ConfigParser()

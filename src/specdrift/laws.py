@@ -152,9 +152,9 @@ def perturbed_quantile(profile, t: float, x: float) -> float:
     return float(inv(x))
 
 
-def density_line_at(profile, t: float, lam: float, closed_form: bool = True) -> DensityLine:
+def density_line_at(profile, t: float, lam: float) -> DensityLine:
     """Boundary data at lam: GOE closed form when available, otherwise the
     fixed-point solver."""
-    if closed_form and isinstance(profile, SemicircleQuantileProfile) and profile.radius == 2.0:
+    if isinstance(profile, SemicircleQuantileProfile) and profile.radius == 2.0:
         return semicircle_density_line(t, lam)
     return density_and_hilbert(profile, t, lam)

@@ -1,5 +1,4 @@
-"""Symmetric matrix construction, Gaussian noise sampling and
-eigendecomposition with a fixed ordering convention.
+"""Seeded GOE sampling.
 
 All randomness flows through RngStream: a (master_seed, substream_index)
 pair mapped to an independent counter-based generator, so per-sample draws
@@ -12,10 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidProfileError
-
-ORTHONORMALITY_TOL = 1e-10
-RECONSTRUCTION_TOL = 1e-8
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -30,55 +26,22 @@ class RngStream:
                                      spawn_key=(self.substream_index,))
         return np.random.default_rng(seq)
 
-    def child(self, substream_index: int) -> "RngStream":
-        return RngStream(self.master_seed, substream_index)
 
-
-@dataclass
-class EigenSystem:
-    """Ascending eigenvalues with the aligned orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # column k is the eigenvector of eigenvalues[k]
-
-    @property
-    def n(self) -> int:
-        return len(self.eigenvalues)
-
-    def reconstruction_residual(self, m: np.ndarray) -> float:
-        v, lam = self.eigenvectors, self.eigenvalues
-        return float(np.max(np.abs(m - (v * lam) @ v.T)))
-
-
-def ensure_symmetric(m: np.ndarray, tol: float = 0.0) -> np.ndarray:
+def ensure_symmetric(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError("matrix must be square")
     if m.shape[0] < 2:
         raise DomainError("dimension must be at least 2")
-    if np.max(np.abs(m - m.T)) > tol:
+    if np.max(np.abs(m - m.T)) > 0.0:
         raise DomainError("matrix is not symmetric")
     return m
 
 
-def build_diagonal_from_profile(profile, n: int) -> np.ndarray:
-    """diag(a((i-1/2)/n)), i = 1..n.
-
-    Midpoint quantiles keep the entries away from the support edges where
-    the profile derivative may diverge.
-    """
-    if n < 2:
-        raise DomainError("dimension must be at least 2")
-    x = (np.arange(1, n + 1) - 0.5) / n
-    entries = np.asarray(profile.eval(x), dtype=float)
-    if np.any(np.diff(entries) <= 0):
-        raise InvalidProfileError("profile not strictly increasing on the quantile grid")
-    return np.diag(entries)
-
-
 def sample_goe(n: int, variance_scale: float, rng: RngStream | np.random.Generator) -> np.ndarray:
     """GOE draw: off-diagonal variance variance_scale/n, diagonal
-    2*variance_scale/n."""
+    2*variance_scale/n. With variance_scale = t this is the Brownian noise
+    H_t accumulated up to time t."""
     if variance_scale <= 0:
         raise DomainError("variance_scale must be positive")
     if n < 2:
@@ -86,28 +49,3 @@ def sample_goe(n: int, variance_scale: float, rng: RngStream | np.random.Generat
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     x = gen.standard_normal((n, n))
     return (x + x.T) * np.sqrt(variance_scale / (2.0 * n))
-
-
-def sample_brownian_increment(n: int, t: float, rng: RngStream | np.random.Generator) -> np.ndarray:
-    """Additive noise accumulated up to time t; same law as sample_goe(n, t)."""
-    if t <= 0:
-        raise DomainError("time t must be positive")
-    return sample_goe(n, t, rng)
-
-
-def eigen_decompose(m: np.ndarray) -> EigenSystem:
-    """Symmetric eigendecomposition, eigenvalues ascending (LAPACK syevd)."""
-    m = ensure_symmetric(m)
-    eigenvalues, eigenvectors = np.linalg.eigh(m)
-    return EigenSystem(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-
-
-def overlap_matrix(basis0: EigenSystem, basist: EigenSystem) -> np.ndarray:
-    """Entry (i, j) = <psi_i(t) | phi_j(0)>.
-
-    Rows and columns both have unit squared-entry sums; column signs are
-    arbitrary (all consumers square the entries).
-    """
-    if basis0.n != basist.n:
-        raise DomainError("eigen systems have different dimensions")
-    return basist.eigenvectors.T @ basis0.eigenvectors

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .matrices import RngStream, sample_brownian_increment, sample_goe
-from .profiles import SpectralProfile
+from .matrices import RngStream, sample_goe
+from .profiles import SemicircleQuantileProfile, SpectralProfile
 
 ROW_SUM_TOL = 1e-10
 
@@ -34,6 +35,15 @@ class GOEInitial:
     """Random GOE initial matrix with off-diagonal entry variance scale/n."""
 
     scale: float = 1.0
+
+    def __post_init__(self):
+        if not self.scale > 0:
+            raise DomainError("GOE scale must be positive")
+
+    @property
+    def profile(self) -> SemicircleQuantileProfile:
+        """The limiting initial spectrum: semicircle of radius 2 sqrt(scale)."""
+        return SemicircleQuantileProfile(2.0 * math.sqrt(self.scale))
 
     def eigenvalues(self, n: int, gen: np.random.Generator) -> np.ndarray:
         return np.linalg.eigvalsh(sample_goe(n, self.scale, gen))
@@ -104,7 +114,7 @@ def _draw_sample(config: ExperimentConfig, k: int):
     gen = RngStream(config.master_seed, k).generator()
     a = config.initial.eigenvalues(config.n, gen)
     if config.t > 0:
-        m = np.diag(a) + sample_brownian_increment(config.n, config.t, gen)
+        m = np.diag(a) + sample_goe(config.n, config.t, gen)
         lam, vecs = np.linalg.eigh(m)
     else:
         lam, vecs = a.copy(), np.eye(config.n)

@@ -88,10 +88,6 @@ class SpectralProfile(ABC):
             return float(out[0])
         return out
 
-    #: True when density() is a cheap closed form (no root finding); the
-    #: Stieltjes solver then integrates in alpha-space.
-    closed_density: bool = False
-
     def quad_chart(self):
         """Parametrization (S, W, u_lo, u_hi, u_from_s) such that
         int rho0(s) f(s) ds = int_{u_lo}^{u_hi} W(u) f(S(u)) du with smooth W.
@@ -118,10 +114,11 @@ class SpectralProfile(ABC):
 
     # -- validation --------------------------------------------------------
 
-    def validate(self, probe_spacing=1e-3):
+    def validate(self):
         """Check strict monotonicity, inverse round trip and derivative
-        consistency on a probe grid. Raises InvalidProfileError on failure."""
-        xs = np.arange(0.0, 1.0 + probe_spacing / 2, probe_spacing)
+        consistency on a probe grid of spacing 1e-3. Raises
+        InvalidProfileError on failure."""
+        xs = np.arange(0.0, 1.0005, 1e-3)
         vals = np.asarray(self.eval(xs))
         if np.any(np.diff(vals) <= 0):
             raise InvalidProfileError(f"{self.kind} profile not strictly increasing")
@@ -152,7 +149,6 @@ class LinearProfile(SpectralProfile):
     spectra."""
 
     kind = "linear"
-    closed_density = True
 
     def __init__(self, lo=0.0, hi=1.0):
         if not hi > lo:
@@ -203,7 +199,6 @@ class SemicircleQuantileProfile(SpectralProfile):
 
     kind = "semicircle-quantile"
     edge_singular = True
-    closed_density = True
 
     def __init__(self, radius=2.0):
         if not radius > 0:

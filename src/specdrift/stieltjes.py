@@ -33,6 +33,12 @@ DEFAULT_ETA_SCHEDULE = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 SUPPORT_RHO_THRESHOLD = 1e-4
 
 DEFAULT_TOL = 1e-12
+SUPPORT_TOL = 1e-4  # bisection width of support_bounds
+
+#: cdf_limit: spacing of the outer xi Gauss rule, tolerance of the inner
+#: kernel-mass quadrature.
+CDF_XI_SPACING = 0.02
+CDF_QUAD_TOL = 1e-9
 
 
 @dataclass
@@ -201,9 +207,9 @@ def richardson_extrapolate(etas, values):
 
 
 def density_and_hilbert(profile: SpectralProfile, t: float, lam: float,
-                        eta_schedule=DEFAULT_ETA_SCHEDULE, tol: float = DEFAULT_TOL,
-                        warm: complex | None = None) -> DensityLine:
-    """Boundary density rho_t(lam) and Hilbert transform H_{rho_t}(lam).
+                        tol: float = DEFAULT_TOL, warm: complex | None = None) -> DensityLine:
+    """Boundary density rho_t(lam) and Hilbert transform H_{rho_t}(lam),
+    extrapolated from DEFAULT_ETA_SCHEDULE.
 
     Outside the support (extrapolated Im G below threshold) the line comes
     back with rho = 0 and the real limit in `hilbert`.
@@ -221,15 +227,12 @@ def density_and_hilbert(profile: SpectralProfile, t: float, lam: float,
         h0, _err = quad(profile.density, lo, hi, weight="cauchy", wvar=lam,
                         epsabs=tol, epsrel=tol, limit=200)
         return DensityLine(lam=lam, rho=rho, hilbert=h0)
-    etas = sorted(set(float(e) for e in eta_schedule), reverse=True)
-    if not etas or etas[-1] <= 0:
-        raise DomainError("eta schedule must be positive")
     vals = []
     m = warm
-    for eta in etas:
+    for eta in DEFAULT_ETA_SCHEDULE:
         m = solve_fixed_point(profile, t, complex(lam, eta), tol=tol, m0=m)
         vals.append(m)
-    g0 = richardson_extrapolate(etas, vals)
+    g0 = richardson_extrapolate(DEFAULT_ETA_SCHEDULE, vals)
     rho = g0.imag / math.pi
     if rho <= SUPPORT_RHO_THRESHOLD:
         return DensityLine(lam=lam, rho=0.0, hilbert=g0.real)
@@ -281,6 +284,8 @@ def solve_grid(profile: SpectralProfile, t: float, lambdas,
     """
     lambdas = np.asarray(lambdas, dtype=float)
     etas = sorted(set(float(e) for e in eta_schedule), reverse=True)
+    if not etas or etas[-1] <= 0:
+        raise DomainError("eta schedule must be positive")
     if t == 0:
         values = np.empty((len(etas), len(lambdas)), dtype=complex)
         for i, eta in enumerate(etas):
@@ -327,9 +332,9 @@ def theta_limit(profile: SpectralProfile, t: float, z: complex, g,
 _support_cache: dict = {}
 
 
-def support_bounds(profile: SpectralProfile, t: float, tol: float = 1e-4) -> tuple[float, float]:
+def support_bounds(profile: SpectralProfile, t: float) -> tuple[float, float]:
     """Edges of the time-t spectral support, located by bisection on the
-    inside-support test."""
+    inside-support test to width SUPPORT_TOL."""
     key = (profile.cache_token, round(t, 12))
     if key in _support_cache:
         return _support_cache[key]
@@ -343,7 +348,7 @@ def support_bounds(profile: SpectralProfile, t: float, tol: float = 1e-4) -> tup
         return density_and_hilbert(profile, t, lam, tol=1e-10).inside_support
 
     lo_out, hi_in = lo0 - pad, center
-    while hi_in - lo_out > tol:
+    while hi_in - lo_out > SUPPORT_TOL:
         mid = 0.5 * (lo_out + hi_in)
         if inside(mid):
             hi_in = mid
@@ -351,7 +356,7 @@ def support_bounds(profile: SpectralProfile, t: float, tol: float = 1e-4) -> tup
             lo_out = mid
     lower = 0.5 * (lo_out + hi_in)
     lo_in, hi_out = center, hi0 + pad
-    while hi_out - lo_in > tol:
+    while hi_out - lo_in > SUPPORT_TOL:
         mid = 0.5 * (lo_in + hi_out)
         if inside(mid):
             lo_in = mid
@@ -362,16 +367,7 @@ def support_bounds(profile: SpectralProfile, t: float, tol: float = 1e-4) -> tup
     return (lower, upper)
 
 
-@dataclass(frozen=True)
-class CdfResolution:
-    """Grid spacing of the outer xi integral and quadrature tolerance."""
-
-    xi_spacing: float = 0.02
-    quad_tol: float = 1e-9
-    eta_schedule: tuple = DEFAULT_ETA_SCHEDULE
-
-
-def _overlap_kernel_mass(profile, t, line: DensityLine, alpha, tol) -> float:
+def _overlap_kernel_mass(profile, t, line: DensityLine, alpha) -> float:
     """int_{s <= alpha} rho0(s) * t / ((s - lam - t H)^2 + (t pi rho)^2) ds.
 
     Uses Im[1/(s - w)] = Im(w)/|s - w|^2 with w = lam + t(H + i pi rho),
@@ -382,12 +378,12 @@ def _overlap_kernel_mass(profile, t, line: DensityLine, alpha, tol) -> float:
     if b <= 0:
         return 0.0
     w = complex(line.lam + t * line.hilbert, b)
-    val = weighted_resolvent_integral(profile, w, lambda s: 1.0, tol=tol, upper=alpha)
+    val = weighted_resolvent_integral(profile, w, lambda s: 1.0, tol=CDF_QUAD_TOL,
+                                      upper=alpha)
     return val.imag * t / b
 
 
-def cdf_limit(profile: SpectralProfile, t: float, lam: float, alpha: float,
-              resolution: CdfResolution = CdfResolution()) -> float:
+def cdf_limit(profile: SpectralProfile, t: float, lam: float, alpha: float) -> float:
     """Limiting bivariate CDF Phi(lambda, alpha) of the overlap weights.
 
     Outer integral over xi up to `lam` against rho_t, inner integral of the
@@ -402,20 +398,18 @@ def cdf_limit(profile: SpectralProfile, t: float, lam: float, alpha: float,
     xi_hi = min(lam, upper)
     if xi_hi <= lower:
         return 0.0
-    n_nodes = max(48, int(math.ceil((xi_hi - lower) / resolution.xi_spacing)))
+    n_nodes = max(48, int(math.ceil((xi_hi - lower) / CDF_XI_SPACING)))
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     xi = 0.5 * (xi_hi - lower) * nodes + 0.5 * (xi_hi + lower)
     wq = 0.5 * (xi_hi - lower) * weights
     total = 0.0
     warm = None
     for k in np.argsort(xi):
-        line = density_and_hilbert(profile, t, float(xi[k]),
-                                   eta_schedule=resolution.eta_schedule,
-                                   tol=1e-12, warm=warm)
+        line = density_and_hilbert(profile, t, float(xi[k]), warm=warm)
         warm = complex(line.hilbert, math.pi * max(line.rho, 1e-6))
         if line.rho <= 0:
             continue
-        inner = _overlap_kernel_mass(profile, t, line, alpha, resolution.quad_tol)
+        inner = _overlap_kernel_mass(profile, t, line, alpha)
         total += wq[k] * line.rho * inner
     return float(total)
 

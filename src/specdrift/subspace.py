@@ -9,7 +9,6 @@ overlap block; it vanishes iff V0 is contained in V1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -17,8 +16,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, EmptyWindowError, RankDeficientError
-from .matrices import EigenSystem
-from .montecarlo import ExperimentConfig, ScalarEstimate, _draw_sample, _map_samples
+from .montecarlo import (ExperimentConfig, ScalarEstimate, _draw_sample, _map_samples,
+                         _scalar_estimate)
 
 SINGULAR_VALUE_FLOOR = 1e-14
 
@@ -51,38 +50,15 @@ def select_window(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.flatnonzero((values >= lo) & (values <= hi))
 
 
-def build_overlap_block(basis0: EigenSystem, basist: EigenSystem,
-                        window: WindowSpec) -> np.ndarray:
-    """Q x P block <psi_k(t)|phi_j> with lambda_k in the widened window and
-    a_j in the inner window."""
-    cols = select_window(basis0.eigenvalues, *window.inner)
-    rows = select_window(basist.eigenvalues, *window.outer)
+def overlap_block(a, lam, vecs, window: WindowSpec) -> np.ndarray:
+    """Q x P block <psi_k(t)|phi_j> of one sample as `_draw_sample` returns
+    it (vecs[j, k] = <psi_k(t)|phi_j>), with a_j in the inner window and
+    lambda_k in the widened window."""
+    cols = select_window(a, *window.inner)
+    rows = select_window(lam, *window.outer)
     if len(cols) == 0 or len(rows) == 0:
         raise EmptyWindowError("window selected no eigenvalues")
-    return basist.eigenvectors[:, rows].T @ basis0.eigenvectors[:, cols]
-
-
-@dataclass
-class SubspaceReport:
-    p: int
-    q: int
-    singular_values: np.ndarray  # descending
-    distance: float
-    rank_deficient: bool = False
-
-    def to_json(self, path, config_echo=None):
-        payload = {
-            "P": self.p,
-            "Q": self.q,
-            "singular_values": [float(s) for s in self.singular_values],
-            "distance": self.distance if math.isfinite(self.distance) else "inf",
-            "rank_deficient": self.rank_deficient,
-        }
-        if config_echo is not None:
-            payload["config"] = config_echo
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+    return vecs[cols][:, rows].T
 
 
 def distance_from_singular_values(s, p: int) -> float:
@@ -91,16 +67,6 @@ def distance_from_singular_values(s, p: int) -> float:
     if len(s) < p or np.any(s <= SINGULAR_VALUE_FLOOR):
         return math.inf
     return float(-np.sum(np.log(s[:p])) / p)
-
-
-def subspace_report(basis0: EigenSystem, basist: EigenSystem,
-                    window: WindowSpec) -> SubspaceReport:
-    block = build_overlap_block(basis0, basist, window)
-    q, p = block.shape
-    s = np.linalg.svd(block, compute_uv=False)
-    d = distance_from_singular_values(s, p)
-    return SubspaceReport(p=p, q=q, singular_values=s, distance=d,
-                          rank_deficient=not math.isfinite(d))
 
 
 def determinant_distance(block: np.ndarray) -> float:
@@ -207,14 +173,9 @@ def run_subspace_experiment(config: ExperimentConfig, window: WindowSpec,
     """
 
     def worker(k):
-        a, lam, vecs = _draw_sample(config, k)
-        cols = select_window(a, *window.inner)
-        rows = select_window(lam, *window.outer)
-        if len(cols) == 0 or len(rows) == 0:
-            raise EmptyWindowError(f"window empty in sample {k}")
-        block = vecs[cols][:, rows].T  # Q x P: vecs[j, i] = <psi_i|phi_j>
-        s = np.linalg.svd(block, compute_uv=False)
-        return distance_from_singular_values(s, len(cols)), len(cols), len(rows)
+        block = overlap_block(*_draw_sample(config, k), window)
+        q, p = block.shape
+        return distance_from_singular_values(np.linalg.svd(block, compute_uv=False), p), p, q
 
     rows = _map_samples(config, worker, workers)
     ds = np.array([r[0] for r in rows])
@@ -222,10 +183,7 @@ def run_subspace_experiment(config: ExperimentConfig, window: WindowSpec,
     if len(full) == 0:
         raise RankDeficientError(f"all {len(ds)} samples have a rank-deficient "
                                  "overlap block; widen delta or lower t")
-    est = ScalarEstimate(value=complex(full.mean()),
-                         stderr_re=float(full.std(ddof=1) / np.sqrt(len(full))) if len(full) > 1 else 0.0,
-                         stderr_im=0.0, samples=len(full))
-    return SubspaceExperimentResult(window=window, distance=est,
+    return SubspaceExperimentResult(window=window, distance=_scalar_estimate(full),
                                     mean_p=float(np.mean([r[1] for r in rows])),
                                     mean_q=float(np.mean([r[2] for r in rows])),
                                     distances=ds, rank_deficient=len(ds) - len(full))

@@ -23,17 +23,16 @@ from conftest import record_acceptance
 from scipy.integrate import quad
 
 from specdrift import (ExperimentConfig, GOEInitial, OverlapAccumulator,
-                       ProfileInitial, WindowSpec, cdf_limit, ldos,
-                       make_profile, overlap_cauchy, overlap_full, overlap_goe,
-                       predicted_distance, run_overlap_experiment,
+                       ProfileInitial, WindowSpec, cdf_limit, distance_from_singular_values,
+                       ldos, make_profile, overlap_block, overlap_cauchy, overlap_full,
+                       overlap_goe, predicted_distance, run_overlap_experiment,
                        run_subspace_experiment, solve_fixed_point, solve_grid,
                        theta_limit)
 from specdrift.cli import FIGURE_PARAMS, compare_figure
-from specdrift.matrices import eigen_decompose, sample_goe
 from specdrift.montecarlo import _draw_sample, accumulate_overlaps, theta_sample
 from specdrift.stieltjes import (semicircle_density, semicircle_density_line,
                                  semicircle_hilbert)
-from specdrift.subspace import determinant_distance, subspace_report
+from specdrift.subspace import determinant_distance
 
 FIGURE_SEED = 20260823
 
@@ -238,17 +237,13 @@ def test_criterion_9_property_suite(goe_profile):
     checks["Herglotz sign"] = herglotz
 
     # singular values in [0,1] and determinant identity
-    gen = np.random.default_rng(1)
-    m0 = sample_goe(100, 1.0, gen)
-    b0 = eigen_decompose(m0)
-    bt = eigen_decompose(m0 + sample_goe(100, 0.05, gen))
-    w = WindowSpec(-1.0, 1.0, 0.3)
-    rep = subspace_report(b0, bt, w)
-    checks["singular values in [0,1]"] = bool(np.all(rep.singular_values <= 1 + 1e-10)
-                                              and np.all(rep.singular_values >= 0))
-    from specdrift import build_overlap_block
-    block = build_overlap_block(b0, bt, w)
-    checks["determinant identity"] = abs(determinant_distance(block) - rep.distance) <= 1e-10
+    block_config = ExperimentConfig(n=100, t=0.05, samples=1, initial=GOEInitial(1.0),
+                                    master_seed=1)
+    block = overlap_block(*_draw_sample(block_config, 0), WindowSpec(-1.0, 1.0, 0.3))
+    s = np.linalg.svd(block, compute_uv=False)
+    checks["singular values in [0,1]"] = bool(np.all(s <= 1 + 1e-10) and np.all(s >= 0))
+    distance = distance_from_singular_values(s, block.shape[1])
+    checks["determinant identity"] = abs(determinant_distance(block) - distance) <= 1e-10
 
     # bit-exact seed determinism
     c1 = run_overlap_experiment(config)[30]

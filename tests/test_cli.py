@@ -208,3 +208,86 @@ class TestRerunDeterminism:
                        "--index", "15", "--seed", "77", "--out-dir", str(d)])
             assert rc == EXIT_OK
         assert (d1 / "overlap_i15.csv").read_text() == (d2 / "overlap_i15.csv").read_text()
+
+
+# small valid arguments of each subcommand that takes --profile
+PROFILE_COMMANDS = {
+    "predict": ["predict", "--t", "1", "--lambda", "0"],
+    "simulate": ["simulate", "--n", "20", "--t", "1", "--samples", "2", "--index", "10",
+                 "--initial", "profile"],
+    "stieltjes": ["stieltjes", "--t", "1", "--grid", "0:0:1"],
+    "theta": ["theta", "--n", "20", "--t", "1", "--samples", "2", "--z", "0", "1",
+              "--initial", "profile"],
+    "cdf": ["cdf", "--n", "20", "--t", "1", "--samples", "2", "--lambda", "0",
+            "--alpha", "0", "--initial", "profile"],
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("command", sorted(PROFILE_COMMANDS))
+    @pytest.mark.parametrize("spec", ["linear:1", "semicircle:abc", "csv:MISSING"])
+    def test_bad_profile_exit2(self, tmp_path, command, spec):
+        spec = spec.replace("MISSING", str(tmp_path / "missing.csv"))
+        rc = main([*PROFILE_COMMANDS[command], "--profile", spec, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+
+    def test_bad_weight_exit2(self, tmp_path):
+        rc = main([*PROFILE_COMMANDS["theta"], "--g", "indicator:x",
+                   "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+
+    def test_bad_eta_exit2(self, tmp_path):
+        rc = main([*PROFILE_COMMANDS["stieltjes"], "--eta", "0.01,x",
+                   "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", sorted(PROFILE_COMMANDS) + ["subspace"])
+    def test_trailing_config_exit2(self, tmp_path, command):
+        argv = PROFILE_COMMANDS.get(command, ["subspace"])
+        assert main([*argv, "--out-dir", str(tmp_path), "--config"]) == EXIT_CONFIG
+
+    def test_negative_eta_exit3(self, tmp_path):
+        rc = main(["stieltjes", "--profile", "goe", "--t", "1", "--grid=-0.5:0.5:0.5",
+                   "--eta=-0.01,-0.005", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_DOMAIN
+        assert not (tmp_path / "stieltjes.csv").exists()
+
+
+class TestGOEScale:
+    """A GOE start of scale s has the semicircle of radius 2 sqrt(s) as its
+    limit profile; the predictions follow --scale."""
+
+    def test_subspace_prediction(self, tmp_path):
+        predicted = {}
+        for scale in ("1", "4"):
+            rc = main(["subspace", "--n", "200", "--t", "0.02", "--samples", "20",
+                       "--gamma", "-1", "1", "--delta", "0.2", "--scale", scale,
+                       "--out-dir", str(tmp_path / scale)])
+            assert rc == EXIT_OK
+            report = json.loads((tmp_path / scale / "subspace_report.json").read_text())
+            predicted[scale] = report["predicted_distance"]
+        assert predicted["1"] == pytest.approx(0.00260155, rel=1e-5)
+        assert predicted["4"] == pytest.approx(0.0025557, rel=1e-4)
+
+    def test_theta_limit(self, tmp_path):
+        rc = main(["theta", "--n", "200", "--t", "1", "--samples", "20", "--z", "0", "0.1",
+                   "--scale", "4", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        report = json.loads((tmp_path / "theta.json").read_text())
+        assert report["limit"][0] == pytest.approx(0.0, abs=1e-9)
+        assert report["limit"][1] == pytest.approx(0.43733, abs=1e-5)
+        assert abs(report["empirical"][1] - report["limit"][1]) <= 0.02
+
+    @pytest.mark.parametrize("command", ["simulate", "theta", "cdf"])
+    def test_conflicting_profile_exit2(self, tmp_path, command):
+        argv = [a for a in PROFILE_COMMANDS[command] if a not in ("--initial", "profile")]
+        rc = main([*argv, "--profile", "linear", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        rc = main([*argv, "--profile", "goe", "--scale", "4", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+
+    def test_matching_profile_accepted(self, tmp_path):
+        argv = [a for a in PROFILE_COMMANDS["cdf"] if a not in ("--initial", "profile")]
+        rc = main([*argv, "--profile", "semicircle:4", "--scale", "4",
+                   "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdrift import (ConfigError, ExperimentConfig, GOEInitial, LinearProfile,
+from specdrift import (ConfigError, DomainError, ExperimentConfig, GOEInitial, LinearProfile,
                        OverlapAccumulator, ProfileInitial, bin_overlap_curve,
                        empirical_cdf, estimate_theta, resolvent_diagonal,
-                       run_overlap_experiment, solve_fixed_point)
+                       make_profile, run_overlap_experiment, solve_fixed_point)
 from specdrift.montecarlo import (OverlapCurve, _band_smoother, _draw_sample,
                                   accumulate_overlaps,
                                   curves_from_accumulator, theta_sample,
@@ -34,6 +34,17 @@ class TestExperimentConfig:
     def test_describe_roundtrip(self):
         d = small_config().describe()
         assert d["n"] == 40 and d["target_indices"] == [20]
+
+
+class TestGOEInitial:
+    def test_limit_profile(self):
+        # semicircle of radius 2 sqrt(scale); scale 1 is the goe profile
+        assert GOEInitial(4.0).profile.support == (-4.0, 4.0)
+        assert GOEInitial(1.0).profile.cache_token == make_profile("goe").cache_token
+
+    def test_nonpositive_scale(self):
+        with pytest.raises(DomainError):
+            GOEInitial(0.0)
 
 
 class TestDrawSample:

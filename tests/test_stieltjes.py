@@ -126,6 +126,11 @@ class TestSolveGrid:
         # Herglotz at every stored point
         assert np.all(sol.values.imag > 0)
 
+    def test_nonpositive_eta_rejected(self, goe_profile):
+        for etas in ((-0.01, -0.005), (0.01, 0.0), ()):
+            with pytest.raises(DomainError):
+                solve_grid(goe_profile, 1.0, [0.0], eta_schedule=etas)
+
     def test_t0_linear_uniform(self, linear_profile):
         grid = np.linspace(0.1, 0.9, 5)
         sol = solve_grid(linear_profile, 0.0, grid)
@@ -177,6 +182,13 @@ class TestThetaLimit:
         assert abs(neg.imag - m.imag / 2.0) <= 1e-9
         assert abs(neg.real + pos.real) <= 1e-9
         assert abs((neg + pos) - m) <= 1e-9
+
+    def test_scale_invariance(self):
+        # radius 4 is twice radius 2: G_4(t, z) = G_2(t/4, z/2) / 2
+        for z in (0.1j, 1.0 + 0.05j):
+            wide = theta_limit(SemicircleQuantileProfile(4.0), 1.0, z, lambda x: 1.0)
+            unit = theta_limit(SemicircleQuantileProfile(2.0), 0.25, z / 2, lambda x: 1.0)
+            assert abs(wide - unit / 2) <= 1e-12
 
 
 class TestCdfLimit:

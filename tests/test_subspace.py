@@ -7,13 +7,23 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from specdrift import (DomainError, EmptyWindowError, ExperimentConfig, GOEInitial,
-                       WindowSpec, build_overlap_block, distance_from_singular_values,
-                       gram_entry_predictions, predicted_distance,
-                       run_subspace_experiment, subspace_report)
-from specdrift.matrices import eigen_decompose, sample_goe
+                       WindowSpec, distance_from_singular_values, gram_entry_predictions,
+                       overlap_block, predicted_distance, run_subspace_experiment)
 from specdrift.montecarlo import _draw_sample
 from specdrift.profiles import SemicircleQuantileProfile
 from specdrift.subspace import determinant_distance, select_window
+
+
+def _sample(n=80, t=0.05, seed=12345):
+    """(a, lam, vecs) of one draw from a unit GOE start."""
+    config = ExperimentConfig(n=n, t=t, samples=1, initial=GOEInitial(1.0),
+                              master_seed=seed)
+    return _draw_sample(config, 0)
+
+
+def _distance(block):
+    return distance_from_singular_values(np.linalg.svd(block, compute_uv=False),
+                                         block.shape[1])
 
 
 class TestWindowSpec:
@@ -42,66 +52,55 @@ class TestDistance:
 
 
 class TestOverlapBlock:
-    def _bases(self, gen, n=80, t=0.05):
-        m0 = sample_goe(n, 1.0, gen)
-        b0 = eigen_decompose(m0)
-        bt = eigen_decompose(m0 + sample_goe(n, t, gen))
-        return b0, bt
+    def test_t0_identity_block(self):
+        block = overlap_block(*_sample(n=50, t=0.0), WindowSpec(-1.0, 1.0, 1e-9))
+        assert np.allclose(np.linalg.svd(block, compute_uv=False), 1.0, atol=1e-12)
+        assert _distance(block) == pytest.approx(0.0, abs=1e-12)
 
-    def test_t0_identity_block(self, gen):
-        b0 = eigen_decompose(sample_goe(50, 1.0, gen))
-        w = WindowSpec(-1.0, 1.0, 1e-9)
-        report = subspace_report(b0, b0, w)
-        assert np.allclose(report.singular_values, 1.0, atol=1e-12)
-        assert report.distance == pytest.approx(0.0, abs=1e-12)
-
-    def test_window_count_matches_density_mass(self, gen, goe_profile):
-        n = 400
-        b0 = eigen_decompose(sample_goe(n, 1.0, gen))
-        cols = select_window(b0.eigenvalues, -1.0, 1.0)
+    def test_window_count_matches_density_mass(self):
+        a, _lam, _vecs = _sample(n=400, t=0.0)
+        cols = select_window(a, -1.0, 1.0)
         # N * int_{-1}^{1} rho_sc = 400 * 0.6090 ~ 244
         assert abs(len(cols) - 244) <= 15
 
-    def test_column_norms_bounded(self, gen):
-        b0, bt = self._bases(gen)
-        block = build_overlap_block(b0, bt, WindowSpec(-1.0, 1.0, 0.2))
+    def test_rotation_squares(self):
+        # vecs[j, k] = <psi_k|phi_j>; the inner window holds a_0 only, the
+        # widened one both lambdas, so the block is column 0 of vecs^T
+        theta = 0.7
+        c, s = np.cos(theta), np.sin(theta)
+        vecs = np.array([[c, -s], [s, c]])
+        block = overlap_block(np.array([0.0, 1.0]), np.array([0.0, 1.0]), vecs,
+                              WindowSpec(-0.5, 0.5, 0.6))
+        assert np.allclose(block, [[c], [-s]], atol=1e-14)
+        assert np.allclose(block ** 2, [[c * c], [s * s]], atol=1e-14)
+
+    def test_column_norms_bounded(self):
+        block = overlap_block(*_sample(), WindowSpec(-1.0, 1.0, 0.2))
         assert np.max(np.sum(block ** 2, axis=0)) <= 1.0 + 1e-10
 
-    def test_singular_values_in_unit_interval(self, gen):
-        b0, bt = self._bases(gen)
-        report = subspace_report(b0, bt, WindowSpec(-1.0, 1.0, 0.2))
-        assert np.all(report.singular_values <= 1.0 + 1e-10)
-        assert np.all(report.singular_values >= 0.0)
-        assert report.q >= report.p
+    def test_singular_values_in_unit_interval(self):
+        block = overlap_block(*_sample(), WindowSpec(-1.0, 1.0, 0.2))
+        s = np.linalg.svd(block, compute_uv=False)
+        assert np.all(s <= 1.0 + 1e-10)
+        assert np.all(s >= 0.0)
+        q, p = block.shape
+        assert q >= p
 
-    def test_determinant_identity(self, gen):
-        b0, bt = self._bases(gen)
-        w = WindowSpec(-1.0, 1.0, 0.2)
-        block = build_overlap_block(b0, bt, w)
-        report = subspace_report(b0, bt, w)
-        assert determinant_distance(block) == pytest.approx(report.distance, abs=1e-10)
+    def test_determinant_identity(self):
+        block = overlap_block(*_sample(), WindowSpec(-1.0, 1.0, 0.2))
+        assert determinant_distance(block) == pytest.approx(_distance(block), abs=1e-10)
 
-    def test_empty_window(self, gen):
-        b0, bt = self._bases(gen)
+    def test_empty_window(self):
         with pytest.raises(EmptyWindowError):
-            build_overlap_block(b0, bt, WindowSpec(10.0, 11.0, 0.1))
+            overlap_block(*_sample(), WindowSpec(10.0, 11.0, 0.1))
 
-    def test_delta_monotonicity(self, gen):
-        b0, bt = self._bases(gen)
+    def test_delta_monotonicity(self):
+        sample = _sample()
         prev = math.inf
         for delta in (0.05, 0.1, 0.2, 0.4):
-            d = subspace_report(b0, bt, WindowSpec(-1.0, 1.0, delta)).distance
+            d = _distance(overlap_block(*sample, WindowSpec(-1.0, 1.0, delta)))
             assert d <= prev + 1e-12
             prev = d
-
-    def test_json_export(self, gen, tmp_path):
-        b0, bt = self._bases(gen)
-        report = subspace_report(b0, bt, WindowSpec(-1.0, 1.0, 0.2))
-        path = tmp_path / "r.json"
-        report.to_json(path, config_echo={"n": 80})
-        import json
-        payload = json.loads(path.read_text())
-        assert payload["P"] == report.p and payload["config"]["n"] == 80
 
 
 class TestPredictedDistance:
@@ -221,12 +220,17 @@ class TestProperties:
     @given(seed=st.integers(min_value=0, max_value=2**20))
     @settings(max_examples=10, deadline=None)
     def test_identity_routes_agree(self, seed):
-        gen = np.random.default_rng(seed)
-        m0 = sample_goe(40, 1.0, gen)
-        b0 = eigen_decompose(m0)
-        bt = eigen_decompose(m0 + sample_goe(40, 0.05, gen))
-        w = WindowSpec(-1.0, 1.0, 0.3)
-        block = build_overlap_block(b0, bt, w)
-        report = subspace_report(b0, bt, w)
-        if math.isfinite(report.distance):
-            assert determinant_distance(block) == pytest.approx(report.distance, abs=1e-10)
+        block = overlap_block(*_sample(n=40, t=0.05, seed=seed), WindowSpec(-1.0, 1.0, 0.3))
+        d = _distance(block)
+        if math.isfinite(d):
+            assert determinant_distance(block) == pytest.approx(d, abs=1e-10)
+
+
+class TestScaleInvariance:
+    def test_predicted_distance(self):
+        # in law, a scale-s GOE start at time t is sqrt(s) (A_1 + H_{t/s}):
+        # at s = 4 the window edges halve and t quarters
+        wide, unit = GOEInitial(4.0).profile, GOEInitial(1.0).profile
+        d4 = predicted_distance(0.02, WindowSpec(-1.0, 1.0, 0.2), wide.density, wide.support)
+        d1 = predicted_distance(0.005, WindowSpec(-0.5, 0.5, 0.1), unit.density, unit.support)
+        assert d4 == pytest.approx(d1, rel=1e-10)
