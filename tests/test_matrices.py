@@ -46,8 +46,6 @@ class TestSampleGOE:
     def test_invalid_scale(self, gen):
         with pytest.raises(DomainError):
             sample_goe(50, 0.0, gen)
-        with pytest.raises(DomainError):  # the noise H_t at time t = 0
-            sample_goe(20, 0.0, RngStream(5, 0))
 
     def test_brownian_scaling(self):
         # same substream, t=4 draw equals 2x the t=1 draw entrywise
@@ -60,6 +58,11 @@ class TestSampleGOE:
         h = sample_goe(400, 1.0, gen)
         top = np.linalg.eigvalsh(a + h).max()
         assert abs(top - 2.0 * np.sqrt(2.0)) <= 0.15
+
+    def test_invalid_time(self, gen):
+        # the noise H_t at time t = 0 is sample_goe at scale 0
+        with pytest.raises(DomainError):
+            sample_goe(20, 0.0, gen)
 
 
 class TestEnsureSymmetric:
