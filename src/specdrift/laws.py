@@ -23,14 +23,14 @@ from scipy.interpolate import PchipInterpolator
 from .errors import DegenerateGapError, DomainError, OutsideSupportError
 from .matrices import ensure_symmetric
 from .profiles import SemicircleQuantileProfile
-from .stieltjes import (DensityLine, density_and_hilbert, semicircle_density_line,
-                        solve_grid, support_bounds)
+from .stieltjes import (DensityLine, boundary_values, density_and_hilbert,
+                        semicircle_density_line, support_bounds)
 
 
 def overlap_full(t: float, lambda_i: float, a_j, density: DensityLine):
     """Master overlap kernel, valid for any t given boundary data at
     lambda_i."""
-    if density.rho <= 0 or not density.inside_support:
+    if not density.inside_support:
         raise OutsideSupportError(f"lambda={lambda_i} outside the time-t support")
     a = np.asarray(a_j, dtype=float)
     val = t / ((a - lambda_i - t * density.hilbert) ** 2
@@ -38,18 +38,20 @@ def overlap_full(t: float, lambda_i: float, a_j, density: DensityLine):
     return float(val) if a.ndim == 0 else val
 
 
-def overlap_goe(t: float, lambda_i: float, a_j):
-    """GOE specialization: t / ((a-l)^2 + t/(1+t) l (a-l) + t^2/(1+t)).
+def overlap_goe(t: float, lambda_i: float, a_j, radius: float = 2.0):
+    """Semicircle-start specialization: t / ((a-l)^2 + t/c l (a-l) + t^2/c)
+    with c = radius^2/4 + t (c = 1 + t for the unit GOE).
 
     Algebraically identical to overlap_full fed with the semicircle closed
     forms (complete the square in the denominator).
     """
-    edge = 2.0 * math.sqrt(1.0 + t)
+    c = radius * radius / 4.0 + t
+    edge = 2.0 * math.sqrt(c)
     if abs(lambda_i) > edge:
         raise OutsideSupportError(f"lambda={lambda_i} outside [-{edge}, {edge}]")
     a = np.asarray(a_j, dtype=float)
     d = a - lambda_i
-    denom = d * d + (t / (1.0 + t)) * lambda_i * d + t * t / (1.0 + t)
+    denom = d * d + (t / c) * lambda_i * d + t * t / c
     if np.any(denom <= 0):
         raise ArithmeticError("nonpositive overlap denominator inside the support")
     val = t / denom
@@ -138,14 +140,14 @@ def perturbed_quantile(profile, t: float, x: float) -> float:
         raise DomainError("quantile x must be in (0,1)")
     if t == 0:
         return float(profile.eval(x))
-    if isinstance(profile, SemicircleQuantileProfile) and profile.radius == 2.0:
-        # time-t spectrum is again a semicircle, radius scaled by sqrt(1+t)
-        return math.sqrt(1.0 + t) * float(profile.eval(x))
+    if isinstance(profile, SemicircleQuantileProfile):
+        # time-t spectrum is again a semicircle, of variance c = r^2/4 + t
+        c0 = profile.radius * profile.radius / 4.0
+        return math.sqrt((c0 + t) / c0) * float(profile.eval(x))
     lo, hi = support_bounds(profile, t)
     grid = np.linspace(lo, hi, 257)
-    sol = solve_grid(profile, t, grid)
-    cdf = np.concatenate([[0.0], np.cumsum((sol.rho[1:] + sol.rho[:-1]) / 2.0
-                                           * np.diff(grid))])
+    rho = boundary_values(profile, t, grid)[0].imag / math.pi
+    cdf = np.concatenate([[0.0], np.cumsum((rho[1:] + rho[:-1]) / 2.0 * np.diff(grid))])
     cdf /= cdf[-1]
     keep = np.concatenate([[True], np.diff(cdf) > 0])
     inv = PchipInterpolator(cdf[keep], grid[keep])
@@ -155,6 +157,6 @@ def perturbed_quantile(profile, t: float, x: float) -> float:
 def density_line_at(profile, t: float, lam: float) -> DensityLine:
     """Boundary data at lam: GOE closed form when available, otherwise the
     fixed-point solver."""
-    if isinstance(profile, SemicircleQuantileProfile) and profile.radius == 2.0:
-        return semicircle_density_line(t, lam)
+    if isinstance(profile, SemicircleQuantileProfile):
+        return semicircle_density_line(t, lam, profile.radius)
     return density_and_hilbert(profile, t, lam)

@@ -74,7 +74,7 @@ class ProfileInitial:
         return a
 
     def describe(self):
-        return {"kind": "profile", "profile": self.profile.kind}
+        return {"kind": "profile", "profile": self.profile.spec}
 
 
 @dataclass(frozen=True)

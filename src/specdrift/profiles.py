@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import math
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -22,6 +24,40 @@ from .errors import DomainError, EdgeError, InvalidProfileError
 # derivative diverges there (semicircle quantile).
 EDGE_MARGIN = 1e-6
 
+#: Gauss-Legendre order of every panel of a chart rule.
+RULE_ORDER = 12
+#: Newton steps that polish a pole on a tabulated profile's cubic piece.
+TABULATED_NEWTON = 8
+
+
+@dataclass(frozen=True)
+class ChartRule:
+    """Fixed composite rule in a profile's chart s = S(u), weight
+    W(u) = rho0(S(u)) S'(u):  sum(ws * f(s)) ~= int rho0(s) f(s) ds.
+
+    Row p holds the nodes of piece p, the chart interval [lo[p], hi[p]] on
+    which S and W are single analytic functions; the resolvent subtracts
+    its pole piece by piece (see SpectralProfile.chart_poles)."""
+
+    u: np.ndarray   # (pieces, nodes per piece)
+    wt: np.ndarray  # weights in u
+    s: np.ndarray   # S(u)
+    ws: np.ndarray  # wt * W(u)
+    lo: np.ndarray  # (pieces,)
+    hi: np.ndarray
+
+    @classmethod
+    def build(cls, edges, S, W, pieces=1):
+        """RULE_ORDER-point Gauss-Legendre panels between consecutive
+        `edges`, split evenly into `pieces` pieces."""
+        x, w = np.polynomial.legendre.leggauss(RULE_ORDER)
+        edges = np.asarray(edges, dtype=float)
+        half = np.diff(edges)[:, None] / 2.0
+        u = ((edges[:-1, None] + edges[1:, None]) / 2.0 + half * x).reshape(pieces, -1)
+        wt = (half * w).reshape(pieces, -1)
+        step = (len(edges) - 1) // pieces
+        return cls(u=u, wt=wt, s=S(u), ws=wt * W(u), lo=edges[:-1:step], hi=edges[step::step])
+
 
 class SpectralProfile(ABC):
     """Strictly increasing allocation function a : [0,1] -> [a_min, a_max]."""
@@ -29,6 +65,8 @@ class SpectralProfile(ABC):
     kind: str = "abstract"
     #: True when the derivative diverges at x in {0,1}.
     edge_singular: bool = False
+    #: Gauss panels of chart_rule.
+    rule_panels: int = 1
 
     # -- core surface -----------------------------------------------------
 
@@ -94,11 +132,31 @@ class SpectralProfile(ABC):
 
         The default chart is the quantile variable itself (W = 1); profiles
         with edge-singular densities override it to keep quadrature cheap.
+        S and W take scalars and arrays.
         """
-        return (lambda u: self.eval(float(u)),
-                lambda u: 1.0,
-                0.0, 1.0,
-                lambda s: float(self.inverse(s)))
+        return (self.eval, lambda u: 1.0, 0.0, 1.0, lambda s: float(self.inverse(s)))
+
+    @cached_property
+    def chart_rule(self) -> ChartRule:
+        """The fixed quadrature rule in quad_chart: one analytic piece of
+        rule_panels Gauss panels, built once."""
+        S, W, u_lo, u_hi, _ = self.quad_chart()
+        return ChartRule.build(np.linspace(u_lo, u_hi, self.rule_panels + 1), S, W)
+
+    def chart_poles(self, w):
+        """Poles of W(u)/(S(u) - w) near the chart, for complex w of shape
+        (B,): the pieces that hold them, shape (B, K) (-1 for none), and on
+        each piece J roots u of S(u) = w, shape (B, K, J), with the residue c
+        of W/(S - w) and the coefficients a2, b1 of
+        W/(S - w)^2 = a2/(u - u_j)^2 + b1/(u - u_j) + regular.
+        """
+        raise NotImplementedError
+
+    def chart_gap(self, piece, u, u0):
+        """S(u) - S(u0) on the given pieces, computed without cancellation
+        as u approaches any root of S(u) = S(u0) (u0 is a root from
+        chart_poles)."""
+        raise NotImplementedError
 
     def _check_x(self, x, open_interval=False):
         x_arr = np.asarray(x, dtype=float)
@@ -185,6 +243,22 @@ class LinearProfile(SpectralProfile):
     def support(self):
         return (self.lo, self.hi)
 
+    @property
+    def spec(self):
+        """The --profile spec that parses back to this profile."""
+        return f"linear:{self.lo!r},{self.hi!r}"
+
+    # S is affine and W = 1, so subtracting the pole leaves nothing to
+    # integrate: the one-panel rule gives the closed form.
+    def chart_poles(self, w):
+        span = self.hi - self.lo
+        u0 = (np.asarray(w, dtype=complex)[:, None, None] - self.lo) / span
+        c = np.full(u0.shape, 1.0 / span, dtype=complex)
+        return np.zeros(u0.shape[:2], dtype=int), u0, c, c * c, np.zeros_like(c)
+
+    def chart_gap(self, piece, u, u0):
+        return (self.hi - self.lo) * (u - u0)
+
     def _params(self):
         return (self.lo, self.hi)
 
@@ -199,6 +273,9 @@ class SemicircleQuantileProfile(SpectralProfile):
 
     kind = "semicircle-quantile"
     edge_singular = True
+    # With both poles subtracted, what is left of the resolvent in the sine
+    # chart is analytic in a strip of half width ~pi/2: few panels suffice.
+    rule_panels = 16
 
     def __init__(self, radius=2.0):
         if not radius > 0:
@@ -253,18 +330,29 @@ class SemicircleQuantileProfile(SpectralProfile):
         # s = r sin(u) turns the sqrt edge factor into cos^2(u): smooth
         # integrands, no adaptive refinement piling up at the edges.
         r = self.radius
+        return (lambda u: r * np.sin(u), lambda u: (2.0 / math.pi) * np.cos(u) ** 2,
+                -math.pi / 2.0, math.pi / 2.0,
+                lambda s: math.asin(min(max(s / r, -1.0), 1.0)))
 
-        def S(u):
-            return r * math.sin(u)
+    @property
+    def spec(self):
+        return f"semicircle:{self.radius!r}"
 
-        def W(u):
-            c = math.cos(u)
-            return (2.0 / math.pi) * c * c
+    def chart_poles(self, w):
+        # r sin(u) = w has the root u0 and its mirror in the other half
+        # period; near the support edges both approach the chart, so both are
+        # subtracted. With the residues written out, W/(S - w) and its square
+        # stay finite as the two roots meet at an edge.
+        r = self.radius
+        u0 = np.arcsin(np.asarray(w, dtype=complex) / r)
+        u = np.stack([u0, np.where(u0.real >= 0, math.pi, -math.pi) - u0], axis=-1)[:, None]
+        k = 2.0 / (math.pi * r * r)
+        c = r * k * np.cos(u)
+        return np.zeros(u.shape[:2], dtype=int), u, c, np.full_like(c, k), -k * np.tan(u)
 
-        def u_from_s(s):
-            return math.asin(min(max(s / r, -1.0), 1.0))
-
-        return (S, W, -math.pi / 2.0, math.pi / 2.0, u_from_s)
+    def chart_gap(self, piece, u, u0):
+        # sin u - sin u0 as a product that vanishes at both roots
+        return 2.0 * self.radius * np.cos((u + u0) / 2.0) * np.sin((u - u0) / 2.0)
 
     def _params(self):
         return (self.radius,)
@@ -287,6 +375,7 @@ class TabulatedProfile(SpectralProfile):
             raise InvalidProfileError("knots must be strictly increasing in x and a")
         self._x = x
         self._a = a
+        self.source = None  # CSV path, set by from_csv
         self._interp = PchipInterpolator(x, a)
         self._deriv = self._interp.derivative()
 
@@ -304,7 +393,9 @@ class TabulatedProfile(SpectralProfile):
                     continue
                 xs.append(float(row[0]))
                 As.append(float(row[1]))
-        return cls(xs, As)
+        profile = cls(xs, As)
+        profile.source = str(path)
+        return profile
 
     def eval(self, x):
         x_arr = self._check_x(x)
@@ -316,28 +407,56 @@ class TabulatedProfile(SpectralProfile):
         out = self._deriv(x_arr)
         return float(out) if x_arr.ndim == 0 else out
 
-    def quad_rule(self):
-        """Fixed nodes/weights with sum_k w_k f(s_k) ~= int rho0(s) f(s) ds.
+    @property
+    def spec(self):
+        return f"csv:{self.source}" if self.source else self.kind
 
-        The interpolant is only C1 at the knots, so adaptive quadrature
-        subdivides at every knot to reach tight tolerances; a composite
-        Gauss-Legendre rule per knot interval (vectorized through the
-        interpolant) is orders of magnitude faster at the same accuracy.
-        """
-        if not hasattr(self, "_quad_rule"):
-            order = 12
-            gl_x, gl_w = np.polynomial.legendre.leggauss(order)
-            # two panels per knot interval
-            lo = np.repeat(self._x[:-1], 2)
-            hi = np.repeat(self._x[1:], 2)
-            mid = (self._x[:-1] + self._x[1:]) / 2.0
-            lo[1::2] = mid
-            hi[0::2] = mid
-            half = (hi - lo)[:, None] / 2.0
-            nodes = (lo[:, None] + hi[:, None]) / 2.0 + half * gl_x[None, :]
-            weights = half * gl_w[None, :]
-            self._quad_rule = (self._interp(nodes.ravel()), weights.ravel())
-        return self._quad_rule
+    @cached_property
+    def chart_rule(self):
+        # The interpolant is only C1 at the knots, so each knot interval is
+        # one piece, of two Gauss panels.
+        edges = np.empty(2 * len(self._x) - 1)
+        edges[0::2] = self._x
+        edges[1::2] = (self._x[:-1] + self._x[1:]) / 2.0
+        return ChartRule.build(edges, self._interp, lambda u: 1.0, pieces=len(self._x) - 1)
+
+    def chart_poles(self, w):
+        # Each cubic piece continues to its own analytic function with its
+        # own root near the pole, so the root is Newton-polished on the
+        # piece that holds Re(w) and on its two neighbours.
+        w = np.asarray(w, dtype=complex)[:, None]
+        x, a = self._x, self._a
+        last = len(x) - 2
+        xr = np.interp(w.real, a, x)
+        xr = np.where(w.real > a[-1], 1.0 + (w.real - a[-1]) / self._deriv(1.0), xr)
+        xr = np.where(w.real < a[0], (w.real - a[0]) / self._deriv(0.0), xr)
+        piece = np.clip(np.searchsorted(x, xr, side="right") - 1, 0, last) + np.arange(-1, 2)
+        valid = (piece >= 0) & (piece <= last)
+        c3, c2, c1, c0 = self._interp.c[:, np.clip(piece, 0, last)]
+        base = x[np.clip(piece, 0, last)]
+        u = xr + 0j
+        with np.errstate(all="ignore"):
+            for _ in range(TABULATED_NEWTON):
+                d = u - base
+                u = u - ((((c3 * d + c2) * d + c1) * d + c0) - w) / ((3 * c3 * d + 2 * c2) * d + c1)
+            d = u - base
+            miss = np.abs(((c3 * d + c2) * d + c1) * d + c0 - w)
+            width = x[np.clip(piece, 0, last) + 1] - base
+            ok = (valid & np.isfinite(u) & (miss <= 1e-13 * (1.0 + np.abs(w)))
+                  & (np.abs(d - width / 2) <= 2.0 * width))
+            c = 1.0 / ((3 * c3 * d + 2 * c2) * d + c1)
+            b1 = -(6 * c3 * d + 2 * c2) * c ** 3
+        piece = np.where(ok, piece, -1)
+        u = np.where(ok, u, 1j)[..., None]  # off the axis: finite, and never used
+        c, b1 = (np.where(ok, v, 0.0)[..., None] for v in (c, b1))
+        return piece, u, c, c * c, b1
+
+    def chart_gap(self, piece, u, u0):
+        # exact divided difference of the cubic on each piece
+        c3, c2, c1, _ = self._interp.c[:, piece][..., None]
+        base = self._x[piece][..., None]
+        d, d0 = u - base, u0 - base
+        return (u - u0) * (c1 + c2 * (d + d0) + c3 * (d * d + d * d0 + d0 * d0))
 
     @property
     def support(self):

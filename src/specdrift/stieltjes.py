@@ -2,15 +2,24 @@
 
 For noise strength t the limiting transform m(z) = G_{mu_t}(z) solves
 
-    m = integral_0^1 dx / (a(x) - z - t m),
+    m = int rho0(s) ds / (s - z - t m),
 
 uniquely in the half plane Im(m) * Im(z) > 0 with the convention
 G(z) = int mu(dx)/(x - z) (so Im G > 0 above the real axis; this is the
 branch that makes the inversion G -> H + i*pi*rho come out right).
 
-Near-axis boundary values (density and Hilbert transform) are obtained by
-solving on a decreasing eta schedule and Richardson-extrapolating to
-eta = 0.
+w = z + t m is Biane's subordination point. For t > 0 and real z = lam
+inside the time-t support, Im w = t pi rho_t(lam) > 0, so the boundary
+values rho_t and H_t are solved for on the real axis itself: one Newton
+iteration over the whole lambda grid at once, with every integral against
+rho0 a fixed composite Gauss-Legendre sum in the profile's chart
+(profiles.ChartRule). The pole of 1/(s - w) is subtracted in the chart
+variable and integrated in closed form, which keeps the sums exact as
+Im w -> 0 (t -> 0, or lam at an edge).
+
+The support edges are the real roots x of t int rho0(s)/(s - x)^2 ds = 1
+beyond the initial support, at lam = x - t G0(x). Outside them rho_t is
+exactly 0 and m is real.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, quad_vec
@@ -26,14 +35,20 @@ from scipy.integrate import quad, quad_vec
 from .errors import ConvergenceError, DomainError
 from .profiles import SpectralProfile
 
-#: Default eta offsets for real-axis extrapolation (halving schedule).
+#: Default eta offsets of the off-axis rows of the stieltjes CSV.
 DEFAULT_ETA_SCHEDULE = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 
-#: lambda counts as inside the support when extrapolated Im G / pi exceeds this.
-SUPPORT_RHO_THRESHOLD = 1e-4
-
 DEFAULT_TOL = 1e-12
-SUPPORT_TOL = 1e-4  # bisection width of support_bounds
+#: Newton iterations before a solve raises ConvergenceError, and step
+#: halvings within one iteration.
+MAX_ITER = 200
+HALVINGS = 6
+#: Points per vectorized block: bounds the (points x nodes) temporaries.
+BLOCK = 64
+#: Edge search: grid points per bracketing round, and the smallest distance
+#: (relative to the initial support) from the initial edge it considers.
+EDGE_GRID = 33
+EDGE_MIN = 1e-14
 
 #: cdf_limit: spacing of the outer xi Gauss rule, tolerance of the inner
 #: kernel-mass quadrature.
@@ -51,37 +66,52 @@ class DensityLine:
 
     @property
     def inside_support(self) -> bool:
-        return self.rho > SUPPORT_RHO_THRESHOLD
+        return self.rho > 0
 
 
 # ---------------------------------------------------------------------------
 # quadrature
 
 
-def _resolvent_moments(profile: SpectralProfile, w: complex, tol: float):
-    """(int rho0(s)/(s-w) ds, int rho0(s)/(s-w)^2 ds).
+def _resolvent_moments(profile: SpectralProfile, w):
+    """(int rho0(s)/(s-w) ds, int rho0(s)/(s-w)^2 ds) for every entry of w.
 
-    Integrates over the profile's quadrature chart, splitting panels at the
-    integrand peak s = Re(w). Profiles exposing a fixed quadrature rule
-    (tabulated interpolants, where adaptive panels are slow) use it directly.
+    Sums the profile's chart rule over a block of w at once. On the pieces
+    that hold a pole of W(u)/(S(u) - w) (profile.chart_poles), S(u) - w is
+    taken from profile.chart_gap, which has no cancellation near the roots,
+    and the poles are subtracted node by node, in the value and in its
+    w-derivative, and added back integrated in closed form over the piece.
     """
-    rule = getattr(profile, "quad_rule", None)
-    if rule is not None:
-        s, wt = rule()
-        r = wt / (s - w)
-        return complex(r.sum()), complex((r / (s - w)).sum())
-
-    S, W, u_lo, u_hi, u_from_s = profile.quad_chart()
-
-    def f(u):
-        d = S(u) - w
-        r = W(u) / d
-        return np.array([r, r / d])
-
-    lo, hi = profile.support
-    points = [u_from_s(w.real)] if lo < w.real < hi else None
-    val, _err = quad_vec(f, u_lo, u_hi, epsabs=tol, epsrel=tol, points=points)
-    return val[0], val[1]
+    rule = profile.chart_rule
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    val = np.empty(w.shape, dtype=complex)
+    der = np.empty(w.shape, dtype=complex)
+    for b in range(0, len(w), BLOCK):
+        wb = w[b:b + BLOCK]
+        piece, u0, c, a2, b1 = profile.chart_poles(wb)
+        has = piece >= 0
+        p = np.where(has, piece, 0)
+        uu, wt = rule.u[p], rule.wt[p]
+        inv = 1.0 / profile.chart_gap(p, uu, u0[..., :1])
+        r = rule.ws[p] * inv
+        e = 1.0 / (uu[..., None, :] - u0[..., None])
+        q1 = (wt[..., None, :] * e).sum(axis=-1)
+        q2 = (wt[..., None, :] * e * e).sum(axis=-1)
+        lo, hi = rule.lo[p][..., None] - u0, rule.hi[p][..., None] - u0
+        l1 = np.log(hi) - np.log(lo)
+        v = r.sum(axis=-1) + (c * (l1 - q1)).sum(axis=-1)
+        d = (r * inv).sum(axis=-1) + (a2 * (1.0 / lo - 1.0 / hi - q2) + b1 * (l1 - q1)).sum(axis=-1)
+        if rule.u.shape[0] == 1:
+            val[b:b + BLOCK], der[b:b + BLOCK] = v[:, 0], d[:, 0]
+            continue
+        # pieces without a pole: plain sums, piece by piece
+        inv = 1.0 / (rule.s - wb[:, None, None])
+        r = rule.ws * inv
+        pv, pd = r.sum(axis=-1), (r * inv).sum(axis=-1)
+        rows = np.arange(len(wb))[:, None]
+        val[b:b + BLOCK] = pv.sum(axis=1) + np.where(has, v - pv[rows, p], 0.0).sum(axis=1)
+        der[b:b + BLOCK] = pd.sum(axis=1) + np.where(has, d - pd[rows, p], 0.0).sum(axis=1)
+    return val, der
 
 
 def weighted_resolvent_integral(profile: SpectralProfile, w: complex, g, tol: float = 1e-12,
@@ -110,158 +140,196 @@ def weighted_resolvent_integral(profile: SpectralProfile, w: complex, g, tol: fl
 # fixed point
 
 
-def fixed_point_residual(profile: SpectralProfile, t: float, z: complex, m: complex,
-                         tol: float = DEFAULT_TOL) -> float:
-    """|F(m) - m| for the self-consistency map F."""
-    val, _ = _resolvent_moments(profile, z + t * m, tol)
-    return abs(val - m)
+def fixed_point_residual(profile: SpectralProfile, t: float, z: complex, m: complex) -> float:
+    """|F(m) - m| for the self-consistency map F(m) = G0(z + t m)."""
+    val, _ = _resolvent_moments(profile, complex(z) + t * complex(m))
+    return float(abs(val[0] - m))
 
 
-def _newton_solve(profile, t, z, m0, tol, max_iter):
-    """Newton iteration on F(m) - m = 0 with a damped-step safeguard.
+def _solve(profile, t, z, m, tol, max_iter):
+    """Newton on G0(z + t m) = m for every point of z at once; returns
+    (m, residual). `m` is the start, or None for G0(z + i sqrt(t)).
 
-    Plain damped fixed-point iteration loses its contraction rate like
-    O(eta) near the real axis; Newton keeps the iteration count flat there.
+    The Newton step is halved until it stays in the half plane of z and
+    cuts the residual (Armijo); after HALVINGS halvings the point takes the
+    damped step (m + F(m))/2 instead, which stays in the half plane because
+    F maps it into itself.
     """
-    sign = 1.0 if z.imag > 0 else -1.0
-    m = m0
-    F, dF_dw = _resolvent_moments(profile, z + t * m, tol)
+    sign = np.where(z.imag < 0, -1.0, 1.0)
+    if m is None:
+        m = _resolvent_moments(profile, z + 1j * sign * math.sqrt(t))[0]
+    m = np.where(m.imag * sign > 0, m, m.real + 1e-8j * sign)
+    F, dF = _resolvent_moments(profile, z + t * m)
     g = F - m
-    res = abs(g)
-    for _ in range(max_iter):
-        if res <= tol:
-            return m, res
-        # dF/dm = t * int rho/(s-w)^2
-        gp = t * dF_dw - 1.0
-        step = -g / gp if gp != 0 else g
-        cand = m + step
-        if cand.imag * sign <= 0:
-            cand = m + 0.5 * g  # damped fallback keeps the half plane
-        F, dF_dw = _resolvent_moments(profile, z + t * cand, tol)
-        g_new = F - cand
-        if abs(g_new) > 0.9 * res and abs(g_new) > tol:
-            # Newton overshoot: retry with a damped step from m
-            cand = m + 0.5 * g
-            F, dF_dw = _resolvent_moments(profile, z + t * cand, tol)
-            g_new = F - cand
-        m, g, res = cand, g_new, abs(g_new)
-    return m, res
+    res = np.abs(g)
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            act = np.flatnonzero(~(res <= tol))
+            if act.size == 0:
+                # one more Newton step, kept where it lowers the residual
+                cand = m - g / (t * dF - 1.0)
+                gc = _resolvent_moments(profile, z + t * cand)[0] - cand
+                better = (cand.imag * sign > 0) & (np.abs(gc) < res)
+                return np.where(better, cand, m), np.where(better, np.abs(gc), res)
+            step = -g[act] / (t * dF[act] - 1.0)
+            cand, gc, dFc = m[act].copy(), g[act].copy(), dF[act].copy()
+            todo, alpha = np.arange(act.size), 1.0
+            for _ in range(HALVINGS + 1):
+                last = alpha < 0.5 ** HALVINGS
+                k = act[todo]
+                c = m[k] + (0.5 * g[k] if last else alpha * step[todo])
+                Fc, dFk = _resolvent_moments(profile, z[k] + t * c)
+                cand[todo], gc[todo], dFc[todo] = c, Fc - c, dFk
+                if last:
+                    break
+                ok = (c.imag * sign[k] > 0) & (np.abs(Fc - c) <= (1.0 - alpha / 4.0) * res[k])
+                todo, alpha = todo[~ok], alpha / 2.0
+                if todo.size == 0:
+                    break
+            m[act], g[act], dF[act], res[act] = cand, gc, dFc, np.abs(gc)
+    worst = int(np.nanargmax(np.where(np.isfinite(res), res, np.inf)))
+    raise ConvergenceError(
+        f"fixed point not converged at z={z[worst]} (residual {res[worst]:.3e})",
+        residual=float(res[worst]), iterations=max_iter)
 
 
 def solve_fixed_point(profile: SpectralProfile, t: float, z: complex,
-                      tol: float = DEFAULT_TOL, max_iter: int = 200,
-                      m0: complex | None = None) -> complex:
-    """G_{mu_t}(z) with self-consistency residual <= tol.
-
-    Without a warm start the solver continues in Im(z): it starts far from
-    the axis (where the map is strongly contracting) and halves eta down to
-    the target, Newton-polishing at each level.
-    """
+                      tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> complex:
+    """G_{mu_t}(z) with self-consistency residual <= tol."""
     z = complex(z)
     if z.imag == 0:
         raise DomainError("z must have nonzero imaginary part")
     if t < 0:
         raise DomainError("t must be nonnegative")
     if t == 0:
-        val, _ = _resolvent_moments(profile, z, tol)
-        return val
-
-    sign = 1.0 if z.imag > 0 else -1.0
-    eta_target = abs(z.imag)
-    if m0 is None:
-        lo, hi = profile.support
-        span = (hi - lo) + 2.0 * math.sqrt(t)
-        eta = max(2.0 * span, 4.0 * math.sqrt(t), eta_target)
-        m = -1.0 / complex(z.real, sign * eta)
-        while eta > eta_target:
-            zk = complex(z.real, sign * eta)
-            m, _ = _newton_solve(profile, t, zk, m, max(tol, 1e-10), max_iter)
-            eta = max(eta / 2.0, eta_target)
-    else:
-        m = complex(m0)
-        if m.imag * sign <= 0:
-            m = complex(m.real, sign * 1e-8)
-
-    m, res = _newton_solve(profile, t, z, m, tol, max_iter)
-    if res > tol:
-        raise ConvergenceError(
-            f"fixed point not converged at z={z} (residual {res:.3e})",
-            residual=res, iterations=max_iter)
-    return m
+        return complex(_resolvent_moments(profile, z)[0][0])
+    m, _ = _solve(profile, t, np.array([z]), None, tol, max_iter)
+    return complex(m[0])
 
 
 # ---------------------------------------------------------------------------
-# eta extrapolation
+# support edges and the real-axis line
 
 
-def richardson_extrapolate(etas, values):
-    """Neville polynomial extrapolation of values(eta) to eta = 0."""
-    etas = [float(e) for e in etas]
-    p = [complex(v) for v in values]
-    n = len(p)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            num = (0.0 - etas[i - j]) * p[i] - (0.0 - etas[i]) * p[i - 1]
-            p[i] = num / (etas[i] - etas[i - j])
-    return p[-1]
+def _edge(profile: SpectralProfile, t: float, side: int):
+    """(x, lam) of the time-t support edge above (side = 1) or below (-1).
+
+    Beyond the initial support t G0'(x) falls from +inf to 0 and is at most
+    t/(x - end)^2, so the root of t G0'(x) = 1 lies within sqrt(t) of the
+    end. It is bracketed on a log grid and the bracket zoomed to rounding.
+    lam = x - t G0(x) is stationary in x there.
+    """
+    lo0, hi0 = profile.support
+    end = hi0 if side > 0 else lo0
+    delta = np.geomspace(EDGE_MIN * max(1.0, abs(end), hi0 - lo0), math.sqrt(t), EDGE_GRID)
+    for _ in range(MAX_ITER):
+        excess = t * _resolvent_moments(profile, end + side * delta)[1].real - 1.0
+        k = int(np.argmax(~(excess > 0)))
+        if excess[k] > 0 or k == 0:  # no sign change: the edge sits at a grid end
+            a = b = delta[-1] if excess[k] > 0 else delta[0]
+            break
+        a, b = delta[k - 1], delta[k]
+        if b - a <= 4.0 * np.spacing(abs(end) + b):
+            break
+        delta = np.linspace(a, b, EDGE_GRID)
+    x = end + side * 0.5 * (a + b)
+    return x, x - t * _resolvent_moments(profile, x)[0][0].real
+
+
+def support_bounds(profile: SpectralProfile, t: float) -> tuple[float, float]:
+    """Edges of the time-t spectral support."""
+    if t == 0:
+        return profile.support
+    return (_edge(profile, t, -1)[1], _edge(profile, t, 1)[1])
+
+
+def _outside(profile, t, lams, x_edge, upper, tol):
+    """Real m = G_t(lam) beyond the support. lam -> w = lam + t m is
+    inverted by Newton from w = lam: w - t G0(w) is increasing and convex
+    above the upper edge (concave below the lower), so the iterates move
+    monotonically onto the root, and they are clamped at the edge x."""
+    m = np.zeros(len(lams))
+    bound = (x_edge - lams) / t
+    F, dF = _resolvent_moments(profile, lams + t * m)
+    g = F.real - m
+    res, done = np.abs(g), False
+    with np.errstate(all="ignore"):
+        for _ in range(MAX_ITER):
+            step = g / (1.0 - t * dF.real)
+            cand = m + np.where(np.isfinite(step), step, 0.0)
+            cand = np.where(upper, np.maximum(cand, bound), np.minimum(cand, bound))
+            F, dF = _resolvent_moments(profile, lams + t * cand)
+            g = F.real - cand
+            if done:  # one step past convergence, kept where it lowers the residual
+                better = np.abs(g) < res
+                return np.where(better, cand, m), np.where(better, np.abs(g), res)
+            m, res = cand, np.abs(g)
+            done = bool(np.all(res <= tol))
+    worst = int(np.argmax(res))
+    raise ConvergenceError(f"real fixed point not converged at lambda={lams[worst]} "
+                           f"(residual {res[worst]:.3e})",
+                           residual=float(res[worst]), iterations=MAX_ITER)
+
+
+def boundary_values(profile: SpectralProfile, t: float, lams, tol: float = DEFAULT_TOL):
+    """Boundary values m = G_t(lam + i0) = H_t + i pi rho_t at every lam
+    (t > 0), and the residuals of the solve."""
+    lams = np.asarray(lams, dtype=float)
+    (x_lo, lam_lo), (x_hi, lam_hi) = _edge(profile, t, -1), _edge(profile, t, 1)
+    inside = (lams > lam_lo) & (lams < lam_hi)
+    m = np.empty(len(lams), dtype=complex)
+    res = np.zeros(len(lams))
+    if inside.any():
+        m[inside], res[inside] = _solve(profile, t, lams[inside] + 0j, None, tol, MAX_ITER)
+    for side in (lams <= lam_lo, lams >= lam_hi):
+        if side.any():
+            upper = lams[side][0] >= lam_hi
+            m[side], res[side] = _outside(profile, t, lams[side], x_hi if upper else x_lo,
+                                          upper, tol)
+    return m, res
+
+
+def _initial_line(profile: SpectralProfile, lam: float, tol: float) -> DensityLine:
+    """Exact t = 0 line: rho_0 from the profile, H_0 as one principal-value
+    integral (Cauchy-weight quadrature) inside the support."""
+    rho = profile.density(lam)
+    if rho <= 0:
+        g = _resolvent_moments(profile, complex(lam, 1e-9))[0][0]
+        return DensityLine(lam=lam, rho=0.0, hilbert=g.real)
+    lo, hi = profile.support
+    h0, _err = quad(profile.density, lo, hi, weight="cauchy", wvar=lam,
+                    epsabs=tol, epsrel=tol, limit=200)
+    return DensityLine(lam=lam, rho=rho, hilbert=h0)
 
 
 def density_and_hilbert(profile: SpectralProfile, t: float, lam: float,
-                        tol: float = DEFAULT_TOL, warm: complex | None = None) -> DensityLine:
-    """Boundary density rho_t(lam) and Hilbert transform H_{rho_t}(lam),
-    extrapolated from DEFAULT_ETA_SCHEDULE.
+                        tol: float = DEFAULT_TOL) -> DensityLine:
+    """Boundary density rho_t(lam) and Hilbert transform H_{rho_t}(lam).
 
-    Outside the support (extrapolated Im G below threshold) the line comes
-    back with rho = 0 and the real limit in `hilbert`.
-
-    At t = 0 inside the support the line is exact: rho_0 is the profile's
-    density and H_0 the principal value int rho_0(s)/(s - lam) ds (Cauchy
-    weight quadrature), with no eta schedule.
+    Outside the support the line comes back with rho = 0 and the real limit
+    in `hilbert`. At t = 0 the line is exact (see _initial_line).
     """
     if t == 0:
-        rho = profile.density(lam)
-        if rho <= SUPPORT_RHO_THRESHOLD:
-            g = solve_fixed_point(profile, 0.0, complex(lam, 1e-9), tol=tol)
-            return DensityLine(lam=lam, rho=0.0, hilbert=g.real)
-        lo, hi = profile.support
-        h0, _err = quad(profile.density, lo, hi, weight="cauchy", wvar=lam,
-                        epsabs=tol, epsrel=tol, limit=200)
-        return DensityLine(lam=lam, rho=rho, hilbert=h0)
-    vals = []
-    m = warm
-    for eta in DEFAULT_ETA_SCHEDULE:
-        m = solve_fixed_point(profile, t, complex(lam, eta), tol=tol, m0=m)
-        vals.append(m)
-    g0 = richardson_extrapolate(DEFAULT_ETA_SCHEDULE, vals)
-    rho = g0.imag / math.pi
-    if rho <= SUPPORT_RHO_THRESHOLD:
-        return DensityLine(lam=lam, rho=0.0, hilbert=g0.real)
-    return DensityLine(lam=lam, rho=max(rho, 0.0), hilbert=g0.real)
+        return _initial_line(profile, lam, tol)
+    m, _ = boundary_values(profile, t, [lam], tol)
+    return DensityLine(lam=lam, rho=m[0].imag / math.pi, hilbert=m[0].real)
 
 
 @dataclass
 class StieltjesSolution:
-    """Solved transform on a (lambda, eta) grid plus extrapolated boundary
-    values."""
+    """Solved transform on a (lambda, eta) grid plus the boundary values."""
 
     profile: SpectralProfile
     t: float
     lambdas: np.ndarray
     eta_schedule: tuple
     values: np.ndarray  # shape (n_eta, n_lambda), etas descending
-    tol: float = DEFAULT_TOL
-    rho: np.ndarray = field(default=None)
-    hilbert: np.ndarray = field(default=None)
+    rho: np.ndarray
+    hilbert: np.ndarray
+    residual: np.ndarray  # self-consistency residuals of every solved point
 
     def max_residual(self) -> float:
-        worst = 0.0
-        for i, eta in enumerate(self.eta_schedule):
-            for j, lam in enumerate(self.lambdas):
-                r = fixed_point_residual(self.profile, self.t,
-                                         complex(lam, eta), self.values[i, j],
-                                         tol=self.tol)
-                worst = max(worst, r)
-        return worst
+        return float(self.residual.max(initial=0.0))
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -277,41 +345,33 @@ class StieltjesSolution:
 
 def solve_grid(profile: SpectralProfile, t: float, lambdas,
                eta_schedule=DEFAULT_ETA_SCHEDULE, tol: float = DEFAULT_TOL) -> StieltjesSolution:
-    """Solve on a lambda grid for every eta in the schedule.
+    """Boundary values on a lambda grid, plus the transform at lambda + i eta
+    for every eta in the schedule.
 
-    A serial continuation pass seeds warm starts: the largest eta sweeps
-    lambda left to right, each smaller eta reuses the value one level up.
+    The off-axis rows are solved from the smallest eta up, each warm-started
+    from the one below it and the lowest from the real-axis line.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     etas = sorted(set(float(e) for e in eta_schedule), reverse=True)
     if not etas or etas[-1] <= 0:
         raise DomainError("eta schedule must be positive")
+    values = np.empty((len(etas), len(lambdas)), dtype=complex)
+    residual = np.zeros((len(etas) + 1, len(lambdas)))
     if t == 0:
-        values = np.empty((len(etas), len(lambdas)), dtype=complex)
         for i, eta in enumerate(etas):
-            for j, lam in enumerate(lambdas):
-                values[i, j] = solve_fixed_point(profile, 0.0, complex(lam, eta), tol=tol)
+            values[i] = _resolvent_moments(profile, lambdas + 1j * eta)[0]
+        lines = [_initial_line(profile, float(lam), tol) for lam in lambdas]
+        rho = np.array([line.rho for line in lines])
+        hilbert = np.array([line.hilbert for line in lines])
     else:
-        values = np.empty((len(etas), len(lambdas)), dtype=complex)
-        warm = None
-        for j, lam in enumerate(lambdas):
-            values[0, j] = solve_fixed_point(profile, t, complex(lam, etas[0]),
-                                             tol=tol, m0=warm)
-            warm = values[0, j]
-        for i in range(1, len(etas)):
-            for j, lam in enumerate(lambdas):
-                values[i, j] = solve_fixed_point(profile, t, complex(lam, etas[i]),
-                                                 tol=tol, m0=values[i - 1, j])
-    rho = np.empty(len(lambdas))
-    hilbert = np.empty(len(lambdas))
-    for j in range(len(lambdas)):
-        g0 = richardson_extrapolate(etas, values[:, j])
-        r = g0.imag / math.pi
-        rho[j] = r if r > SUPPORT_RHO_THRESHOLD else 0.0
-        hilbert[j] = g0.real
+        m, residual[-1] = boundary_values(profile, t, lambdas, tol)
+        rho, hilbert = m.imag / math.pi, m.real
+        for i in reversed(range(len(etas))):
+            values[i], residual[i] = _solve(profile, t, lambdas + 1j * etas[i], m, tol, MAX_ITER)
+            m = values[i]
     return StieltjesSolution(profile=profile, t=t, lambdas=lambdas,
-                             eta_schedule=tuple(etas), values=values, tol=tol,
-                             rho=rho, hilbert=hilbert)
+                             eta_schedule=tuple(etas), values=values,
+                             rho=rho, hilbert=hilbert, residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -327,44 +387,6 @@ def theta_limit(profile: SpectralProfile, t: float, z: complex, g,
         raise DomainError("z must have nonzero imaginary part")
     m = solve_fixed_point(profile, t, z, tol=tol)
     return weighted_resolvent_integral(profile, z + t * m, g, tol=tol)
-
-
-_support_cache: dict = {}
-
-
-def support_bounds(profile: SpectralProfile, t: float) -> tuple[float, float]:
-    """Edges of the time-t spectral support, located by bisection on the
-    inside-support test to width SUPPORT_TOL."""
-    key = (profile.cache_token, round(t, 12))
-    if key in _support_cache:
-        return _support_cache[key]
-    lo0, hi0 = profile.support
-    if t == 0:
-        return (lo0, hi0)
-    pad = 2.0 * math.sqrt(t) + 0.25
-    center = 0.5 * (lo0 + hi0)
-
-    def inside(lam):
-        return density_and_hilbert(profile, t, lam, tol=1e-10).inside_support
-
-    lo_out, hi_in = lo0 - pad, center
-    while hi_in - lo_out > SUPPORT_TOL:
-        mid = 0.5 * (lo_out + hi_in)
-        if inside(mid):
-            hi_in = mid
-        else:
-            lo_out = mid
-    lower = 0.5 * (lo_out + hi_in)
-    lo_in, hi_out = center, hi0 + pad
-    while hi_out - lo_in > SUPPORT_TOL:
-        mid = 0.5 * (lo_in + hi_out)
-        if inside(mid):
-            lo_in = mid
-        else:
-            hi_out = mid
-    upper = 0.5 * (lo_in + hi_out)
-    _support_cache[key] = (lower, upper)
-    return (lower, upper)
 
 
 def _overlap_kernel_mass(profile, t, line: DensityLine, alpha) -> float:
@@ -386,8 +408,9 @@ def _overlap_kernel_mass(profile, t, line: DensityLine, alpha) -> float:
 def cdf_limit(profile: SpectralProfile, t: float, lam: float, alpha: float) -> float:
     """Limiting bivariate CDF Phi(lambda, alpha) of the overlap weights.
 
-    Outer integral over xi up to `lam` against rho_t, inner integral of the
-    shifted Cauchy kernel over the initial spectrum up to `alpha`.
+    Outer integral over xi up to `lam` against rho_t (Gauss-Legendre in the
+    sine chart of the support), inner integral of the shifted Cauchy kernel
+    over the initial spectrum up to `alpha`.
     """
     if t <= 0:
         raise DomainError("cdf_limit needs t > 0")
@@ -400,56 +423,61 @@ def cdf_limit(profile: SpectralProfile, t: float, lam: float, alpha: float) -> f
         return 0.0
     n_nodes = max(48, int(math.ceil((xi_hi - lower) / CDF_XI_SPACING)))
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    xi = 0.5 * (xi_hi - lower) * nodes + 0.5 * (xi_hi + lower)
-    wq = 0.5 * (xi_hi - lower) * weights
+    # xi = lower + span sin^2(u): the square-root edges of rho_t (at lower,
+    # and at xi_hi when lam is beyond the support) become smooth in u
+    u = (nodes + 1.0) * (math.pi / 4.0)
+    xi = lower + (xi_hi - lower) * np.sin(u) ** 2
+    wq = (math.pi / 4.0) * (xi_hi - lower) * weights * np.sin(2.0 * u)
+    m, _ = boundary_values(profile, t, xi)
     total = 0.0
-    warm = None
-    for k in np.argsort(xi):
-        line = density_and_hilbert(profile, t, float(xi[k]), warm=warm)
-        warm = complex(line.hilbert, math.pi * max(line.rho, 1e-6))
-        if line.rho <= 0:
+    for k in range(n_nodes):
+        rho = m[k].imag / math.pi
+        if rho <= 0:
             continue
-        inner = _overlap_kernel_mass(profile, t, line, alpha)
-        total += wq[k] * line.rho * inner
+        line = DensityLine(lam=float(xi[k]), rho=rho, hilbert=m[k].real)
+        total += wq[k] * rho * _overlap_kernel_mass(profile, t, line, alpha)
     return float(total)
 
 
 # ---------------------------------------------------------------------------
 # GOE closed forms
+#
+# A semicircle of radius r at time t is the semicircle of variance
+# c = r^2/4 + t (radius 2 sqrt(c)); at the default r = 2, c = 1 + t exactly.
 
 
-def semicircle_density(t: float, lam: float) -> float:
-    """rho_t for a unit-scale GOE start: semicircle of variance 1 + t."""
-    c = 1.0 + t
+def semicircle_density(t: float, lam: float, radius: float = 2.0) -> float:
+    """rho_t for a semicircle start of the given radius."""
+    c = radius * radius / 4.0 + t
     disc = 4.0 * c - lam * lam
     if disc <= 0:
         return 0.0
     return math.sqrt(disc) / (2.0 * math.pi * c)
 
 
-def semicircle_hilbert(t: float, lam: float) -> float:
-    """Real boundary value of the GOE Stieltjes transform; -lam/(2(1+t))
+def semicircle_hilbert(t: float, lam: float, radius: float = 2.0) -> float:
+    """Real boundary value of the semicircle Stieltjes transform; -lam/(2c)
     inside the support, the real branch outside."""
-    c = 1.0 + t
+    c = radius * radius / 4.0 + t
     if lam * lam <= 4.0 * c:
         return -lam / (2.0 * c)
     s = math.sqrt(lam * lam - 4.0 * c)
     return (-lam + math.copysign(s, lam)) / (2.0 * c)
 
 
-def semicircle_stieltjes(t: float, z: complex) -> complex:
-    """G(z) = (-z + sqrt(z^2 - 4(1+t)))/(2(1+t)), branch with Im G > 0 in the
-    upper half plane."""
+def semicircle_stieltjes(t: float, z: complex, radius: float = 2.0) -> complex:
+    """G(z) = (-z + sqrt(z^2 - 4c))/(2c), branch with Im G > 0 in the upper
+    half plane."""
     z = complex(z)
     if z.imag == 0:
         raise DomainError("z must have nonzero imaginary part")
-    c = 1.0 + t
+    c = radius * radius / 4.0 + t
     s = cmath.sqrt(z * z - 4.0 * c)
     if s.imag * z.imag < 0:
         s = -s
     return (-z + s) / (2.0 * c)
 
 
-def semicircle_density_line(t: float, lam: float) -> DensityLine:
-    return DensityLine(lam=lam, rho=semicircle_density(t, lam),
-                       hilbert=semicircle_hilbert(t, lam))
+def semicircle_density_line(t: float, lam: float, radius: float = 2.0) -> DensityLine:
+    return DensityLine(lam=lam, rho=semicircle_density(t, lam, radius),
+                       hilbert=semicircle_hilbert(t, lam, radius))

@@ -94,6 +94,20 @@ class TestSimulate:
         assert manifest["subcommand"] == "simulate"
         assert manifest["master_seed"] is not None
 
+    def test_config_echoes_profile_spec(self, tmp_path):
+        # --profile linear:0,1 and linear:-1,1 must leave different config blocks
+        configs = {}
+        for spec in ("linear:0,1", "linear:-1,1"):
+            rc = main(["simulate", "--n", "20", "--t", "0.5", "--samples", "2", "--index", "10",
+                       "--initial", "profile", "--profile", spec,
+                       "--out-dir", str(tmp_path / spec)])
+            assert rc == EXIT_OK
+            manifest = json.loads((tmp_path / spec / "simulate_manifest.json").read_text())
+            configs[spec] = manifest["config"]["config"]["initial"]
+        assert configs["linear:0,1"] != configs["linear:-1,1"]
+        assert parse_profile(configs["linear:-1,1"]["profile"]).cache_token == \
+            parse_profile("linear:-1,1").cache_token
+
 
 class TestReproduce:
     def test_low_sample_report_only(self, tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from specdrift import (DegenerateGapError, LinearProfile, OutsideSupportError,
-                       RngStream, ldos, overlap_cauchy, overlap_full, overlap_goe,
+                       RngStream, SemicircleQuantileProfile, density_and_hilbert, ldos, overlap_cauchy, overlap_full, overlap_goe,
                        perturbation_expansion, perturbative_diag, perturbative_offdiag,
                        perturbed_quantile)
 from specdrift.laws import density_line_at
@@ -56,6 +56,24 @@ class TestOverlapGOE:
     def test_outside_support_rejected(self):
         with pytest.raises(OutsideSupportError):
             overlap_goe(1.0, 3.0, 0.0)
+
+    @pytest.mark.parametrize("t,lam", [(0.05, 0.3), (1.0, -1.1), (4.0, 2.5)])
+    def test_radius_2_bit_identical(self, t, lam):
+        a = np.linspace(-1.9, 1.9, 9)
+        d = a - lam
+        old = t / (d * d + (t / (1.0 + t)) * lam * d + t * t / (1.0 + t))
+        assert np.array_equal(overlap_goe(t, lam, a), old)
+        assert np.array_equal(overlap_goe(t, lam, a, radius=2.0), old)
+
+    @pytest.mark.parametrize("t,lam", [(0.05, 0.3), (1.0, -3.1), (4.0, 2.5)])
+    def test_radius_4_matches_solver(self, t, lam):
+        # the closed form at radius 4 against the kernel on the solver's line
+        a = np.linspace(-3.9, 3.9, 25)
+        line = density_and_hilbert(SemicircleQuantileProfile(4.0), t, lam)
+        rel = np.abs(overlap_goe(t, lam, a, radius=4.0) / overlap_full(t, lam, a, line) - 1.0)
+        assert np.max(rel) <= 1e-12
+        assert density_line_at(SemicircleQuantileProfile(4.0), t, lam).rho == pytest.approx(
+            line.rho, abs=1e-12)
 
     def test_identity_with_full_kernel(self):
         lams = np.linspace(-2.5, 2.5, 25)
@@ -189,6 +207,13 @@ class TestPerturbedQuantile:
     def test_goe_scaling(self, goe_profile):
         assert perturbed_quantile(goe_profile, 1.0, 0.8) == pytest.approx(
             math.sqrt(2.0) * goe_profile.eval(0.8), abs=1e-12)
+
+    def test_semicircle_any_radius(self, goe_profile):
+        # radius 4 at time t is twice radius 2 at time t/4
+        for t, q in ((0.05, 0.2), (1.0, 0.65), (4.0, 0.97)):
+            wide = perturbed_quantile(SemicircleQuantileProfile(4.0), t, q)
+            assert wide == pytest.approx(2.0 * perturbed_quantile(goe_profile, t / 4.0, q),
+                                         rel=1e-12)
 
     def test_general_profile_matches_goe_shortcut(self, goe_profile):
         # route the GOE profile through the generic grid/CDF path via a

@@ -35,6 +35,19 @@ class TestExperimentConfig:
         d = small_config().describe()
         assert d["n"] == 40 and d["target_indices"] == [20]
 
+    def test_profile_start_echoes_spec(self, tmp_path):
+        from specdrift.cli import parse_profile
+        blocks = [small_config(initial=ProfileInitial(parse_profile(spec))).describe()["initial"]
+                  for spec in ("linear:0,1", "linear:-1,1")]
+        assert blocks[0] != blocks[1]
+        path = tmp_path / "knots.csv"
+        path.write_text("x,a\n0,-1\n0.5,0.25\n1,1\n")
+        for spec in ("linear:-1,1", "linear", "uniform-gap:2", "goe", "semicircle:4",
+                     f"csv:{path}"):
+            profile = parse_profile(spec)
+            echoed = ProfileInitial(profile).describe()["profile"]
+            assert parse_profile(echoed).cache_token == profile.cache_token
+
 
 class TestGOEInitial:
     def test_limit_profile(self):

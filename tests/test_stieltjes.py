@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdrift import (ConvergenceError, DomainError, LinearProfile, SemicircleQuantileProfile,
-                       cdf_limit, density_and_hilbert, semicircle_density,
+                       TabulatedProfile, cdf_limit, density_and_hilbert, semicircle_density,
                        semicircle_hilbert, semicircle_stieltjes, solve_fixed_point,
                        solve_grid, support_bounds, theta_limit)
-from specdrift.stieltjes import (DEFAULT_TOL, fixed_point_residual,
-                                 richardson_extrapolate)
+from specdrift.stieltjes import DEFAULT_TOL, fixed_point_residual
 
 
 def semicircle_oracle(z):
@@ -108,6 +107,28 @@ class TestSemicircleClosedForms:
     def test_hilbert_value(self):
         assert semicircle_hilbert(3.0, 2.0) == pytest.approx(-0.25)
 
+    @pytest.mark.parametrize("t,lam", [(0.0, 0.3), (0.05, -1.7), (1.0, 2.5), (4.0, -0.2)])
+    def test_radius_2_bit_identical(self, t, lam):
+        # the variance r^2/4 + t is exactly 1 + t at the default radius
+        c = 1.0 + t
+        disc = 4.0 * c - lam * lam
+        rho = math.sqrt(disc) / (2.0 * math.pi * c) if disc > 0 else 0.0
+        assert semicircle_density(t, lam) == semicircle_density(t, lam, 2.0) == rho
+        if disc > 0:
+            assert semicircle_hilbert(t, lam) == -lam / (2.0 * c)
+
+    @pytest.mark.parametrize("t", [0.05, 1.0])
+    def test_radius_4_matches_solver(self, t):
+        edge = 2.0 * math.sqrt(4.0 + t)
+        grid = np.linspace(-1.2 * edge, 1.2 * edge, 48)  # no point on an edge
+        sol = solve_grid(SemicircleQuantileProfile(4.0), t, grid)
+        for j, lam in enumerate(grid):
+            assert abs(sol.rho[j] - semicircle_density(t, lam, 4.0)) <= 1e-12
+            assert abs(sol.hilbert[j] - semicircle_hilbert(t, lam, 4.0)) <= 1e-12
+        for z in (0.3 + 0.2j, -4.0 + 0.01j):
+            m = solve_fixed_point(SemicircleQuantileProfile(4.0), t, z)
+            assert abs(m - semicircle_stieltjes(t, z, 4.0)) <= 1e-12
+
     def test_point_mass_oracle(self):
         # m(-z-m)=1 at z=i: m = i(sqrt(5)-1)/2
         z = 1j
@@ -125,6 +146,14 @@ class TestSolveGrid:
             assert sol.rho[j] == pytest.approx(semicircle_density(1.0, lam), abs=1e-8)
         # Herglotz at every stored point
         assert np.all(sol.values.imag > 0)
+
+    def test_unreachable_tol_raises(self, goe_profile, linear_profile):
+        # no NaN and no silent return: a residual that cannot reach tol raises
+        for profile in (goe_profile, linear_profile):
+            with pytest.raises(ConvergenceError) as info:
+                solve_grid(profile, 1.0, [0.3, 5.0], tol=1e-30)
+            assert info.value.iterations > 0
+            assert math.isfinite(info.value.residual)
 
     def test_nonpositive_eta_rejected(self, goe_profile):
         for etas in ((-0.01, -0.005), (0.01, 0.0), ()):
@@ -160,6 +189,38 @@ class TestSupportBounds:
 
     def test_t0_profile_support(self, linear_profile):
         assert support_bounds(linear_profile, 0.0) == (0.0, 1.0)
+
+    @staticmethod
+    def _linear_edge(t):
+        # uniform density on [-1, 1]: t G0'(x) = t / (x^2 - 1) = 1 at x = sqrt(1 + t)
+        x = math.sqrt(1.0 + t)
+        return x + (t / 2.0) * math.log((x + 1.0) / (x - 1.0))
+
+    @pytest.mark.parametrize("profile,t,edge", [
+        (LinearProfile(-1.0, 1.0), 0.5, _linear_edge(0.5)),
+        (LinearProfile(-1.0, 1.0), 0.05, _linear_edge(0.05)),
+        (SemicircleQuantileProfile(), 1.0, 2.0 * math.sqrt(2.0)),
+        (SemicircleQuantileProfile(), 0.05, 2.0 * math.sqrt(1.05)),
+        (SemicircleQuantileProfile(4.0), 0.2, 2.0 * math.sqrt(4.2)),
+    ], ids=["linear-0.5", "linear-0.05", "goe-1", "goe-0.05", "radius4-0.2"])
+    def test_exact_edges(self, profile, t, edge):
+        lo, hi = support_bounds(profile, t)
+        assert abs(hi - edge) <= 1e-9
+        assert abs(lo + edge) <= 1e-9
+
+    @pytest.mark.parametrize("profile", [
+        LinearProfile(-1.0, 1.0), SemicircleQuantileProfile(),
+        TabulatedProfile(np.linspace(0, 1, 33), np.linspace(0, 1, 33) ** 2 + np.linspace(0, 1, 33)),
+    ], ids=["linear", "goe", "tabulated"])
+    def test_line_on_edge(self, profile):
+        # exactly on a root-found edge: finite, rho = 0, and positive just inside
+        for t in (0.01, 1.0):
+            lo, hi = support_bounds(profile, t)
+            for lam in (lo, hi):
+                line = density_and_hilbert(profile, t, lam)
+                assert line.rho == 0.0 and math.isfinite(line.hilbert)
+            inside = density_and_hilbert(profile, t, hi - 1e-6 * (hi - lo))
+            assert inside.rho > 0
 
 
 class TestThetaLimit:
@@ -206,6 +267,13 @@ class TestCdfLimit:
         vals = [cdf_limit(goe_profile, 1.0, lam, 0.5) for lam in (-1.0, 0.0, 1.0)]
         assert vals[0] < vals[1] < vals[2]
 
+    def test_scale_invariance(self):
+        # radius 4 at (t, lam, alpha) is radius 2 at (t/4, lam/2, alpha/2)
+        for lam, alpha in ((0.0, 0.0), (1.0, -0.6)):
+            wide = cdf_limit(SemicircleQuantileProfile(4.0), 1.0, lam, alpha)
+            unit = cdf_limit(SemicircleQuantileProfile(2.0), 0.25, lam / 2, alpha / 2)
+            assert abs(wide - unit) <= 1e-9
+
     def test_marginal_derivative_recovers_density(self, goe_profile):
         # d Phi(lam, +inf)/d lam == rho_t(lam)
         h = 0.05
@@ -213,13 +281,6 @@ class TestCdfLimit:
             d = (cdf_limit(goe_profile, 1.0, lam + h, 10.0)
                  - cdf_limit(goe_profile, 1.0, lam - h, 10.0)) / (2 * h)
             assert d == pytest.approx(semicircle_density(1.0, lam), abs=1e-3)
-
-
-class TestRichardson:
-    def test_exact_polynomial(self):
-        etas = [0.4, 0.2, 0.1]
-        values = [3.0 + 2.0 * e + 5.0 * e * e for e in etas]
-        assert richardson_extrapolate(etas, values) == pytest.approx(3.0, abs=1e-12)
 
 
 class TestProperties:
