@@ -20,7 +20,7 @@ from . import __version__, laws, montecarlo, stieltjes, subspace
 from .errors import (ConfigError, ConvergenceError, DomainError, InvalidProfileError,
                      SpecdriftError)
 from .montecarlo import ExperimentConfig, GOEInitial, ProfileInitial, write_manifest
-from .profiles import TabulatedProfile, make_profile
+from .profiles import SemicircleQuantileProfile, TabulatedProfile, make_profile
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,16 +78,18 @@ def parse_grid(spec: str) -> np.ndarray:
     return np.arange(lo, hi + step / 2, step)
 
 
-def parse_g(spec: str):
+def parse_g(spec: str) -> float:
+    """The theta weight g = 1(a <= THR) as its threshold; one is +inf."""
     if spec == "one":
-        return lambda x: 1.0
-    if spec.startswith("indicator:"):
-        try:
-            thr = float(spec.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"malformed weight function {spec!r}") from exc
-        return lambda x: 1.0 if x <= thr else 0.0
-    raise ConfigError(f"unknown weight function {spec!r} (use one | indicator:THR)")
+        return float("inf")
+    kind, _, value = spec.partition(":")
+    try:
+        threshold = float(value)
+    except ValueError:
+        threshold = float("nan")
+    if kind != "indicator" or threshold != threshold:
+        raise ConfigError(f"bad weight function {spec!r} (use one | indicator:THR)")
+    return threshold
 
 
 def _out_dir(args) -> Path:
@@ -154,7 +156,9 @@ def cmd_predict(args) -> int:
         a_grid = np.linspace(lo + 1e-9, hi - 1e-9, 401)
 
     if regime == "goe":
-        values = laws.overlap_goe(t, lam, a_grid)
+        if not isinstance(profile, SemicircleQuantileProfile):
+            raise ConfigError("--regime goe needs a semicircle profile (goe or semicircle:R)")
+        values = laws.overlap_goe(t, lam, a_grid, profile.radius)
     elif regime == "cauchy":
         values = laws.overlap_cauchy(t, lam, a_grid,
                                      laws.density_line_at(profile, 0.0, lam))
@@ -342,10 +346,10 @@ def cmd_stieltjes(args) -> int:
 def cmd_theta(args) -> int:
     started = time.time()
     z = complex(args.z[0], args.z[1])
-    g = parse_g(args.g)
+    threshold = parse_g(args.g)
     config = _experiment_config(args)
-    est = montecarlo.estimate_theta(config, z, g, workers=args.workers)
-    limit = stieltjes.theta_limit(config.initial.profile, args.t, z, g)
+    est = montecarlo.estimate_theta(config, z, threshold, workers=args.workers)
+    limit = stieltjes.theta_limit(config.initial.profile, args.t, z, threshold)
     report = {
         "z": [z.real, z.imag], "g": args.g,
         "empirical": [est.value.real, est.value.imag],

@@ -9,7 +9,8 @@ with rho, H the boundary density / Hilbert transform of the time-t spectrum
 at lambda. Specializations: the GOE closed form, the small-t Cauchy flight
 (the kernel on the initial t = 0 boundary data) and the two perturbative
 formulas, plus the second-order eigenvalue / first-order eigenvector
-expansion coefficients.
+expansion coefficients. Closed forms only: the boundary data and the
+quantiles of a general profile come from the solver in stieltjes.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DegenerateGapError, DomainError, OutsideSupportError
 from .matrices import ensure_symmetric
 from .profiles import SemicircleQuantileProfile
-from .stieltjes import (DensityLine, boundary_values, density_and_hilbert,
-                        semicircle_density_line, support_bounds)
+from .stieltjes import (DensityLine, density_and_hilbert, quantile_limit,
+                        semicircle_density_line)
 
 
 def overlap_full(t: float, lambda_i: float, a_j, density: DensityLine):
@@ -144,14 +144,7 @@ def perturbed_quantile(profile, t: float, x: float) -> float:
         # time-t spectrum is again a semicircle, of variance c = r^2/4 + t
         c0 = profile.radius * profile.radius / 4.0
         return math.sqrt((c0 + t) / c0) * float(profile.eval(x))
-    lo, hi = support_bounds(profile, t)
-    grid = np.linspace(lo, hi, 257)
-    rho = boundary_values(profile, t, grid)[0].imag / math.pi
-    cdf = np.concatenate([[0.0], np.cumsum((rho[1:] + rho[:-1]) / 2.0 * np.diff(grid))])
-    cdf /= cdf[-1]
-    keep = np.concatenate([[True], np.diff(cdf) > 0])
-    inv = PchipInterpolator(cdf[keep], grid[keep])
-    return float(inv(x))
+    return quantile_limit(profile, t, x)
 
 
 def density_line_at(profile, t: float, lam: float) -> DensityLine:

@@ -312,29 +312,30 @@ def _scalar_estimate(values) -> ScalarEstimate:
                           samples=c)
 
 
-def theta_sample(a, lam, vecs, z: complex, g) -> complex:
-    """(1/N) Tr((M_t - z)^{-1} g(A)) from the eigendecomposition of M_t."""
-    ga = np.asarray([g(v) for v in a], dtype=float)
+def theta_sample(a, lam, vecs, z: complex, threshold: float) -> complex:
+    """(1/N) Tr((M_t - z)^{-1} 1(A <= threshold)) from the eigendecomposition of M_t."""
+    ga = (np.asarray(a) <= threshold).astype(float)
     return complex((ga @ vecs ** 2) @ (1.0 / (lam - z)) / len(a))
 
 
-def theta_sample_resolvent(a, m_t, z: complex, g) -> complex:
+def theta_sample_resolvent(a, m_t, z: complex, threshold: float) -> complex:
     """Same trace via a direct linear solve; cross-check route."""
     n = len(a)
     r = np.linalg.solve(m_t - z * np.eye(n), np.eye(n))
-    ga = np.asarray([g(v) for v in a], dtype=float)
+    ga = (np.asarray(a) <= threshold).astype(float)
     return complex(np.sum(np.diag(r) * ga) / n)
 
 
-def estimate_theta(config: ExperimentConfig, z: complex, g, workers: int = 1) -> ScalarEstimate:
-    """Monte Carlo estimate of Theta^g_N(z)."""
+def estimate_theta(config: ExperimentConfig, z: complex, threshold: float,
+                   workers: int = 1) -> ScalarEstimate:
+    """Monte Carlo estimate of Theta^g_N(z), g the indicator of a <= threshold."""
     z = complex(z)
     if z.imag == 0:
         raise DomainError("z must have nonzero imaginary part")
 
     def worker(k):
         a, lam, vecs = _draw_sample(config, k)
-        return theta_sample(a, lam, vecs, z, g)
+        return theta_sample(a, lam, vecs, z, threshold)
 
     return _scalar_estimate(_map_samples(config, worker, workers))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from abc import ABC, abstractmethod
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,9 +46,13 @@ class ChartRule:
     ws: np.ndarray  # wt * W(u)
     lo: np.ndarray  # (pieces,)
     hi: np.ndarray
+    edges: np.ndarray  # panel edges in u
+    S: Callable
+    W: Callable
+    U: Callable  # inverse of S on the support, s -> u
 
     @classmethod
-    def build(cls, edges, S, W, pieces=1):
+    def build(cls, edges, S, W, U, pieces=1):
         """RULE_ORDER-point Gauss-Legendre panels between consecutive
         `edges`, split evenly into `pieces` pieces."""
         x, w = np.polynomial.legendre.leggauss(RULE_ORDER)
@@ -56,7 +61,15 @@ class ChartRule:
         u = ((edges[:-1, None] + edges[1:, None]) / 2.0 + half * x).reshape(pieces, -1)
         wt = (half * w).reshape(pieces, -1)
         step = (len(edges) - 1) // pieces
-        return cls(u=u, wt=wt, s=S(u), ws=wt * W(u), lo=edges[:-1:step], hi=edges[step::step])
+        return cls(u=u, wt=wt, s=S(u), ws=wt * W(u), lo=edges[:-1:step], hi=edges[step::step],
+                   edges=edges, S=S, W=W, U=U)
+
+    def clip(self, s_lo, s_hi):
+        """The rule on [U(s_lo), U(s_hi)] (s in the support): every panel
+        clipped to it, so a piece outside has zero length and chart_poles'
+        piece indices stay valid."""
+        edges = np.clip(self.edges, self.U(s_lo), self.U(s_hi))
+        return self.build(edges, self.S, self.W, self.U, len(self.lo))
 
 
 class SpectralProfile(ABC):
@@ -65,8 +78,6 @@ class SpectralProfile(ABC):
     kind: str = "abstract"
     #: True when the derivative diverges at x in {0,1}.
     edge_singular: bool = False
-    #: Gauss panels of chart_rule.
-    rule_panels: int = 1
 
     # -- core surface -----------------------------------------------------
 
@@ -126,22 +137,11 @@ class SpectralProfile(ABC):
             return float(out[0])
         return out
 
-    def quad_chart(self):
-        """Parametrization (S, W, u_lo, u_hi, u_from_s) such that
-        int rho0(s) f(s) ds = int_{u_lo}^{u_hi} W(u) f(S(u)) du with smooth W.
-
-        The default chart is the quantile variable itself (W = 1); profiles
-        with edge-singular densities override it to keep quadrature cheap.
-        S and W take scalars and arrays.
-        """
-        return (self.eval, lambda u: 1.0, 0.0, 1.0, lambda s: float(self.inverse(s)))
-
     @cached_property
     def chart_rule(self) -> ChartRule:
-        """The fixed quadrature rule in quad_chart: one analytic piece of
-        rule_panels Gauss panels, built once."""
-        S, W, u_lo, u_hi, _ = self.quad_chart()
-        return ChartRule.build(np.linspace(u_lo, u_hi, self.rule_panels + 1), S, W)
+        """The fixed quadrature rule, built once: by default one Gauss panel
+        in the quantile variable itself, s = a(u) with W = 1."""
+        return ChartRule.build([0.0, 1.0], self.eval, lambda u: 1.0, self.inverse)
 
     def chart_poles(self, w):
         """Poles of W(u)/(S(u) - w) near the chart, for complex w of shape
@@ -194,7 +194,7 @@ class SpectralProfile(ABC):
 
     @property
     def cache_token(self):
-        """Hashable identity used to memoize per-(profile, t) solver state."""
+        """Hashable identity: equal for profiles that induce the same density."""
         return (self.kind,) + self._params()
 
     def _params(self) -> tuple:
@@ -273,9 +273,6 @@ class SemicircleQuantileProfile(SpectralProfile):
 
     kind = "semicircle-quantile"
     edge_singular = True
-    # With both poles subtracted, what is left of the resolvent in the sine
-    # chart is analytic in a strip of half width ~pi/2: few panels suffice.
-    rule_panels = 16
 
     def __init__(self, radius=2.0):
         if not radius > 0:
@@ -326,13 +323,16 @@ class SemicircleQuantileProfile(SpectralProfile):
     def support(self):
         return (-self.radius, self.radius)
 
-    def quad_chart(self):
-        # s = r sin(u) turns the sqrt edge factor into cos^2(u): smooth
-        # integrands, no adaptive refinement piling up at the edges.
+    @cached_property
+    def chart_rule(self):
+        # s = r sin(u) turns the sqrt edge factor into cos^2(u); with both
+        # poles subtracted the resolvent is analytic in a strip of half width
+        # ~pi/2 around the chart, so 16 panels suffice.
         r = self.radius
-        return (lambda u: r * np.sin(u), lambda u: (2.0 / math.pi) * np.cos(u) ** 2,
-                -math.pi / 2.0, math.pi / 2.0,
-                lambda s: math.asin(min(max(s / r, -1.0), 1.0)))
+        return ChartRule.build(np.linspace(-math.pi / 2.0, math.pi / 2.0, 17),
+                               lambda u: r * np.sin(u),
+                               lambda u: (2.0 / math.pi) * np.cos(u) ** 2,
+                               lambda s: np.arcsin(s / r))
 
     @property
     def spec(self):
@@ -418,7 +418,8 @@ class TabulatedProfile(SpectralProfile):
         edges = np.empty(2 * len(self._x) - 1)
         edges[0::2] = self._x
         edges[1::2] = (self._x[:-1] + self._x[1:]) / 2.0
-        return ChartRule.build(edges, self._interp, lambda u: 1.0, pieces=len(self._x) - 1)
+        return ChartRule.build(edges, self._interp, lambda u: 1.0, self.inverse,
+                               pieces=len(self._x) - 1)
 
     def chart_poles(self, w):
         # Each cubic piece continues to its own analytic function with its
@@ -432,16 +433,21 @@ class TabulatedProfile(SpectralProfile):
         xr = np.where(w.real < a[0], (w.real - a[0]) / self._deriv(0.0), xr)
         piece = np.clip(np.searchsorted(x, xr, side="right") - 1, 0, last) + np.arange(-1, 2)
         valid = (piece >= 0) & (piece <= last)
-        c3, c2, c1, c0 = self._interp.c[:, np.clip(piece, 0, last)]
-        base = x[np.clip(piece, 0, last)]
+        k = np.clip(piece, 0, last)
+        c3, c2, c1, c0 = self._interp.c[:, k]
+        base = x[k]
         u = xr + 0j
         with np.errstate(all="ignore"):
             for _ in range(TABULATED_NEWTON):
                 d = u - base
                 u = u - ((((c3 * d + c2) * d + c1) * d + c0) - w) / ((3 * c3 * d + 2 * c2) * d + c1)
+            # roots of adjacent pieces that only rounding tells apart (w on or
+            # by a knot) are made one, so their logs at the shared knot cancel
+            gap = np.abs((u - u[:, 1:2]) * ((3 * c3 * d + 2 * c2) * d + c1))  # in s
+            u = np.where(gap <= 1e-13 * (1.0 + np.abs(w)), u[:, 1:2], u)
             d = u - base
             miss = np.abs(((c3 * d + c2) * d + c1) * d + c0 - w)
-            width = x[np.clip(piece, 0, last) + 1] - base
+            width = x[k + 1] - base
             ok = (valid & np.isfinite(u) & (miss <= 1e-13 * (1.0 + np.abs(w)))
                   & (np.abs(d - width / 2) <= 2.0 * width))
             c = 1.0 / ((3 * c3 * d + 2 * c2) * d + c1)

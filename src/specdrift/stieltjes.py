@@ -11,15 +11,19 @@ branch that makes the inversion G -> H + i*pi*rho come out right).
 w = z + t m is Biane's subordination point. For t > 0 and real z = lam
 inside the time-t support, Im w = t pi rho_t(lam) > 0, so the boundary
 values rho_t and H_t are solved for on the real axis itself: one Newton
-iteration over the whole lambda grid at once, with every integral against
-rho0 a fixed composite Gauss-Legendre sum in the profile's chart
-(profiles.ChartRule). The pole of 1/(s - w) is subtracted in the chart
-variable and integrated in closed form, which keeps the sums exact as
-Im w -> 0 (t -> 0, or lam at an edge).
+iteration over the whole lambda grid at once.
+
+Every integral against rho0 is one fixed composite Gauss-Legendre sum in
+the profile's chart (profiles.ChartRule), clipped at the threshold of a
+truncated integral (theta's weight 1(a <= THR), the cdf's alpha). The pole
+of 1/(s - w) is subtracted in the chart variable and integrated in closed
+form: the sums stay exact as Im w -> 0 (t -> 0, lam at an edge), and at
+w = lam itself they give the principal value H_0.
 
 The support edges are the real roots x of t int rho0(s)/(s - x)^2 ds = 1
 beyond the initial support, at lam = x - t G0(x). Outside them rho_t is
-exactly 0 and m is real.
+exactly 0 and m is real. Integrals against rho_t (the cdf's outer
+integral, the quantiles) are Gauss sums in the sine chart of that support.
 """
 
 from __future__ import annotations
@@ -30,9 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, EdgeError
 from .profiles import SpectralProfile
 
 #: Default eta offsets of the off-axis rows of the stieltjes CSV.
@@ -50,10 +53,10 @@ BLOCK = 64
 EDGE_GRID = 33
 EDGE_MIN = 1e-14
 
-#: cdf_limit: spacing of the outer xi Gauss rule, tolerance of the inner
-#: kernel-mass quadrature.
+#: cdf_limit: spacing of the outer xi Gauss rule. quantile_limit: nodes of
+#: the rule that integrates rho_t.
 CDF_XI_SPACING = 0.02
-CDF_QUAD_TOL = 1e-9
+QUANTILE_NODES = 64
 
 
 @dataclass
@@ -73,16 +76,17 @@ class DensityLine:
 # quadrature
 
 
-def _resolvent_moments(profile: SpectralProfile, w):
-    """(int rho0(s)/(s-w) ds, int rho0(s)/(s-w)^2 ds) for every entry of w.
+def _resolvent_moments(profile: SpectralProfile, w, rule=None):
+    """(int rho0(s)/(s-w) ds, int rho0(s)/(s-w)^2 ds) for every entry of w,
+    over the chart rule `rule` (the profile's whole rule, or a clip of it).
 
-    Sums the profile's chart rule over a block of w at once. On the pieces
-    that hold a pole of W(u)/(S(u) - w) (profile.chart_poles), S(u) - w is
-    taken from profile.chart_gap, which has no cancellation near the roots,
-    and the poles are subtracted node by node, in the value and in its
-    w-derivative, and added back integrated in closed form over the piece.
+    Sums the rule over a block of w at once. On the pieces that hold a pole
+    of W(u)/(S(u) - w) (profile.chart_poles), S(u) - w is taken from
+    profile.chart_gap, which has no cancellation near the roots, and the
+    poles are subtracted node by node, in the value and in its w-derivative,
+    and added back integrated in closed form over the piece.
     """
-    rule = profile.chart_rule
+    rule = profile.chart_rule if rule is None else rule
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     val = np.empty(w.shape, dtype=complex)
     der = np.empty(w.shape, dtype=complex)
@@ -98,7 +102,9 @@ def _resolvent_moments(profile: SpectralProfile, w):
         q1 = (wt[..., None, :] * e).sum(axis=-1)
         q2 = (wt[..., None, :] * e * e).sum(axis=-1)
         lo, hi = rule.lo[p][..., None] - u0, rule.hi[p][..., None] - u0
-        l1 = np.log(hi) - np.log(lo)
+        # a real w can put a root exactly on a piece end (a tabulated knot, the
+        # semicircle's edge), where the real parts of the divergent logs cancel
+        l1 = np.log(np.where(hi == 0, 1.0, hi)) - np.log(np.where(lo == 0, 1.0, lo))
         v = r.sum(axis=-1) + (c * (l1 - q1)).sum(axis=-1)
         d = (r * inv).sum(axis=-1) + (a2 * (1.0 / lo - 1.0 / hi - q2) + b1 * (l1 - q1)).sum(axis=-1)
         if rule.u.shape[0] == 1:
@@ -114,26 +120,10 @@ def _resolvent_moments(profile: SpectralProfile, w):
     return val, der
 
 
-def weighted_resolvent_integral(profile: SpectralProfile, w: complex, g, tol: float = 1e-12,
-                                upper=None) -> complex:
-    """int g(s) rho0(s)/(s - w) ds over the initial support (optionally
-    truncated above at `upper`)."""
-    lo, hi = profile.support
-    S, W, u_lo, u_hi, u_from_s = profile.quad_chart()
-    if upper is not None:
-        if upper <= lo:
-            return 0.0 + 0.0j
-        if upper < hi:
-            hi = float(upper)
-            u_hi = u_from_s(hi)
-
-    def f(u):
-        s = S(u)
-        return g(s) * W(u) / (s - w)
-
-    points = [u_from_s(w.real)] if lo < w.real < hi else None
-    val, _err = quad_vec(f, u_lo, u_hi, epsabs=tol, epsrel=tol, points=points)
-    return val
+def _rule_below(profile: SpectralProfile, threshold: float):
+    """The profile's chart rule clipped to s <= threshold."""
+    rule, (lo, hi) = profile.chart_rule, profile.support
+    return rule if threshold >= hi else rule.clip(lo, max(threshold, lo))
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +201,8 @@ def solve_fixed_point(profile: SpectralProfile, t: float, z: complex,
 # support edges and the real-axis line
 
 
-def _edge(profile: SpectralProfile, t: float, side: int):
-    """(x, lam) of the time-t support edge above (side = 1) or below (-1).
+def _edges(profile: SpectralProfile, t: float):
+    """(x, lam) of the lower and of the upper time-t support edge.
 
     Beyond the initial support t G0'(x) falls from +inf to 0 and is at most
     t/(x - end)^2, so the root of t G0'(x) = 1 lies within sqrt(t) of the
@@ -220,27 +210,30 @@ def _edge(profile: SpectralProfile, t: float, side: int):
     lam = x - t G0(x) is stationary in x there.
     """
     lo0, hi0 = profile.support
-    end = hi0 if side > 0 else lo0
-    delta = np.geomspace(EDGE_MIN * max(1.0, abs(end), hi0 - lo0), math.sqrt(t), EDGE_GRID)
-    for _ in range(MAX_ITER):
-        excess = t * _resolvent_moments(profile, end + side * delta)[1].real - 1.0
-        k = int(np.argmax(~(excess > 0)))
-        if excess[k] > 0 or k == 0:  # no sign change: the edge sits at a grid end
-            a = b = delta[-1] if excess[k] > 0 else delta[0]
-            break
-        a, b = delta[k - 1], delta[k]
-        if b - a <= 4.0 * np.spacing(abs(end) + b):
-            break
-        delta = np.linspace(a, b, EDGE_GRID)
-    x = end + side * 0.5 * (a + b)
-    return x, x - t * _resolvent_moments(profile, x)[0][0].real
+    edges = []
+    for side, end in ((-1, lo0), (1, hi0)):
+        delta = np.geomspace(EDGE_MIN * max(1.0, abs(end), hi0 - lo0), math.sqrt(t), EDGE_GRID)
+        for _ in range(MAX_ITER):
+            excess = t * _resolvent_moments(profile, end + side * delta)[1].real - 1.0
+            k = int(np.argmax(~(excess > 0)))
+            if excess[k] > 0 or k == 0:  # no sign change: the edge sits at a grid end
+                a = b = delta[-1] if excess[k] > 0 else delta[0]
+                break
+            a, b = delta[k - 1], delta[k]
+            if b - a <= 4.0 * np.spacing(abs(end) + b):
+                break
+            delta = np.linspace(a, b, EDGE_GRID)
+        x = end + side * 0.5 * (a + b)
+        edges.append((x, x - t * _resolvent_moments(profile, x)[0][0].real))
+    return edges
 
 
 def support_bounds(profile: SpectralProfile, t: float) -> tuple[float, float]:
     """Edges of the time-t spectral support."""
     if t == 0:
         return profile.support
-    return (_edge(profile, t, -1)[1], _edge(profile, t, 1)[1])
+    (_, lower), (_, upper) = _edges(profile, t)
+    return lower, upper
 
 
 def _outside(profile, t, lams, x_edge, upper, tol):
@@ -271,11 +264,13 @@ def _outside(profile, t, lams, x_edge, upper, tol):
                            residual=float(res[worst]), iterations=MAX_ITER)
 
 
-def boundary_values(profile: SpectralProfile, t: float, lams, tol: float = DEFAULT_TOL):
+def boundary_values(profile: SpectralProfile, t: float, lams, tol: float = DEFAULT_TOL,
+                    edges=None):
     """Boundary values m = G_t(lam + i0) = H_t + i pi rho_t at every lam
-    (t > 0), and the residuals of the solve."""
+    (t > 0), and the residuals of the solve. `edges` (from _edges) is found
+    when not given."""
     lams = np.asarray(lams, dtype=float)
-    (x_lo, lam_lo), (x_hi, lam_hi) = _edge(profile, t, -1), _edge(profile, t, 1)
+    (x_lo, lam_lo), (x_hi, lam_hi) = edges or _edges(profile, t)
     inside = (lams > lam_lo) & (lams < lam_hi)
     m = np.empty(len(lams), dtype=complex)
     res = np.zeros(len(lams))
@@ -289,17 +284,17 @@ def boundary_values(profile: SpectralProfile, t: float, lams, tol: float = DEFAU
     return m, res
 
 
-def _initial_line(profile: SpectralProfile, lam: float, tol: float) -> DensityLine:
-    """Exact t = 0 line: rho_0 from the profile, H_0 as one principal-value
-    integral (Cauchy-weight quadrature) inside the support."""
-    rho = profile.density(lam)
-    if rho <= 0:
-        g = _resolvent_moments(profile, complex(lam, 1e-9))[0][0]
-        return DensityLine(lam=lam, rho=0.0, hilbert=g.real)
-    lo, hi = profile.support
-    h0, _err = quad(profile.density, lo, hi, weight="cauchy", wvar=lam,
-                    epsabs=tol, epsrel=tol, limit=200)
-    return DensityLine(lam=lam, rho=rho, hilbert=h0)
+def _initial_line(profile: SpectralProfile, lams):
+    """Exact t = 0 line (rho_0, H_0) at every lam: rho_0 from the profile,
+    H_0 (off the support the real G_0) the real part of the moments at
+    w = lam, a principal value. On an edge H_0 is finite where rho_0
+    vanishes (semicircle) and diverges where it jumps (EdgeError)."""
+    lams = np.asarray(lams, dtype=float)
+    if not profile.edge_singular and np.isin(lams, profile.support).any():
+        raise EdgeError("H_0 diverges on a support edge where rho_0 jumps")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hilbert = _resolvent_moments(profile, lams + 0j)[0].real
+    return np.asarray(profile.density(lams), dtype=float), hilbert
 
 
 def density_and_hilbert(profile: SpectralProfile, t: float, lam: float,
@@ -310,7 +305,8 @@ def density_and_hilbert(profile: SpectralProfile, t: float, lam: float,
     in `hilbert`. At t = 0 the line is exact (see _initial_line).
     """
     if t == 0:
-        return _initial_line(profile, lam, tol)
+        rho, hilbert = _initial_line(profile, [lam])
+        return DensityLine(lam=lam, rho=float(rho[0]), hilbert=float(hilbert[0]))
     m, _ = boundary_values(profile, t, [lam], tol)
     return DensityLine(lam=lam, rho=m[0].imag / math.pi, hilbert=m[0].real)
 
@@ -360,9 +356,7 @@ def solve_grid(profile: SpectralProfile, t: float, lambdas,
     if t == 0:
         for i, eta in enumerate(etas):
             values[i] = _resolvent_moments(profile, lambdas + 1j * eta)[0]
-        lines = [_initial_line(profile, float(lam), tol) for lam in lambdas]
-        rho = np.array([line.rho for line in lines])
-        hilbert = np.array([line.hilbert for line in lines])
+        rho, hilbert = _initial_line(profile, lambdas)
     else:
         m, residual[-1] = boundary_values(profile, t, lambdas, tol)
         rho, hilbert = m.imag / math.pi, m.real
@@ -378,65 +372,66 @@ def solve_grid(profile: SpectralProfile, t: float, lambdas,
 # limiting functionals
 
 
-def theta_limit(profile: SpectralProfile, t: float, z: complex, g,
-                tol: float = DEFAULT_TOL) -> complex:
-    """Limit of (1/N) Tr((M_t - z)^{-1} g(A)): one fixed-point solve followed
-    by a weighted quadrature with the same kernel."""
-    z = complex(z)
-    if z.imag == 0:
-        raise DomainError("z must have nonzero imaginary part")
-    m = solve_fixed_point(profile, t, z, tol=tol)
-    return weighted_resolvent_integral(profile, z + t * m, g, tol=tol)
+def theta_limit(profile: SpectralProfile, t: float, z: complex, threshold: float) -> complex:
+    """Limit of (1/N) Tr((M_t - z)^{-1} 1(A <= threshold)): G0 clipped at the
+    threshold, at the subordination point w = z + t m."""
+    m = solve_fixed_point(profile, t, z)
+    return complex(_resolvent_moments(profile, z + t * m, _rule_below(profile, threshold))[0][0])
 
 
-def _overlap_kernel_mass(profile, t, line: DensityLine, alpha) -> float:
-    """int_{s <= alpha} rho0(s) * t / ((s - lam - t H)^2 + (t pi rho)^2) ds.
-
-    Uses Im[1/(s - w)] = Im(w)/|s - w|^2 with w = lam + t(H + i pi rho),
-    so the kernel mass is the imaginary part of a truncated weighted
-    resolvent integral.
-    """
-    b = t * math.pi * line.rho
-    if b <= 0:
-        return 0.0
-    w = complex(line.lam + t * line.hilbert, b)
-    val = weighted_resolvent_integral(profile, w, lambda s: 1.0, tol=CDF_QUAD_TOL,
-                                      upper=alpha)
-    return val.imag * t / b
+def _sine_rule(lower: float, upper: float, v: float, n: int):
+    """n-point Gauss rule (xi, weights) for int f d xi from lower to xi(v) in
+    the sine chart xi(u) = lower + (upper - lower) sin^2(u), 0 <= u <= pi/2,
+    of the support, in which the square-root edges of rho_t are smooth."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    u = (nodes + 1.0) * (v / 2.0)
+    span = upper - lower
+    return lower + span * np.sin(u) ** 2, (v / 2.0) * span * weights * np.sin(2.0 * u)
 
 
 def cdf_limit(profile: SpectralProfile, t: float, lam: float, alpha: float) -> float:
     """Limiting bivariate CDF Phi(lambda, alpha) of the overlap weights.
 
-    Outer integral over xi up to `lam` against rho_t (Gauss-Legendre in the
-    sine chart of the support), inner integral of the shifted Cauchy kernel
-    over the initial spectrum up to `alpha`.
+    Outer integral over xi <= lam against rho_t (_sine_rule), inner one of
+    the shifted Cauchy kernel over s <= alpha. As Im[1/(s - w)] =
+    Im(w)/|s - w|^2 and Im w = t pi rho_t at w = xi + t m(xi), rho_t times
+    the inner one is Im G0(w)/pi, G0 clipped at alpha: one call for all xi.
     """
     if t <= 0:
         raise DomainError("cdf_limit needs t > 0")
-    lo0, hi0 = profile.support
-    if alpha <= lo0:
+    if alpha <= profile.support[0]:
         return 0.0
-    lower, upper = support_bounds(profile, t)
-    xi_hi = min(lam, upper)
-    if xi_hi <= lower:
+    (_, lower), (_, upper) = edges = _edges(profile, t)
+    top = min(lam, upper)
+    if top <= lower:
         return 0.0
-    n_nodes = max(48, int(math.ceil((xi_hi - lower) / CDF_XI_SPACING)))
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    # xi = lower + span sin^2(u): the square-root edges of rho_t (at lower,
-    # and at xi_hi when lam is beyond the support) become smooth in u
-    u = (nodes + 1.0) * (math.pi / 4.0)
-    xi = lower + (xi_hi - lower) * np.sin(u) ** 2
-    wq = (math.pi / 4.0) * (xi_hi - lower) * weights * np.sin(2.0 * u)
-    m, _ = boundary_values(profile, t, xi)
-    total = 0.0
-    for k in range(n_nodes):
-        rho = m[k].imag / math.pi
-        if rho <= 0:
-            continue
-        line = DensityLine(lam=float(xi[k]), rho=rho, hilbert=m[k].real)
-        total += wq[k] * rho * _overlap_kernel_mass(profile, t, line, alpha)
-    return float(total)
+    v = math.asin(math.sqrt((top - lower) / (upper - lower)))
+    xi, wq = _sine_rule(lower, upper, v, max(48, math.ceil((top - lower) / CDF_XI_SPACING)))
+    m, _ = boundary_values(profile, t, xi, edges=edges)
+    g = _resolvent_moments(profile, xi + t * m, _rule_below(profile, alpha))[0]
+    return float(wq @ g.imag / math.pi)
+
+
+def quantile_limit(profile: SpectralProfile, t: float, x: float) -> float:
+    """Location of the x-quantile of the time-t spectrum (t > 0): the root of
+    the CDF int_lower^xi rho_t = x, by Newton in the sine chart coordinate,
+    safeguarded by bisection. Every CDF value is one _sine_rule sum."""
+    (_, lower), (_, upper) = edges = _edges(profile, t)
+    a, b, v = 0.0, math.pi / 2.0, math.pi * x / 2.0
+    for _ in range(MAX_ITER):
+        xi, wq = _sine_rule(lower, upper, v, QUANTILE_NODES)
+        xv = lower + (upper - lower) * math.sin(v) ** 2
+        rho = boundary_values(profile, t, np.append(xi, xv), edges=edges)[0].imag / math.pi
+        excess = float(wq @ rho[:-1]) - x
+        if abs(excess) <= DEFAULT_TOL:
+            return float(xv)
+        a, b = (a, v) if excess > 0 else (v, b)
+        slope = rho[-1] * (upper - lower) * math.sin(2.0 * v)
+        v = v - excess / slope if slope > 0 else math.inf
+        if not a <= v <= b:
+            v = 0.5 * (a + b)
+    raise ConvergenceError(f"quantile x={x} not converged", residual=abs(excess),
+                           iterations=MAX_ITER)
 
 
 # ---------------------------------------------------------------------------

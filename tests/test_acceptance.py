@@ -161,7 +161,8 @@ def test_criterion_6_ldos_normalization(goe_profile, linear_profile):
 
 def test_criterion_7_theta_and_cdf(goe_profile, theta_samples):
     t = 1.0
-    gs = {"g=1": lambda x: 1.0, "g=1(a<=0)": lambda x: 1.0 if x <= 0 else 0.0}
+    # g = 1(a <= threshold): g = 1 at +inf
+    gs = {"g=1": math.inf, "g=1(a<=0)": 0.0}
     failures, details = [], []
     for lam in (-1.0, 0.0, 1.0):
         z = complex(lam, 0.05)

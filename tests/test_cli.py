@@ -54,6 +54,22 @@ class TestPredict:
         expected = overlap_cauchy(0.05, 0.0, data[:, 0], semicircle_density_line(0.0, 0.0))
         assert np.max(np.abs(data[:, 1] - expected)) <= 1e-9
 
+    def test_goe_regime_follows_radius(self, tmp_path):
+        # a semicircle of radius 4 under --regime goe writes what --regime full does
+        values = []
+        for regime in ("goe", "full"):
+            rc = main(["predict", "--profile", "semicircle:4", "--t", "1", "--lambda", "0.5",
+                       "--grid=0:0:1", "--regime", regime, "--out-dir", str(tmp_path / regime)])
+            assert rc == EXIT_OK
+            values.append(read_csv(tmp_path / regime / "prediction.csv")[1][0, 1])
+        assert values[0] == pytest.approx(2.5, abs=1e-9)
+        assert values[1] == pytest.approx(2.5, abs=1e-9)
+
+    def test_goe_regime_needs_semicircle(self, tmp_path):
+        rc = main(["predict", "--profile", "linear:-1,1", "--regime", "goe", "--t", "1",
+                   "--lambda", "0.5", "--grid=0:0:1", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+
     def test_full_regime_linear_profile(self, tmp_path):
         rc = main(["predict", "--profile", "linear", "--t", "0.5", "--lambda", "0.5",
                    "--grid", "0.1:0.9:0.2", "--out-dir", str(tmp_path)])
@@ -246,9 +262,10 @@ class TestMalformedInput:
         assert rc == EXIT_CONFIG
 
     def test_bad_weight_exit2(self, tmp_path):
-        rc = main([*PROFILE_COMMANDS["theta"], "--g", "indicator:x",
-                   "--out-dir", str(tmp_path)])
-        assert rc == EXIT_CONFIG
+        # a NaN threshold would reach the limit's clip as NaN
+        for g in ("indicator:x", "indicator:nan", "step:0"):
+            rc = main([*PROFILE_COMMANDS["theta"], "--g", g, "--out-dir", str(tmp_path)])
+            assert rc == EXIT_CONFIG
 
     def test_bad_eta_exit2(self, tmp_path):
         rc = main([*PROFILE_COMMANDS["stieltjes"], "--eta", "0.01,x",

@@ -12,7 +12,7 @@ from specdrift import (DegenerateGapError, LinearProfile, OutsideSupportError,
                        perturbed_quantile)
 from specdrift.laws import density_line_at
 from specdrift.matrices import sample_goe
-from specdrift.stieltjes import DensityLine, semicircle_density_line
+from specdrift.stieltjes import DensityLine, quantile_limit, semicircle_density_line
 
 
 class TestOverlapFull:
@@ -224,6 +224,17 @@ class TestPerturbedQuantile:
         t, q = 1.0, 0.65
         assert perturbed_quantile(tab, t, q) == pytest.approx(
             perturbed_quantile(goe_profile, t, q), abs=5e-3)
+
+    @pytest.mark.parametrize("radius", [2.0, 4.0])
+    def test_density_quantile_on_semicircle(self, radius):
+        # the general route (Gauss CDF in the sine chart, Newton inversion)
+        # against the closed form it bypasses
+        profile = SemicircleQuantileProfile(radius)
+        c0 = radius * radius / 4.0
+        for t in (0.5, 1.0):
+            for q in (0.5, 0.9, 0.99, 0.999):
+                exact = math.sqrt((c0 + t) / c0) * profile.eval(q)
+                assert abs(quantile_limit(profile, t, q) - exact) <= 1e-10
 
 
 class TestProperties:

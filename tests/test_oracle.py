@@ -7,6 +7,9 @@
   w = lam (the physical real branch) outside it.
 * The semicircle closed forms, for a tabulated copy of the semicircle
   quantile, to the interpolation error of its 33 knots.
+* mpmath again for the chart rule clipped at a threshold: the truncated
+  resolvent int_{s <= THR} rho0(s)/(s - w) ds by mpmath's quadrature in
+  the same chart, at 30 digits, split at the real part of the pole.
 """
 
 import math
@@ -18,6 +21,7 @@ import pytest
 from specdrift import (LinearProfile, SemicircleQuantileProfile, TabulatedProfile,
                        density_and_hilbert, semicircle_density, semicircle_hilbert,
                        solve_grid, support_bounds)
+from specdrift.stieltjes import _resolvent_moments, _rule_below
 
 DIGITS = 30
 TIMES = (0.001, 0.01, 0.5, 1.0, 4.0)
@@ -116,3 +120,83 @@ class TestTabulatedSemicircle:
         assert np.max(np.abs(sol.rho - sol.rho[::-1])) <= 1e-12
         inner = slice(1, -1)  # H has a square-root edge: symmetric off the end points
         assert np.max(np.abs(sol.hilbert[inner] + sol.hilbert[::-1][inner])) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the chart rule clipped at a threshold
+
+
+def _linear_chart(lo, hi):
+    lo, hi = mp.mpf(lo), mp.mpf(hi)
+    return [(lo, hi, lambda s, w: 1 / ((hi - lo) * (s - w)))], lambda s: s
+
+
+def _semicircle_chart(radius):
+    r = mp.mpf(radius)
+    f = lambda v, w: 2 / mp.pi * mp.cos(v) ** 2 / (r * mp.sin(v) - w)
+    return [(-mp.pi / 2, mp.pi / 2, f)], lambda s: mp.asin(s / r)
+
+
+def _tabulated_chart(tab):
+    # the knot chart: int_0^x(THR) dx / (a(x) - w), a the profile's own
+    # cubic on each knot interval
+    x, a = tab._x, tab._a
+    cubics = []
+    for j in range(len(x) - 1):
+        c3, c2, c1, c0 = (mp.mpf(float(v)) for v in tab._interp.c[:, j])
+        b = mp.mpf(float(x[j]))
+        cubics.append(lambda u, c3=c3, c2=c2, c1=c1, c0=c0, b=b:
+                      ((c3 * (u - b) + c2) * (u - b) + c1) * (u - b) + c0)
+    pieces = [(mp.mpf(float(x[j])), mp.mpf(float(x[j + 1])), lambda u, w, cub=cub: 1 / (cub(u) - w))
+              for j, cub in enumerate(cubics)]
+
+    def u_of(s):
+        j = min(max(int(np.searchsorted(a, float(s), side="right")) - 1, 0), len(x) - 2)
+        start = x[j] + (x[j + 1] - x[j]) * (float(s) - a[j]) / (a[j + 1] - a[j])
+        return mp.findroot(lambda u: cubics[j](u) - s, mp.mpf(start))
+
+    return pieces, u_of
+
+
+def _truncated_oracle(chart, threshold, w):
+    pieces, u_of = chart
+    with mp.workdps(DIGITS):
+        w = mp.mpc(w)
+        top = u_of(mp.mpf(threshold))
+        pole = mp.re(u_of(mp.re(w)))
+        total = mp.mpc(0)
+        for a, b, f in pieces:
+            b = min(b, top)
+            if b > a:
+                total += mp.quad(lambda u: f(u, w), [a, pole, b] if a < pole < b else [a, b])
+        return complex(total)
+
+
+_KNOTS = np.linspace(0.0, 1.0, 33)
+_TAB = TabulatedProfile(_KNOTS, SemicircleQuantileProfile().eval(_KNOTS))
+# name: (profile, chart, interior thresholds)
+CLIPPED = {
+    "linear": (LinearProfile(-1.0, 1.0), _linear_chart(-1, 1), (-0.6, 0.45)),
+    "semicircle2": (SemicircleQuantileProfile(2.0), _semicircle_chart(2), (-1.2, 0.9)),
+    "semicircle4": (SemicircleQuantileProfile(4.0), _semicircle_chart(4), (-2.4, 1.8)),
+    # between two knots, and on one
+    "tabulated": (_TAB, _tabulated_chart(_TAB),
+                  (float(_TAB.eval((_KNOTS[8] + _KNOTS[9]) / 2.0)), float(_TAB._a[20]))),
+}
+
+
+@pytest.mark.parametrize("eta", [1.0, 1e-3, 1e-8])
+@pytest.mark.parametrize("name", CLIPPED)
+def test_mpmath_truncated_resolvent(name, eta):
+    profile, chart, interior = CLIPPED[name]
+    lo, hi = profile.support
+    w = complex(-0.37 * hi, eta)
+    full = _resolvent_moments(profile, w)[0][0]
+    for threshold in (lo - 0.5, *interior, hi + 0.5):
+        oracle = 0.0 if threshold < lo else _truncated_oracle(chart, min(threshold, hi), w)
+        value = _resolvent_moments(profile, w, _rule_below(profile, threshold))[0][0]
+        assert abs(value - oracle) <= 1e-12, (threshold, value, oracle)
+        # the rule clipped above the threshold is the complement
+        rule = profile.chart_rule
+        above = rule.clip(min(max(threshold, lo), hi), hi)
+        assert abs(value + _resolvent_moments(profile, w, above)[0][0] - full) <= 1e-12

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdrift import (ConvergenceError, DomainError, LinearProfile, SemicircleQuantileProfile,
-                       TabulatedProfile, cdf_limit, density_and_hilbert, semicircle_density,
+from specdrift import (ConvergenceError, DomainError, EdgeError, LinearProfile,
+                       SemicircleQuantileProfile, TabulatedProfile, cdf_limit,
+                       density_and_hilbert, semicircle_density,
                        semicircle_hilbert, semicircle_stieltjes, solve_fixed_point,
                        solve_grid, support_bounds, theta_limit)
 from specdrift.stieltjes import DEFAULT_TOL, fixed_point_residual
@@ -94,6 +95,63 @@ class TestDensityAndHilbert:
         line = density_and_hilbert(profile, 0.0, lam)
         assert abs(line.rho - rho) <= 1e-12
         assert abs(line.hilbert - hilbert) <= 1e-12
+
+    def test_t0_real_g0_off_support(self):
+        # just below linear:0,1 the real G0(lam) = log((1 - lam)/(-lam))
+        line = density_and_hilbert(LinearProfile(0.0, 1.0), 0.0, -1e-12)
+        assert line.rho == 0.0
+        assert abs(line.hilbert - math.log1p(1e12)) <= 1e-12 * math.log1p(1e12)
+
+    @pytest.mark.parametrize("radius", [2.0, 4.0])
+    def test_t0_semicircle_edge_finite(self, radius):
+        # rho_0 vanishes at the edge, so H_0 = -/+ 2/r is finite there
+        profile = SemicircleQuantileProfile(radius)
+        for lam in (radius, -radius):
+            line = density_and_hilbert(profile, 0.0, lam)
+            assert line.rho == 0.0
+            assert abs(line.hilbert + 2.0 / lam) <= 1e-15
+
+    @pytest.mark.parametrize("which", ["linear", "tabulated"])
+    def test_t0_jump_edge_rejected(self, which):
+        # rho_0 jumps at the edge and H_0 diverges there logarithmically
+        x = np.linspace(0.0, 1.0, 33)
+        profile = (LinearProfile(0.0, 1.0) if which == "linear"
+                   else TabulatedProfile(x, SemicircleQuantileProfile().eval(x)))
+        for lam in profile.support:
+            with pytest.raises(EdgeError):
+                density_and_hilbert(profile, 0.0, lam)
+            with pytest.raises(EdgeError):
+                solve_grid(profile, 0.0, [lam])
+
+    def test_t0_tabulated_knot(self):
+        # on or next to a knot the pole sits by the end of two pieces, whose
+        # logs must cancel: H_0 continuous across the semicircle's knots, and
+        # odd on the steep antisymmetric 5-knot profile, where Newton alone
+        # leaves the two pieces' roots an ulp apart
+        x = np.linspace(0.0, 1.0, 33)
+        tab = TabulatedProfile(x, SemicircleQuantileProfile().eval(x))
+        for k in (16, 20):
+            lam = float(tab.eval(x[k]))
+            h = [density_and_hilbert(tab, 0.0, lam + d).hilbert for d in (-1e-9, 0.0, 1e-9)]
+            assert math.isfinite(h[1]) and abs(h[1] - (h[0] + h[2]) / 2.0) <= 1e-12
+        x = np.linspace(0.0, 1.0, 5)
+        steep = TabulatedProfile(x, np.sinh(5.0 * (2.0 * x - 1.0)))
+        for d in (0.0, 1e-12, 1e-9, -1e-9):
+            h1 = density_and_hilbert(steep, 0.0, float(steep.eval(x[1])) + d).hilbert
+            h3 = density_and_hilbert(steep, 0.0, float(steep.eval(x[3])) - d).hilbert
+            assert abs(h1 + h3) <= 1e-12
+
+
+    def test_small_t_on_knot(self):
+        # Im w = t pi rho_t is tiny and Re w on a knot: the two pieces' roots
+        # must still cancel at the knot, so the line tends to the t = 0 one
+        x = np.linspace(0.0, 1.0, 5)
+        steep = TabulatedProfile(x, np.sinh(5.0 * (2.0 * x - 1.0)))
+        lam = float(steep.eval(x[1]))
+        exact = density_and_hilbert(steep, 0.0, lam)
+        for t in (1e-12, 1e-10, 1e-8):
+            line = density_and_hilbert(steep, t, lam)
+            assert abs(line.rho - exact.rho) <= 1e-8 and abs(line.hilbert - exact.hilbert) <= 1e-8
 
 
 class TestSemicircleClosedForms:
@@ -227,19 +285,21 @@ class TestThetaLimit:
     def test_g_one_equals_fixed_point(self, goe_profile):
         z = 0.4 + 0.05j
         m = solve_fixed_point(goe_profile, 1.0, z)
-        theta = theta_limit(goe_profile, 1.0, z, lambda a: 1.0)
+        theta = theta_limit(goe_profile, 1.0, z, math.inf)
         assert abs(theta - m) <= 1e-12
 
     def test_g_zero(self, goe_profile):
-        assert abs(theta_limit(goe_profile, 1.0, 1j, lambda a: 0.0)) <= 1e-12
+        # a threshold below the support leaves g = 0 on it
+        assert abs(theta_limit(goe_profile, 1.0, 1j, -10.0)) <= 1e-12
 
     def test_indicator_symmetry(self, goe_profile):
         # at z = i eta the half-line indicators split Im G evenly and carry
-        # opposite real parts; together they reassemble the g=1 integral
+        # opposite real parts; together they reassemble the g=1 integral.
+        # The a > 0 half is the full integral minus a <= 0.
         z = 0.7j
         m = solve_fixed_point(goe_profile, 1.0, z)
-        neg = theta_limit(goe_profile, 1.0, z, lambda a: 1.0 if a <= 0 else 0.0)
-        pos = theta_limit(goe_profile, 1.0, z, lambda a: 1.0 if a > 0 else 0.0)
+        neg = theta_limit(goe_profile, 1.0, z, 0.0)
+        pos = theta_limit(goe_profile, 1.0, z, math.inf) - neg
         assert abs(neg.imag - m.imag / 2.0) <= 1e-9
         assert abs(neg.real + pos.real) <= 1e-9
         assert abs((neg + pos) - m) <= 1e-9
@@ -247,8 +307,8 @@ class TestThetaLimit:
     def test_scale_invariance(self):
         # radius 4 is twice radius 2: G_4(t, z) = G_2(t/4, z/2) / 2
         for z in (0.1j, 1.0 + 0.05j):
-            wide = theta_limit(SemicircleQuantileProfile(4.0), 1.0, z, lambda x: 1.0)
-            unit = theta_limit(SemicircleQuantileProfile(2.0), 0.25, z / 2, lambda x: 1.0)
+            wide = theta_limit(SemicircleQuantileProfile(4.0), 1.0, z, math.inf)
+            unit = theta_limit(SemicircleQuantileProfile(2.0), 0.25, z / 2, math.inf)
             assert abs(wide - unit / 2) <= 1e-12
 
 
