@@ -300,9 +300,11 @@ def cmd_subspace(args) -> int:
     config = ExperimentConfig(n=args.n, t=args.t, samples=args.samples,
                               initial=GOEInitial(args.scale), master_seed=args.seed)
     result = subspace.run_subspace_experiment(config, window, workers=args.workers)
+    # the semicircle quantile bridge maps V1's window back to initial coordinates
     profile = config.initial.profile
-    predicted = subspace.predicted_distance(args.t, window, profile.density,
-                                            profile.support)
+    shrink = profile.radius / (2.0 * np.sqrt(profile.radius ** 2 / 4.0 + args.t))
+    predicted = subspace.predicted_distance(args.t, window.inner,
+                                            np.multiply(shrink, window.outer), profile)
     empirical = result.distance.value.real
     report = {
         "window": {"gamma_minus": window.gamma_minus, "gamma_plus": window.gamma_plus,

@@ -57,7 +57,7 @@ class ProfileInitial:
     """Deterministic initial matrix with eigenvalues a((i-1/2)/n).
 
     The eigenvalues do not depend on the sample, so they are evaluated once
-    per n (a root find per entry for quantile profiles) and shared, read
+    per n (one vectorized root find for quantile profiles) and shared, read
     only, by every sample.
     """
 

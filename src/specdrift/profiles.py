@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import DomainError, EdgeError, InvalidProfileError
 
@@ -29,6 +27,25 @@ EDGE_MARGIN = 1e-6
 RULE_ORDER = 12
 #: Newton steps that polish a pole on a tabulated profile's cubic piece.
 TABULATED_NEWTON = 8
+
+
+def _bisect(f, lo, hi):
+    """Root of f, increasing on [lo, hi] (width <= 2), entrywise, to rounding."""
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = f(mid) < 0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def semicircle_angle(x):
+    """theta in [-pi/2, pi/2] with theta + sin(theta) cos(theta) = pi (x - 1/2),
+    solved for e = pi/2 - |theta| (e - sin(e) cos(e) = pi min(x, 1 - x)): exact
+    at the edges x = 0, 1, where both sides are small together; odd in x - 1/2."""
+    target = math.pi * np.minimum(x, 1.0 - x)
+    e = _bisect(lambda e: e - np.sin(e) * np.cos(e) - target,
+                np.zeros_like(target), np.full_like(target, math.pi / 2.0))
+    return np.where(x < 0.5, e - math.pi / 2.0, math.pi / 2.0 - e)
 
 
 @dataclass(frozen=True)
@@ -95,24 +112,14 @@ class SpectralProfile(ABC):
         """(a(0), a(1)), the support of the induced density."""
 
     def inverse(self, alpha):
-        """x such that a(x) = alpha, for alpha in [a(0), a(1)]."""
+        """x such that a(x) = alpha, for alpha in [a(0), a(1)], by bisection."""
         lo, hi = self.support
         alpha_arr = np.asarray(alpha, dtype=float)
         if np.any(alpha_arr < lo - 1e-12) or np.any(alpha_arr > hi + 1e-12):
             raise DomainError(f"alpha outside profile range [{lo}, {hi}]")
-
-        def _one(al):
-            al = min(max(al, lo), hi)
-            if al <= lo:
-                return 0.0
-            if al >= hi:
-                return 1.0
-            return brentq(lambda x: self.eval(x) - al, 0.0, 1.0,
-                          xtol=1e-14, rtol=8.9e-16)
-
-        if alpha_arr.ndim == 0:
-            return _one(float(alpha_arr))
-        return np.array([_one(a) for a in alpha_arr.ravel()]).reshape(alpha_arr.shape)
+        al = np.clip(alpha_arr, lo, hi)
+        out = _bisect(lambda x: self.eval(x) - al, np.zeros_like(al), np.ones_like(al))
+        return float(out) if alpha_arr.ndim == 0 else out
 
     def induced_density(self, alpha):
         """rho0(alpha) = 1/a'(a^{-1}(alpha)), for alpha strictly inside the
@@ -124,8 +131,7 @@ class SpectralProfile(ABC):
         return self.density(alpha)
 
     def density(self, alpha):
-        """Induced density without the strict-interior guard (0 at/outside the
-        edges). Quadrature code integrates this."""
+        """Induced density without the strict-interior guard (0 at/outside the edges)."""
         alpha_arr = np.atleast_1d(np.asarray(alpha, dtype=float))
         lo, hi = self.support
         inside = (alpha_arr > lo) & (alpha_arr < hi)
@@ -266,9 +272,8 @@ class LinearProfile(SpectralProfile):
 class SemicircleQuantileProfile(SpectralProfile):
     """Quantile of the Wigner semicircle on [-radius, radius].
 
-    a(x) solves F(a) = x where F is the closed-form semicircle CDF; the
-    inverse direction is the closed form, only eval needs root finding
-    (bisection bracket polished by brentq to 1e-14).
+    a(x) = r sin(theta) solves F(a) = x, F the closed-form semicircle CDF,
+    by the bisection of semicircle_angle; the inverse is F itself.
     """
 
     kind = "semicircle-quantile"
@@ -295,18 +300,8 @@ class SemicircleQuantileProfile(SpectralProfile):
 
     def eval(self, x):
         x_arr = self._check_x(x)
-
-        def _one(xv):
-            if xv <= 0.0:
-                return -self.radius
-            if xv >= 1.0:
-                return self.radius
-            return brentq(lambda a: self.cdf(a) - xv, -self.radius, self.radius,
-                          xtol=1e-14, rtol=8.9e-16)
-
-        if x_arr.ndim == 0:
-            return _one(float(x_arr))
-        return np.array([_one(v) for v in x_arr.ravel()]).reshape(x_arr.shape)
+        out = self.radius * np.sin(semicircle_angle(x_arr))
+        return float(out) if x_arr.ndim == 0 else out
 
     def inverse(self, alpha):
         alpha_arr = np.asarray(alpha, dtype=float)
@@ -365,6 +360,8 @@ class TabulatedProfile(SpectralProfile):
     kind = "tabulated"
 
     def __init__(self, x_knots, a_knots):
+        from scipy.interpolate import PchipInterpolator  # the package's only scipy use
+
         x = np.asarray(x_knots, dtype=float)
         a = np.asarray(a_knots, dtype=float)
         if x.ndim != 1 or x.shape != a.shape or len(x) < 2:

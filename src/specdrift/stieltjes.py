@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, EdgeError
-from .profiles import SpectralProfile
+from .profiles import SpectralProfile, semicircle_angle
 
 #: Default eta offsets of the off-axis rows of the stieltjes CSV.
 DEFAULT_ETA_SCHEDULE = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
@@ -415,9 +415,10 @@ def cdf_limit(profile: SpectralProfile, t: float, lam: float, alpha: float) -> f
 def quantile_limit(profile: SpectralProfile, t: float, x: float) -> float:
     """Location of the x-quantile of the time-t spectrum (t > 0): the root of
     the CDF int_lower^xi rho_t = x, by Newton in the sine chart coordinate,
-    safeguarded by bisection. Every CDF value is one _sine_rule sum."""
+    safeguarded by bisection, from the root for the semicircle-shaped CDF
+    (2v - sin(4v)/2)/pi. Every CDF value is one _sine_rule sum."""
     (_, lower), (_, upper) = edges = _edges(profile, t)
-    a, b, v = 0.0, math.pi / 2.0, math.pi * x / 2.0
+    a, b, v = 0.0, math.pi / 2.0, (float(semicircle_angle(x)) + math.pi / 2.0) / 2.0
     for _ in range(MAX_ITER):
         xi, wq = _sine_rule(lower, upper, v, QUANTILE_NODES)
         xv = lower + (upper - lower) * math.sin(v) ** 2

@@ -13,11 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, EmptyWindowError, RankDeficientError
 from .montecarlo import (ExperimentConfig, ScalarEstimate, _draw_sample, _map_samples,
                          _scalar_estimate)
+from .profiles import ChartRule, SpectralProfile
+from .stieltjes import _resolvent_moments
 
 SINGULAR_VALUE_FLOOR = 1e-14
 
@@ -79,73 +80,71 @@ def determinant_distance(block: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# predictions
+# predictions: x in the inner window, y outside the widened one (both in
+# initial coordinates); every integral is a sum of the profile's chart rule
 
 
-def _outer_strips(window: WindowSpec, support: tuple[float, float]):
-    lo, hi = support
-    olo, ohi = window.outer
+def _outer_rule(profile: SpectralProfile, outer):
+    """(y, weights) of the chart rule outside `outer`, its panels split at edges
+    graded geometrically (ratio 2) toward the window down to rounding: each
+    panel lies its length or more from the window, where the integrands blow up."""
+    rule, (lo, hi) = profile.chart_rule, profile.support
     strips = []
-    if olo > lo:
-        strips.append((lo, min(olo, hi)))
-    if ohi < hi:
-        strips.append((max(ohi, lo), hi))
-    return [s for s in strips if s[1] > s[0]]
+    for far, edge in ((lo, outer[0]), (hi, outer[1])):
+        u_far, u_near = rule.U(far), rule.U(min(max(edge, lo), hi))
+        if u_far == u_near:
+            continue
+        levels = int(math.log2(abs(u_far - u_near) / np.spacing(1.0 + abs(u_near))))
+        edges = np.append(u_near + (u_far - u_near) * 0.5 ** np.arange(levels), u_near)
+        edges = np.union1d(edges, np.clip(rule.edges, *sorted((u_far, u_near))))
+        strips.append(ChartRule.build(edges, rule.S, rule.W, rule.U))
+    return (np.concatenate([[]] + [r.s.ravel() for r in strips]),
+            np.concatenate([[]] + [r.ws.ravel() for r in strips]))
 
 
-def escape_rate(a_i: float, window: WindowSpec, rho0, support, tol=1e-10) -> float:
-    """int_{y outside widened window} rho0(y)/(a_i - y)^2 dy."""
-    total = 0.0
-    for lo, hi in _outer_strips(window, support):
-        val, _ = quad(lambda y: rho0(y) / (a_i - y) ** 2, lo, hi,
-                      epsabs=tol, epsrel=tol, limit=200)
-        total += val
-    return total
+def escape_rate(a_i: float, outer, profile: SpectralProfile) -> float:
+    """int_{y outside the widened window} rho0(y)/(a_i - y)^2 dy."""
+    y, wy = _outer_rule(profile, outer)
+    return float(wy @ (1.0 / (y - a_i) ** 2))
 
 
-def predicted_distance(t: float, window: WindowSpec, rho0, support,
-                       tol: float = 1e-8) -> float:
+def predicted_distance(t: float, inner, outer, profile: SpectralProfile) -> float:
     """Small-t prediction: (t / 2 m) iint rho0(x) rho0(y)/(x-y)^2 over x in
     the inner window, y outside the widened window, with m the inner-window
-    density mass. Linear in t; finite thanks to the delta margin.
+    density mass. Linear in t; finite thanks to the margins.
 
-    y runs over initial eigenvalue positions, so `window.outer` is read in
-    initial coordinates. A widened window stated in perturbed coordinates
-    (as the Monte Carlo selects V1) must be mapped back first, e.g. by the
-    semicircle quantile bridge, edge / sqrt(1+t), for a unit GOE start; the
-    two coordinate systems differ at O(t), so the predicted distances
-    differ at O(t^2)."""
-    glo, ghi = window.inner
-    mass, _ = quad(rho0, glo, ghi, epsabs=tol, epsrel=tol, limit=200)
-    if mass <= 0:
+    A widened window stated in perturbed coordinates (as the Monte Carlo
+    selects V1) must be mapped back first, e.g. by the semicircle quantile
+    bridge, edge / sqrt(1+t), for a unit GOE start; the two coordinate
+    systems differ at O(t), so the predicted distances differ at O(t^2).
+    The x integral is the pole-subtracted derivative moment at w = y.
+    """
+    if not outer[0] < inner[0] < inner[1] < outer[1]:
+        raise DomainError(f"widened window {outer} does not hold {inner} with positive margins")
+    window = profile.chart_rule.clip(*np.clip(inner, *profile.support))
+    mass = float(window.ws.sum())
+    if not mass > 0:
         raise EmptyWindowError("inner window carries no density mass")
-    strips = _outer_strips(window, support)
-    if not strips:
-        return 0.0
-    inner, _ = quad(lambda x: rho0(x) * escape_rate(x, window, rho0, support, tol=tol * 1e-2),
-                    glo, ghi, epsabs=tol, epsrel=tol, limit=200)
-    return t * inner / (2.0 * mass)
+    y, wy = _outer_rule(profile, outer)
+    return t * float(wy @ _resolvent_moments(profile, y + 0j, window)[1].real) / (2.0 * mass)
 
 
-def gram_entry_predictions(t: float, a_i: float, a_j: float, window: WindowSpec,
-                           rho0, support, tol: float = 1e-10):
+def gram_entry_predictions(t: float, a_i: float, a_j: float, inner, outer,
+                           profile: SpectralProfile):
     """(diagonal estimate for a_i, off-diagonal Cauchy-Schwarz bound for the
     pair), both from leakage outside the widened window.
 
     The off-diagonal bound uses squared overlaps inside the expectations
-    (the dimensionally consistent reading of the printed inequality).
+    (the dimensionally consistent reading of the printed inequality); its
+    integrand is summed as it stands, free of its partial fractions' cancellation.
     """
-    glo, ghi = window.inner
+    glo, ghi = inner
     for a in (a_i, a_j):
         if not glo <= a <= ghi:
             raise DomainError("eigenvalue outside the inner window")
-    diag = 1.0 - t * escape_rate(a_i, window, rho0, support, tol=tol)
-    bound = 0.0
-    for lo, hi in _outer_strips(window, support):
-        val, _ = quad(lambda y: rho0(y) / (abs(a_i - y) * abs(a_j - y)), lo, hi,
-                      epsabs=tol, epsrel=tol, limit=200)
-        bound += val
-    return diag, t * bound
+    y, wy = _outer_rule(profile, outer)
+    return (1.0 - t * escape_rate(a_i, outer, profile),
+            t * float(wy @ (1.0 / np.abs((y - a_i) * (y - a_j)))))
 
 
 # ---------------------------------------------------------------------------

@@ -208,8 +208,8 @@ def test_criterion_8_subspace_semiperturbative(goe_profile):
         # prediction integrates over initial positions, so the widened window
         # goes in as its semicircle quantile preimage [-1.2, 1.2] / sqrt(1+t)
         initial_window = WindowSpec(-1.0, 1.0, 1.2 / math.sqrt(1.0 + t) - 1.0)
-        predicted = predicted_distance(t, initial_window, goe_profile.density,
-                                       goe_profile.support)
+        predicted = predicted_distance(t, initial_window.inner, initial_window.outer,
+                                       goe_profile)
         ratios[t] = result.distance.value.real / predicted
     in_band = all(0.85 <= r <= 1.15 for r in ratios.values())
     shrinking = (abs(ratios[0.01] - 1.0) <= abs(ratios[0.02] - 1.0)

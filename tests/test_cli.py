@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +189,14 @@ class TestSubspaceCmd:
         manifest = json.loads((tmp_path / "subspace_manifest.json").read_text())
         assert manifest["config"]["rank_deficient_samples"] == 0
 
+    def test_mapped_margin_refused(self, tmp_path):
+        # the widened window [0.3, 1.2] maps back to [0.21, 0.85] at t = 1,
+        # which no longer holds the inner window [0.5, 1]
+        rc = main(["subspace", "--n", "60", "--t", "1", "--samples", "5",
+                   "--gamma", "0.5", "1", "--delta", "0.2", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_DOMAIN
+        assert not (tmp_path / "subspace_report.json").exists()
+
     def test_all_rank_deficient_refused(self, tmp_path):
         # t = 4 spreads the spectrum so far that every sample has fewer
         # perturbed than initial eigenvalues in the windows (Q < P)
@@ -297,8 +309,8 @@ class TestGOEScale:
             assert rc == EXIT_OK
             report = json.loads((tmp_path / scale / "subspace_report.json").read_text())
             predicted[scale] = report["predicted_distance"]
-        assert predicted["1"] == pytest.approx(0.00260155, rel=1e-5)
-        assert predicted["4"] == pytest.approx(0.0025557, rel=1e-4)
+        assert predicted["1"] == pytest.approx(0.00273774, rel=1e-5)
+        assert predicted["4"] == pytest.approx(0.00257631, rel=1e-4)
 
     def test_theta_limit(self, tmp_path):
         rc = main(["theta", "--n", "200", "--t", "1", "--samples", "20", "--z", "0", "0.1",
@@ -322,3 +334,41 @@ class TestGOEScale:
         rc = main([*argv, "--profile", "semicircle:4", "--scale", "4",
                    "--out-dir", str(tmp_path)])
         assert rc == EXIT_OK
+
+
+_IMPORT_PROBE = """
+import json, sys
+from specdrift.cli import main
+
+def run(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+argvs, csv_argv = json.loads(sys.argv[1])
+codes = [run(argv) for argv in argvs]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": loaded, "csv": run(csv_argv)}))
+"""
+
+
+class TestImports:
+    def test_no_scipy_unless_tabulated(self, tmp_path):
+        # scipy is only imported by a tabulated (csv:) profile
+        import specdrift
+        path = tmp_path / "profile.csv"
+        path.write_text("x,a\n0,-1\n0.5,0\n1,1\n")
+        out = str(tmp_path)
+        argvs = [["--version"],
+                 ["predict", "--profile", "goe", "--t", "1", "--lambda", "0", "--out-dir", out],
+                 ["reproduce", "fig1", "--samples", "2", "--out-dir", out]]
+        csv_argv = ["predict", "--profile", f"csv:{path}", "--t", "1", "--lambda", "0",
+                    "--out-dir", out]
+        env = dict(os.environ, PYTHONPATH=str(Path(specdrift.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps([argvs, csv_argv])],
+                              env=env, capture_output=True, text=True, timeout=300, check=True)
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["codes"] == [0, EXIT_OK, EXIT_OK]
+        assert result["scipy"] == []
+        assert result["csv"] == EXIT_OK

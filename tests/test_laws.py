@@ -236,6 +236,22 @@ class TestPerturbedQuantile:
                 exact = math.sqrt((c0 + t) / c0) * profile.eval(q)
                 assert abs(quantile_limit(profile, t, q) - exact) <= 1e-10
 
+    def test_quantile_limit_start(self, monkeypatch):
+        # Newton starts from the semicircle-shaped CDF, which has the cubic
+        # flattening of rho_t at the edges: few density solves near them
+        from specdrift import LinearProfile, stieltjes
+        calls = []
+        solve = stieltjes.boundary_values
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(stieltjes, "boundary_values", counted)
+        assert quantile_limit(LinearProfile(-1.0, 1.0), 0.5, 0.999) == pytest.approx(
+            1.7739276341, abs=1e-10)
+        assert len(calls) <= 4
+
 
 class TestProperties:
     @given(t=st.floats(min_value=0.05, max_value=5.0),

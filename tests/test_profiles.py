@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,40 @@ class TestSemicircleQuantile:
             goe_profile.induced_density(2.0)
 
 
+def _semicircle_quantile_mp(x, radius):
+    """r sin(theta), theta + sin(theta) cos(theta) = pi (x - 1/2), by
+    bisection in 40-digit arithmetic."""
+    with mp.workdps(40):
+        target = mp.pi * (mp.mpf(x) - mp.mpf(1) / 2)
+        lo, hi = -mp.pi / 2, mp.pi / 2
+        for _ in range(140):
+            mid = (lo + hi) / 2
+            if mid + mp.sin(mid) * mp.cos(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        return float(radius * mp.sin((lo + hi) / 2))
+
+
+class TestSemicircleQuantileMpmath:
+    @pytest.mark.parametrize("radius", [2.0, 4.0])
+    def test_eval(self, radius):
+        p = SemicircleQuantileProfile(radius)
+        xs = [1e-12, 1e-6, 0.3, 0.8, 1.0 - 1e-12]
+        for x, a in zip(xs, p.eval(np.array(xs))):
+            assert abs(a - _semicircle_quantile_mp(x, radius)) <= 1e-11
+        assert p.eval(0.0) == -radius and p.eval(1.0) == radius
+        assert list(p.eval(np.array([0.0, 1.0]))) == [-radius, radius]
+
+
+_KNOTS_33 = np.linspace(0.0, 1.0, 33)
+_KNOTS_5 = np.linspace(0.0, 1.0, 5)
+_TABULATED = {
+    "semicircle-33": TabulatedProfile(_KNOTS_33, SemicircleQuantileProfile().eval(_KNOTS_33)),
+    "sinh-5": TabulatedProfile(_KNOTS_5, np.sinh(5.0 * (2.0 * _KNOTS_5 - 1.0))),
+}
+
+
 class TestTabulatedProfile:
     def test_matches_knots(self):
         x = np.linspace(0, 1, 21)
@@ -144,6 +179,16 @@ class TestProperties:
     def test_roundtrip_linear(self, x, lo, width):
         p = LinearProfile(lo, lo + width)
         assert p.inverse(p.eval(x)) == pytest.approx(x, abs=1e-9)
+
+    @pytest.mark.parametrize("knots", ["semicircle-33", "sinh-5"])
+    @given(x=st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=50, deadline=None)
+    def test_roundtrip_tabulated(self, knots, x):
+        p = _TABULATED[knots]
+        xs = np.concatenate([[x], p._x])  # the knots and both ends too
+        assert np.max(np.abs(p.inverse(p.eval(xs)) - xs)) <= 1e-12
+        alphas = np.concatenate([[p.eval(x)], p._a, [0.5 * (p._a[0] + p._a[1])]])
+        assert np.max(np.abs(p.eval(p.inverse(alphas)) - alphas)) <= 1e-12
 
     def test_validate_all_builtins(self, goe_profile, linear_profile):
         goe_profile.validate()

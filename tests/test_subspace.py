@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, quad
+from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from specdrift import (DomainError, EmptyWindowError, ExperimentConfig, GOEInitial,
                        WindowSpec, distance_from_singular_values, gram_entry_predictions,
                        overlap_block, predicted_distance, run_subspace_experiment)
 from specdrift.montecarlo import _draw_sample
-from specdrift.profiles import SemicircleQuantileProfile
-from specdrift.subspace import determinant_distance, select_window
+from specdrift.profiles import SemicircleQuantileProfile, TabulatedProfile
+from specdrift.subspace import determinant_distance, escape_rate, select_window
 
 
 def _sample(n=80, t=0.05, seed=12345):
@@ -106,12 +108,12 @@ class TestOverlapBlock:
 class TestPredictedDistance:
     def test_delta_covers_support(self, goe_profile):
         w = WindowSpec(-1.0, 1.0, 5.0)
-        assert predicted_distance(0.05, w, goe_profile.density, goe_profile.support) == 0.0
+        assert predicted_distance(0.05, w.inner, w.outer, goe_profile) == 0.0
 
     def test_linear_in_t(self, goe_profile):
         w = WindowSpec(-1.0, 1.0, 0.2)
-        v1 = predicted_distance(0.01, w, goe_profile.density, goe_profile.support)
-        v2 = predicted_distance(0.02, w, goe_profile.density, goe_profile.support)
+        v1 = predicted_distance(0.01, w.inner, w.outer, goe_profile)
+        v2 = predicted_distance(0.02, w.inner, w.outer, goe_profile)
         assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
 
     def test_dual_quadrature_oracle(self, goe_profile):
@@ -127,24 +129,96 @@ class TestPredictedDistance:
                              -1.0, 1.0, lo, hi, epsabs=1e-9, epsrel=1e-9)
             total += val
         oracle = t * total / (2.0 * mass)
-        assert predicted_distance(t, w, rho, goe_profile.support) == pytest.approx(
+        assert predicted_distance(t, w.inner, w.outer, goe_profile) == pytest.approx(
             oracle, rel=1e-5)
         # pin the regression golden after the dual-scheme verification
         assert oracle == pytest.approx(0.006504, abs=2e-5)
+
+    @pytest.mark.parametrize("outer", [(-0.9, 0.9), (-0.8, 1.0), (-1.0, 0.85)])
+    def test_margins_must_be_positive(self, goe_profile, outer):
+        with pytest.raises(DomainError):
+            predicted_distance(0.05, (-0.9, 0.9), outer, goe_profile)
+
+
+# ---------------------------------------------------------------------------
+# nested adaptive quadrature references, in a variable v with rho0(s) ds =
+# weight(v) dv: s itself with the closed-form semicircle density, and the
+# quantile variable of a 33-knot tabulated semicircle (scipy's own PCHIP of
+# the knots, inverted by brentq)
+
+_QUAD = dict(epsabs=0.0, epsrel=1e-13, limit=400)
+_KNOTS = np.linspace(0.0, 1.0, 33)
+_KNOT_VALUES = SemicircleQuantileProfile().eval(_KNOTS)
+_PCHIP = PchipInterpolator(_KNOTS, _KNOT_VALUES)
+_CHARTS = {
+    # (s(v), weight(v), v(s), v range, breakpoints, profile)
+    "goe": (lambda v: v, lambda v: math.sqrt(max(4.0 - v * v, 0.0)) / (2.0 * math.pi),
+            lambda s: s, (-2.0, 2.0), [], SemicircleQuantileProfile()),
+    "tabulated": (lambda v: float(_PCHIP(v)), lambda v: 1.0,
+                  lambda s: brentq(lambda v: float(_PCHIP(v)) - s, 0.0, 1.0,
+                                   xtol=1e-16, rtol=8.9e-16),
+                  (0.0, 1.0), list(_KNOTS), TabulatedProfile(_KNOTS, _KNOT_VALUES)),
+}
+
+
+def _quad(f, lo, hi, breaks):
+    inside = [b for b in breaks if lo < b < hi]
+    return quad(f, lo, hi, points=inside or None, **_QUAD)[0]
+
+
+def _strip_integral(chart, outer, f):
+    """int rho0(y) f(y) dy over the support outside `outer`."""
+    s, weight, v_of, (v_lo, v_hi), breaks, _ = chart
+    return sum(_quad(lambda v: weight(v) * f(s(v)), lo, hi, breaks)
+               for lo, hi in ((v_lo, v_of(outer[0])), (v_of(outer[1]), v_hi)))
+
+
+def _nested_distance(t, inner, outer, chart):
+    s, weight, v_of, _, breaks, _ = chart
+    a, b = v_of(inner[0]), v_of(inner[1])
+    mass = _quad(weight, a, b, breaks)
+
+    def inner_integral(y):
+        return _quad(lambda v: weight(v) / (s(v) - y) ** 2, a, b, breaks)
+
+    return t * _strip_integral(chart, outer, inner_integral) / (2.0 * mass)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+class TestChartRuleAgainstNestedQuad:
+    """The chart-rule predictions against nested adaptive quad, down to a
+    margin of 1e-3, where the integrands peak sharply at the window edge."""
+
+    inner = (-0.5, 0.9)
+
+    @pytest.mark.parametrize("name", sorted(_CHARTS))
+    @pytest.mark.parametrize("delta", [0.2, 0.01, 0.001])
+    def test_predictions(self, name, delta):
+        chart = _CHARTS[name]
+        profile = chart[-1]
+        outer = (self.inner[0] - delta, self.inner[1] + delta)
+        ref = _nested_distance(0.1, self.inner, outer, chart)
+        assert predicted_distance(0.1, self.inner, outer, profile) == pytest.approx(ref, rel=1e-12)
+        for a in (0.3, self.inner[1]):
+            ref = _strip_integral(chart, outer, lambda y: 1.0 / (a - y) ** 2)
+            assert escape_rate(a, outer, profile) == pytest.approx(ref, rel=1e-12)
+        a_i, a_j = self.inner[1], 0.3
+        diag, bound = gram_entry_predictions(0.1, a_i, a_j, self.inner, outer, profile)
+        ref = _strip_integral(chart, outer, lambda y: 1.0 / ((y - a_i) * (y - a_j)))
+        assert bound == pytest.approx(0.1 * ref, rel=1e-12)
+        assert diag == pytest.approx(1.0 - 0.1 * escape_rate(a_i, outer, profile), rel=1e-15)
 
 
 class TestGramEntryPredictions:
     def test_t0(self, goe_profile):
         w = WindowSpec(-1.0, 1.0, 0.2)
-        diag, bound = gram_entry_predictions(0.0, 0.0, 0.5, w, goe_profile.density,
-                                             goe_profile.support)
+        diag, bound = gram_entry_predictions(0.0, 0.0, 0.5, w.inner, w.outer, goe_profile)
         assert diag == 1.0 and bound == 0.0
 
     def test_outside_window_rejected(self, goe_profile):
         w = WindowSpec(-1.0, 1.0, 0.2)
         with pytest.raises(DomainError):
-            gram_entry_predictions(0.02, 1.5, 0.0, w, goe_profile.density,
-                                   goe_profile.support)
+            gram_entry_predictions(0.02, 1.5, 0.0, w.inner, w.outer, goe_profile)
 
     def test_diag_monte_carlo(self):
         # E[(G^T G)_{ii}] vs 1 - t * escape integral, bulk column
@@ -166,16 +240,14 @@ class TestGramEntryPredictions:
         gmean = np.mean([g for g, _ in diag_samples])
         gerr = np.std([g for g, _ in diag_samples], ddof=1) / math.sqrt(samples)
         a_mid = np.mean([a for _, a in diag_samples])
-        diag_pred, _ = gram_entry_predictions(t, a_mid, a_mid, w, profile.density,
-                                              profile.support)
+        diag_pred, _ = gram_entry_predictions(t, a_mid, a_mid, w.inner, w.outer, profile)
         assert abs(gmean - diag_pred) <= 3.0 * gerr + 1e-4
 
         omean = np.mean([g for g, _, _ in off_samples])
         oerr = np.std([g for g, _, _ in off_samples], ddof=1) / math.sqrt(samples)
         ai = np.mean([x for _, x, _ in off_samples])
         aj = np.mean([x for _, _, x in off_samples])
-        _, bound = gram_entry_predictions(t, ai, aj, w, profile.density,
-                                          profile.support)
+        _, bound = gram_entry_predictions(t, ai, aj, w.inner, w.outer, profile)
         assert abs(omean) <= bound + 3.0 * oerr
 
 
@@ -186,7 +258,7 @@ class TestExperiment:
         config = ExperimentConfig(n=200, t=0.02, samples=60,
                                   initial=GOEInitial(1.0), master_seed=7)
         result = run_subspace_experiment(config, w)
-        predicted = predicted_distance(0.02, w, profile.density, profile.support)
+        predicted = predicted_distance(0.02, w.inner, w.outer, profile)
         assert 0.8 <= result.distance.value.real / predicted <= 1.2
 
     def test_deterministic(self):
@@ -231,6 +303,7 @@ class TestScaleInvariance:
         # in law, a scale-s GOE start at time t is sqrt(s) (A_1 + H_{t/s}):
         # at s = 4 the window edges halve and t quarters
         wide, unit = GOEInitial(4.0).profile, GOEInitial(1.0).profile
-        d4 = predicted_distance(0.02, WindowSpec(-1.0, 1.0, 0.2), wide.density, wide.support)
-        d1 = predicted_distance(0.005, WindowSpec(-0.5, 0.5, 0.1), unit.density, unit.support)
+        w4, w1 = WindowSpec(-1.0, 1.0, 0.2), WindowSpec(-0.5, 0.5, 0.1)
+        d4 = predicted_distance(0.02, w4.inner, w4.outer, wide)
+        d1 = predicted_distance(0.005, w1.inner, w1.outer, unit)
         assert d4 == pytest.approx(d1, rel=1e-10)
