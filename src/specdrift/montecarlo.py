@@ -107,18 +107,19 @@ class ExperimentConfig:
                 "master_seed": self.master_seed, "binning": self.binning}
 
 
-def _draw_sample(config: ExperimentConfig, k: int):
+def _draw_sample(config: ExperimentConfig, k: int, vectors: bool = True):
     """Eigenvalues a of the initial matrix, eigenvalues lam of M_t and the
     eigenvector matrix V of M_t in the initial eigenbasis (V[j, i] =
-    <psi_i(t)|phi_j>), for substream k."""
+    <psi_i(t)|phi_j>), for substream k. With vectors=False, V is None and
+    lam comes from eigvalsh."""
     gen = RngStream(config.master_seed, k).generator()
     a = config.initial.eigenvalues(config.n, gen)
     if config.t > 0:
         m = np.diag(a) + sample_goe(config.n, config.t, gen)
-        lam, vecs = np.linalg.eigh(m)
-    else:
-        lam, vecs = a.copy(), np.eye(config.n)
-    return a, lam, vecs
+        if vectors:
+            return (a, *np.linalg.eigh(m))
+        return a, np.linalg.eigvalsh(m), None
+    return a, a.copy(), np.eye(config.n) if vectors else None
 
 
 def _map_samples(config, worker, workers=1):
@@ -328,12 +329,17 @@ def theta_sample_resolvent(a, m_t, z: complex, threshold: float) -> complex:
 
 def estimate_theta(config: ExperimentConfig, z: complex, threshold: float,
                    workers: int = 1) -> ScalarEstimate:
-    """Monte Carlo estimate of Theta^g_N(z), g the indicator of a <= threshold."""
+    """Monte Carlo estimate of Theta^g_N(z), g the indicator of a <= threshold.
+    At threshold +inf (g = 1) the trace is mean 1/(lam - z), which needs the
+    eigenvalues of M_t only."""
     z = complex(z)
     if z.imag == 0:
         raise DomainError("z must have nonzero imaginary part")
 
     def worker(k):
+        if threshold == math.inf:
+            _a, lam, _ = _draw_sample(config, k, vectors=False)
+            return complex(np.sum(1.0 / (lam - z)) / len(lam))
         a, lam, vecs = _draw_sample(config, k)
         return theta_sample(a, lam, vecs, z, threshold)
 

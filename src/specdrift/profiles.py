@@ -353,15 +353,57 @@ class SemicircleQuantileProfile(SpectralProfile):
         return (self.radius,)
 
 
+class _Pchip:
+    """Monotone piecewise cubic of Fritsch & Carlson (SIAM J. Numer. Anal.
+    17:238, 1980) through strictly increasing data: Fritsch-Butland weighted
+    harmonic interior slopes; at each end the one-sided three-point slope, 0
+    where it is not positive (its other guard needs data that change sign);
+    the line for two knots. c[:, i] holds piece i's power-basis coefficients
+    in s = u - x[i], highest degree first. Values and derivatives sum the
+    terms in scipy.interpolate.PPoly's order: PchipInterpolator's to the bit.
+    """
+
+    def __init__(self, x, y):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        d = np.empty_like(y)
+        if len(x) == 2:
+            d[:] = m[0]
+        else:
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+            h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+            end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            d[[0, -1]] = np.where(end > 0, end, 0.0)
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self.x = x
+        self.c = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+        self._dc = self.c[:-1] * np.array([3.0, 2.0, 1.0])[:, None]
+
+    def _piece(self, u):
+        u = np.asarray(u, dtype=float)
+        i = np.clip(np.searchsorted(self.x, u, side="right") - 1, 0, len(self.x) - 2)
+        return u - self.x[i], i
+
+    def __call__(self, u):
+        s, i = self._piece(u)
+        c3, c2, c1, c0 = self.c[:, i]
+        return c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+
+    def derivative(self, u):
+        s, i = self._piece(u)
+        d2, d1, d0 = self._dc[:, i]
+        return d0 + d1 * s + d2 * (s * s)
+
+
 class TabulatedProfile(SpectralProfile):
-    """Profile interpolated from (x_k, a_k) knots with a monotone
-    piecewise-cubic (PCHIP) scheme; derivative comes from the interpolant."""
+    """Profile interpolated from (x_k, a_k) knots by the monotone
+    piecewise cubic of _Pchip; the derivative is the interpolant's."""
 
     kind = "tabulated"
 
     def __init__(self, x_knots, a_knots):
-        from scipy.interpolate import PchipInterpolator  # the package's only scipy use
-
         x = np.asarray(x_knots, dtype=float)
         a = np.asarray(a_knots, dtype=float)
         if x.ndim != 1 or x.shape != a.shape or len(x) < 2:
@@ -373,8 +415,7 @@ class TabulatedProfile(SpectralProfile):
         self._x = x
         self._a = a
         self.source = None  # CSV path, set by from_csv
-        self._interp = PchipInterpolator(x, a)
-        self._deriv = self._interp.derivative()
+        self._interp = _Pchip(x, a)
 
     @classmethod
     def from_csv(cls, path):
@@ -401,7 +442,7 @@ class TabulatedProfile(SpectralProfile):
 
     def derivative(self, x):
         x_arr = self._check_x(x, open_interval=True)
-        out = self._deriv(x_arr)
+        out = self._interp.derivative(x_arr)
         return float(out) if x_arr.ndim == 0 else out
 
     @property
@@ -426,8 +467,8 @@ class TabulatedProfile(SpectralProfile):
         x, a = self._x, self._a
         last = len(x) - 2
         xr = np.interp(w.real, a, x)
-        xr = np.where(w.real > a[-1], 1.0 + (w.real - a[-1]) / self._deriv(1.0), xr)
-        xr = np.where(w.real < a[0], (w.real - a[0]) / self._deriv(0.0), xr)
+        xr = np.where(w.real > a[-1], 1.0 + (w.real - a[-1]) / self._interp.derivative(1.0), xr)
+        xr = np.where(w.real < a[0], (w.real - a[0]) / self._interp.derivative(0.0), xr)
         piece = np.clip(np.searchsorted(x, xr, side="right") - 1, 0, last) + np.arange(-1, 2)
         valid = (piece >= 0) & (piece <= last)
         k = np.clip(piece, 0, last)

@@ -192,6 +192,21 @@ class TestTheta:
         direct = np.mean(1.0 / (lam - z))
         assert abs(theta_sample(a, lam, vecs, z, math.inf) - direct) <= 1e-12
 
+    @pytest.mark.parametrize("initial", [GOEInitial(1.0),
+                                         ProfileInitial(LinearProfile(-1.0, 1.0))])
+    def test_g_one_reads_eigenvalues_only(self, monkeypatch, initial):
+        # g = 1 takes mean 1/(lam - z) from eigvalsh; the theta_sample route
+        # on the same draws agrees to rounding
+        config = small_config(initial=initial)
+        z = 0.3 + 0.2j
+        routes = [theta_sample(*_draw_sample(config, k), z, math.inf)
+                  for k in range(config.samples)]
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        est = estimate_theta(config, z, math.inf)
+        assert abs(est.value - np.mean(routes)) <= 1e-12
+        assert est.stderr_re == pytest.approx(np.std(np.real(routes), ddof=1)
+                                              / math.sqrt(config.samples), rel=1e-9)
+
     def test_two_routes_agree(self):
         config = small_config(samples=1)
         gen_a, lam, vecs = _draw_sample(config, 0)

@@ -139,6 +139,59 @@ class TestTabulatedProfile:
             TabulatedProfile([0.0, 0.5, 1.0], [0.0, 1.0, 0.5])
 
 
+def _random_knots(rng):
+    """Strictly increasing knots on [0, 1] with values whose secants range
+    over six decades, so that end slopes are both kept and cut to 0."""
+    n = int(rng.integers(2, 41))
+    x = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]])
+    a = np.cumsum(np.concatenate([[rng.normal()], rng.exponential(size=n - 1)
+                                  * 10.0 ** rng.uniform(-3.0, 3.0, n - 1)]))
+    return x, a
+
+
+def _benchmark_knots(amplitude=0.15):
+    """33 knots of the antisymmetric a(x) = 2x - 1 + A sin(2 pi x), the shape
+    of the benchmark's tabulated profile."""
+    x = np.linspace(0.0, 1.0, 33)
+    lower = 2.0 * x[:16] - 1.0 + amplitude * np.sin(2.0 * np.pi * x[:16])
+    return x, np.concatenate([lower, [0.0], -lower[::-1]])
+
+
+class TestPchipAgainstScipy:
+    """The numpy PCHIP equals scipy.interpolate.PchipInterpolator (used here
+    only) bit for bit: coefficients, values and derivatives."""
+
+    @staticmethod
+    def _assert_identical(x, a, rng):
+        from scipy.interpolate import PchipInterpolator
+        ref = PchipInterpolator(x, a)
+        p = TabulatedProfile(x, a)
+        u = np.concatenate([x, [0.0, 1.0], rng.uniform(0.0, 1.0, 64)])
+        assert np.array_equal(p._interp.c, ref.c)
+        assert np.array_equal(p.eval(u), ref(u))
+        assert np.array_equal(p.derivative(u), ref.derivative()(u))
+        for end in (0.0, 1.0):
+            assert p.eval(end) == ref(end) and p.derivative(end) == ref.derivative()(end)
+
+    def test_random_knot_sets(self):
+        rng = np.random.default_rng(20260823)
+        for _ in range(200):
+            self._assert_identical(*_random_knots(rng), rng)
+
+    @pytest.mark.parametrize("x,a", [
+        ([0.0, 1.0], [-2.0, 3.0]),
+        ([0.0, 0.5, 1.0], [0.0, 0.1, 1.0]),  # end slope cut to 0
+        (_KNOTS_5, np.sinh(5.0 * (2.0 * _KNOTS_5 - 1.0))),
+        _benchmark_knots(),
+    ], ids=["two-knots", "zero-end-slope", "sinh-5", "benchmark-33"])
+    def test_named_knot_sets(self, x, a):
+        self._assert_identical(np.asarray(x, dtype=float), np.asarray(a, dtype=float),
+                               np.random.default_rng(1))
+
+    def test_zero_end_slope(self):
+        assert TabulatedProfile([0.0, 0.5, 1.0], [0.0, 0.1, 1.0]).derivative(0.0) == 0.0
+
+
 class TestNormalization:
     @pytest.mark.parametrize("kind,params", [
         ("linear", {}),
