@@ -21,7 +21,7 @@ from .montecarlo import (ExperimentConfig, GOEInitial, OverlapAccumulator,
                          empirical_cdf, estimate_theta, resolvent_diagonal,
                          run_overlap_experiment)
 from .profiles import (LinearProfile, SemicircleQuantileProfile, SpectralProfile,
-                       TabulatedProfile, make_profile)
+                       TabulatedProfile, parse_profile)
 from .stieltjes import (DensityLine, StieltjesSolution, cdf_limit, density_and_hilbert,
                         semicircle_density, semicircle_hilbert, semicircle_stieltjes,
                         solve_fixed_point, solve_grid, support_bounds, theta_limit)

@@ -13,14 +13,15 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, laws, montecarlo, stieltjes, subspace
 from .errors import (ConfigError, ConvergenceError, DomainError, InvalidProfileError,
                      SpecdriftError)
-from .montecarlo import ExperimentConfig, GOEInitial, ProfileInitial, write_manifest
-from .profiles import SemicircleQuantileProfile, TabulatedProfile, make_profile
+from .montecarlo import ExperimentConfig, GOEInitial, ProfileInitial
+from .profiles import SemicircleQuantileProfile, parse_profile
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -28,44 +29,25 @@ EXIT_DOMAIN = 3
 EXIT_ACCEPTANCE = 4
 EXIT_SOLVER = 5
 
+#: error type -> (exit code, stderr label), the first match wins
+ERRORS = ((ConfigError, EXIT_CONFIG, "config error"),
+          (InvalidProfileError, EXIT_CONFIG, "invalid profile"),
+          (ConvergenceError, EXIT_SOLVER, "solver failure"),
+          (DomainError, EXIT_DOMAIN, "domain error"),
+          (SpecdriftError, EXIT_DOMAIN, "error"))
+
 DEFAULT_SEED = 20260823
 
 # figure-reproduction protocol: n=400, t=1, 1000 samples, targets 200 / 320
 FIGURE_PARAMS = {
-    "fig1": {"n": 400, "t": 1.0, "samples": 1000, "index": 200, "peak": 0.0},
-    "fig2": {"n": 400, "t": 1.0, "samples": 1000, "index": 320, "peak": 0.983},
+    "fig1": {"n": 400, "t": 1.0, "samples": 1000, "index": 200},
+    "fig2": {"n": 400, "t": 1.0, "samples": 1000, "index": 320},
 }
 FIGURE_REL_TOL = 0.10
 FIGURE_PEAK_TOL = 0.10
 FIGURE_RANGE = (-1.8, 1.8)
 FIGURE_BIN_WINDOW = 5
 FIGURE_MIN_SAMPLES = 200
-
-
-def parse_profile(spec: str):
-    """goe | linear[:lo,hi] | semicircle[:radius] | uniform-gap:span |
-    csv:path"""
-    kind, _, rest = spec.partition(":")
-    kind = kind.lower()
-    try:
-        if kind == "goe":
-            return make_profile("goe")
-        if kind == "linear":
-            if rest:
-                lo, hi = (float(v) for v in rest.split(","))
-                return make_profile("linear", lo=lo, hi=hi)
-            return make_profile("linear")
-        if kind in ("semicircle", "semicircle-quantile"):
-            return make_profile("semicircle", radius=float(rest) if rest else 2.0)
-        if kind == "uniform-gap":
-            return make_profile("uniform-gap", span=float(rest) if rest else 1.0)
-        if kind == "csv":
-            return TabulatedProfile.from_csv(rest)
-    except InvalidProfileError:
-        raise
-    except (ValueError, IndexError, OSError) as exc:
-        raise ConfigError(f"malformed profile spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown profile spec {spec!r}")
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -92,27 +74,20 @@ def parse_g(spec: str) -> float:
     return threshold
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class Done(NamedTuple):
+    """A subcommand's data files, stdout message, manifest config-echo
+    extras, checked tolerances and exit code, handed to _run."""
+
+    outputs: list
+    message: str
+    extra: dict | None = None
+    tolerances: dict | None = None
+    code: int = EXIT_OK
 
 
-def _finish(args, name, outputs, started, tolerances=None, extra=None):
-    out = _out_dir(args)
-    echo = {k: v for k, v in vars(args).items() if k != "func" and not callable(v)}
-    if extra:
-        echo.update(extra)
-    manifest_path = out / f"{name}_manifest.json"
-    write_manifest(manifest_path, name, echo, getattr(args, "seed", None),
-                   [str(p) for p in outputs], time.time() - started,
-                   tolerances=tolerances)
-    return manifest_path
-
-
-def _write_report(path, obj):
+def _write_json(path, obj, **options):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, allow_nan=False)
+        json.dump(obj, fh, indent=2, **options)
         fh.write("\n")
 
 
@@ -124,11 +99,10 @@ def _write_prediction_csv(path, a_grid, values, regime):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes its data files into `out` and returns a Done
 
 
-def cmd_predict(args) -> int:
-    started = time.time()
+def cmd_predict(args, out) -> Done:
     profile = parse_profile(args.profile)
     t = args.t
     if args.index is not None:
@@ -137,7 +111,7 @@ def cmd_predict(args) -> int:
         if not 1 <= args.index <= args.n:
             raise ConfigError("index out of range")
         lam = laws.perturbed_quantile(profile, t, args.index / args.n)
-    elif getattr(args, "lam", None) is not None:
+    elif args.lam is not None:
         lam = args.lam
     else:
         raise ConfigError("provide --lambda or --index/--n")
@@ -162,17 +136,14 @@ def cmd_predict(args) -> int:
     elif regime == "cauchy":
         values = laws.overlap_cauchy(t, lam, a_grid,
                                      laws.density_line_at(profile, 0.0, lam))
-    elif regime == "full":
+    else:  # full; argparse admits no other regime
         line = stieltjes.density_and_hilbert(profile, t, lam)
         values = laws.overlap_full(t, lam, a_grid, line)
-    else:
-        raise ConfigError(f"unknown regime {regime!r}")
 
-    out = _out_dir(args) / "prediction.csv"
-    _write_prediction_csv(out, a_grid, values, regime)
-    _finish(args, "predict", [out], started, extra={"lambda_used": lam})
-    print(f"wrote {out} ({regime} regime, lambda={lam:.6g})")
-    return EXIT_OK
+    path = out / "prediction.csv"
+    _write_prediction_csv(path, a_grid, values, regime)
+    return Done([path], f"wrote {path} ({regime} regime, lambda={lam:.6g})",
+                extra={"lambda_used": lam})
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -192,22 +163,14 @@ def _experiment_config(args) -> ExperimentConfig:
                             master_seed=args.seed, binning=getattr(args, "binning", 1))
 
 
-def cmd_simulate(args) -> int:
-    started = time.time()
+def cmd_simulate(args, out) -> Done:
     config = _experiment_config(args)
-    if not config.target_indices:
-        raise ConfigError("simulate needs at least one --index")
     curves = montecarlo.run_overlap_experiment(config, workers=args.workers)
-    outputs = []
-    out = _out_dir(args)
-    for idx, curve in curves.items():
-        path = out / f"overlap_i{idx}.csv"
+    paths = [out / f"overlap_i{idx}.csv" for idx in curves]
+    for path, curve in zip(paths, curves.values()):
         curve.to_csv(path)
-        outputs.append(path)
-    _finish(args, "simulate", outputs, started, extra={"config": config.describe()})
-    for path in outputs:
-        print(f"wrote {path}")
-    return EXIT_OK
+    return Done(paths, "\n".join(f"wrote {path}" for path in paths),
+                extra={"config": config.describe()})
 
 
 def _parabolic_peak(a, values):
@@ -227,12 +190,13 @@ def _parabolic_peak(a, values):
 
 def compare_figure(curve, figure: str):
     """Binned empirical curve vs the GOE closed form; returns the comparison
-    report dict (pass/fail thresholds from the acceptance protocol)."""
+    report dict (pass/fail thresholds from the acceptance protocol). The
+    expected peak is the kernel's, at a = lambda + t H_t(lambda)."""
     params = FIGURE_PARAMS[figure]
     n, t = params["n"], params["t"]
     binned = montecarlo.bin_overlap_curve(curve, FIGURE_BIN_WINDOW)
-    profile = make_profile("goe")
-    lam = laws.perturbed_quantile(profile, t, params["index"] / n)
+    lam = laws.perturbed_quantile(SemicircleQuantileProfile(), t, params["index"] / n)
+    expected = lam + t * stieltjes.semicircle_hilbert(t, lam)
     lo, hi = FIGURE_RANGE
     sel = (binned.a >= lo) & (binned.a <= hi)
     predicted = laws.overlap_goe(t, lam, binned.a[sel])
@@ -245,16 +209,15 @@ def compare_figure(curve, figure: str):
         "mean_rel_error_bulk": float(np.mean(rel)),
         "rel_tol": FIGURE_REL_TOL,
         "peak_location": peak,
-        "peak_expected": params["peak"],
+        "peak_expected": expected,
         "peak_tol": FIGURE_PEAK_TOL,
         "rel_error_pass": bool(np.max(rel) <= FIGURE_REL_TOL),
-        "peak_pass": bool(abs(peak - params["peak"]) <= FIGURE_PEAK_TOL),
+        "peak_pass": bool(abs(peak - expected) <= FIGURE_PEAK_TOL),
         "samples": curve.samples,
     }
 
 
-def cmd_reproduce(args) -> int:
-    started = time.time()
+def cmd_reproduce(args, out) -> Done:
     params = FIGURE_PARAMS[args.figure]
     samples = args.samples or params["samples"]
     config = ExperimentConfig(n=params["n"], t=params["t"], samples=samples,
@@ -265,7 +228,6 @@ def cmd_reproduce(args) -> int:
     report = compare_figure(curve, args.figure)
     report["threshold_checked"] = samples >= FIGURE_MIN_SAMPLES
 
-    out = _out_dir(args)
     emp_path = out / f"{args.figure}_empirical.csv"
     curve.to_csv(emp_path)
     pred_path = out / f"{args.figure}_prediction.csv"
@@ -275,24 +237,23 @@ def cmd_reproduce(args) -> int:
                           laws.overlap_goe(params["t"], report["lambda_used"], a_grid),
                           "goe-closed-form")
     report_path = out / f"{args.figure}_report.json"
-    _write_report(report_path, report)
-    _finish(args, "reproduce", [emp_path, pred_path, report_path], started,
-            tolerances={"rel_tol": FIGURE_REL_TOL, "peak_tol": FIGURE_PEAK_TOL},
-            extra={"config": config.describe()})
+    _write_json(report_path, report, allow_nan=False)
 
-    if not report["threshold_checked"]:
-        print(f"{args.figure}: report only ({samples} samples below minimum "
-              f"{FIGURE_MIN_SAMPLES}); max rel error {report['max_rel_error_bulk']:.3f}")
-        return EXIT_OK
-    ok = report["rel_error_pass"] and report["peak_pass"]
-    print(f"{args.figure}: max bulk rel error {report['max_rel_error_bulk']:.3f} "
-          f"(tol {FIGURE_REL_TOL}), peak {report['peak_location']:.3f} vs "
-          f"{params['peak']} -> {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_ACCEPTANCE
+    ok = not report["threshold_checked"] or (report["rel_error_pass"] and report["peak_pass"])
+    if report["threshold_checked"]:
+        message = (f"{args.figure}: max bulk rel error {report['max_rel_error_bulk']:.3f} "
+                   f"(tol {FIGURE_REL_TOL}), peak {report['peak_location']:.3f} vs "
+                   f"{report['peak_expected']} -> {'PASS' if ok else 'FAIL'}")
+    else:
+        message = (f"{args.figure}: report only ({samples} samples below minimum "
+                   f"{FIGURE_MIN_SAMPLES}); max rel error {report['max_rel_error_bulk']:.3f}")
+    return Done([emp_path, pred_path, report_path], message,
+                extra={"config": config.describe()},
+                tolerances={"rel_tol": FIGURE_REL_TOL, "peak_tol": FIGURE_PEAK_TOL},
+                code=EXIT_OK if ok else EXIT_ACCEPTANCE)
 
 
-def cmd_subspace(args) -> int:
-    started = time.time()
+def cmd_subspace(args, out) -> Done:
     if args.delta <= 0:
         raise ConfigError("margin --delta must be positive (the prediction "
                           "integral diverges without it)")
@@ -318,19 +279,16 @@ def cmd_subspace(args) -> int:
         "rank_deficient_samples": result.rank_deficient,
         "config": config.describe(),
     }
-    out = _out_dir(args) / "subspace_report.json"
-    _write_report(out, report)
-    _finish(args, "subspace", [out], started,
-            extra={"rank_deficient_samples": result.rank_deficient})
+    path = out / "subspace_report.json"
+    _write_json(path, report, allow_nan=False)
     ratio = "n/a" if report["ratio"] is None else f"{report['ratio']:.3f}"
-    print(f"empirical D = {empirical:.6g} +- {result.distance.stderr_re:.2g}, "
-          f"predicted {predicted:.6g}, ratio {ratio}, "
-          f"{result.rank_deficient} rank-deficient samples left out")
-    return EXIT_OK
+    return Done([path], f"empirical D = {empirical:.6g} +- {result.distance.stderr_re:.2g}, "
+                        f"predicted {predicted:.6g}, ratio {ratio}, "
+                        f"{result.rank_deficient} rank-deficient samples left out",
+                extra={"rank_deficient_samples": result.rank_deficient})
 
 
-def cmd_stieltjes(args) -> int:
-    started = time.time()
+def cmd_stieltjes(args, out) -> Done:
     profile = parse_profile(args.profile)
     grid = parse_grid(args.grid)
     try:
@@ -338,15 +296,13 @@ def cmd_stieltjes(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--eta must be comma-separated numbers, got {args.eta!r}") from exc
     sol = stieltjes.solve_grid(profile, args.t, grid, eta_schedule=etas, tol=args.tol)
-    out = _out_dir(args) / "stieltjes.csv"
-    sol.to_csv(out)
-    _finish(args, "stieltjes", [out], started, tolerances={"tol": args.tol})
-    print(f"wrote {out} ({len(grid)} lambda points, {len(etas)} eta levels)")
-    return EXIT_OK
+    path = out / "stieltjes.csv"
+    sol.to_csv(path)
+    return Done([path], f"wrote {path} ({len(grid)} lambda points, {len(etas)} eta levels)",
+                tolerances={"tol": args.tol})
 
 
-def cmd_theta(args) -> int:
-    started = time.time()
+def cmd_theta(args, out) -> Done:
     z = complex(args.z[0], args.z[1])
     threshold = parse_g(args.g)
     config = _experiment_config(args)
@@ -359,16 +315,13 @@ def cmd_theta(args) -> int:
         "limit": [limit.real, limit.imag],
         "config": config.describe(),
     }
-    out = _out_dir(args) / "theta.json"
-    _write_report(out, report)
-    _finish(args, "theta", [out], started)
-    print(f"Theta_N = {est.value:.6g} (+- {est.stderr_re:.2g}/{est.stderr_im:.2g}), "
-          f"limit {limit:.6g}")
-    return EXIT_OK
+    path = out / "theta.json"
+    _write_json(path, report, allow_nan=False)
+    return Done([path], f"Theta_N = {est.value:.6g} (+- {est.stderr_re:.2g}/"
+                        f"{est.stderr_im:.2g}), limit {limit:.6g}")
 
 
-def cmd_cdf(args) -> int:
-    started = time.time()
+def cmd_cdf(args, out) -> Done:
     config = _experiment_config(args)
     est = montecarlo.empirical_cdf(config, args.lam, args.alpha, workers=args.workers)
     limit = stieltjes.cdf_limit(config.initial.profile, args.t, args.lam, args.alpha)
@@ -377,151 +330,124 @@ def cmd_cdf(args) -> int:
         "empirical": est.value.real, "stderr": est.stderr_re,
         "limit": limit, "config": config.describe(),
     }
-    out = _out_dir(args) / "cdf.json"
-    _write_report(out, report)
-    _finish(args, "cdf", [out], started)
-    print(f"Phi_N({args.lam}, {args.alpha}) = {est.value.real:.6g} "
-          f"+- {est.stderr_re:.2g}, limit {limit:.6g}")
-    return EXIT_OK
+    path = out / "cdf.json"
+    _write_json(path, report, allow_nan=False)
+    return Done([path], f"Phi_N({args.lam}, {args.alpha}) = {est.value.real:.6g} "
+                        f"+- {est.stderr_re:.2g}, limit {limit:.6g}")
 
 
 # ---------------------------------------------------------------------------
-# parser
+# option table and runner
 
+T = {"--t": dict(type=float, required=True)}
+WORKERS = {"--workers": dict(type=int, default=1)}
+MONTE_CARLO = {"--n": dict(type=int, required=True), **T,
+               "--samples": dict(type=int, required=True), **WORKERS}
+START = {"--initial": dict(choices=["goe", "profile"], default="goe"),
+         "--scale": dict(type=float, default=1.0), "--profile": dict(default=None)}
+COMMON = {"--seed": dict(type=int, default=DEFAULT_SEED), "--out-dir": dict(default="."),
+          "--config": dict(default=None, help="INI file; section per subcommand")}
 
-def _add_common(sp, workers=True):
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    if workers:  # the Monte Carlo subcommands
-        sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--out-dir", default=".")
-    sp.add_argument("--config", default=None, help="INI file; section per subcommand")
+#: subcommand -> (function, help, {flag: argparse keywords}); COMMON is added to each
+COMMANDS = {
+    "predict": (cmd_predict, "closed-form / solver overlap curves", {
+        "--profile": dict(default="goe"), **T,
+        "--index": dict(type=int, default=None), "--n": dict(type=int, default=None),
+        "--lambda": dict(dest="lam", type=float, default=None),
+        "--regime": dict(choices=["auto", "full", "goe", "cauchy"], default="auto"),
+        "--grid": dict(default=None, help="a_j grid lo:hi:step")}),
+    "simulate": (cmd_simulate, "finite-N overlap experiment", {
+        **MONTE_CARLO, "--index": dict(type=int, nargs="+", required=True), **START,
+        "--binning": dict(type=int, default=1)}),
+    "reproduce": (cmd_reproduce, "figure-scale empirical vs prediction check", {
+        "figure": dict(choices=sorted(FIGURE_PARAMS)),
+        "--samples": dict(type=int, default=None), **WORKERS}),
+    "subspace": (cmd_subspace, "window subspace distance experiment", {
+        **MONTE_CARLO, "--gamma": dict(type=float, nargs=2, required=True),
+        "--delta": dict(type=float, required=True), "--scale": START["--scale"]}),
+    "stieltjes": (cmd_stieltjes, "solve the fixed point on a grid", {
+        "--profile": dict(default="goe"), **T,
+        "--grid": dict(required=True, help="lambda grid lo:hi:step"),
+        "--eta": dict(default=None, help="comma-separated eta schedule"),
+        "--tol": dict(type=float, default=stieltjes.DEFAULT_TOL)}),
+    "theta": (cmd_theta, "resolvent trace functional, empirical vs limit", {
+        **MONTE_CARLO, "--z": dict(type=float, nargs=2, required=True, metavar=("RE", "IM")),
+        "--g": dict(default="one"), **START}),
+    "cdf": (cmd_cdf, "bivariate overlap CDF, empirical vs limit", {
+        **MONTE_CARLO, "--lambda": dict(dest="lam", type=float, required=True),
+        "--alpha": dict(type=float, required=True), **START}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="specdrift", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("predict", help="closed-form / solver overlap curves")
-    p.add_argument("--profile", default="goe")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--index", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--regime", choices=["auto", "full", "goe", "cauchy"], default="auto")
-    p.add_argument("--grid", default=None, help="a_j grid lo:hi:step")
-    _add_common(p, workers=False)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("simulate", help="finite-N overlap experiment")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--index", type=int, nargs="+", required=True)
-    p.add_argument("--initial", choices=["goe", "profile"], default="goe")
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--profile", default=None)
-    p.add_argument("--binning", type=int, default=1)
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("reproduce", help="figure-scale empirical vs prediction check")
-    p.add_argument("figure", choices=sorted(FIGURE_PARAMS))
-    p.add_argument("--samples", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_reproduce)
-
-    p = sub.add_parser("subspace", help="window subspace distance experiment")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--gamma", type=float, nargs=2, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--scale", type=float, default=1.0)
-    _add_common(p)
-    p.set_defaults(func=cmd_subspace)
-
-    p = sub.add_parser("stieltjes", help="solve the fixed point on a grid")
-    p.add_argument("--profile", default="goe")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--grid", required=True, help="lambda grid lo:hi:step")
-    p.add_argument("--eta", default=None, help="comma-separated eta schedule")
-    p.add_argument("--tol", type=float, default=stieltjes.DEFAULT_TOL)
-    _add_common(p, workers=False)
-    p.set_defaults(func=cmd_stieltjes)
-
-    p = sub.add_parser("theta", help="resolvent trace functional, empirical vs limit")
-    p.add_argument("--profile", default=None)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--z", type=float, nargs=2, required=True, metavar=("RE", "IM"))
-    p.add_argument("--g", default="one")
-    p.add_argument("--initial", choices=["goe", "profile"], default="goe")
-    p.add_argument("--scale", type=float, default=1.0)
-    _add_common(p)
-    p.set_defaults(func=cmd_theta)
-
-    p = sub.add_parser("cdf", help="bivariate overlap CDF, empirical vs limit")
-    p.add_argument("--profile", default=None)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--initial", choices=["goe", "profile"], default="goe")
-    p.add_argument("--scale", type=float, default=1.0)
-    _add_common(p)
-    p.set_defaults(func=cmd_cdf)
-
+    for name, (func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in {**flags, **COMMON}.items():
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def _apply_config_file(argv):
-    """Prepend flag defaults from an INI file (section = subcommand) so that
-    explicit command-line flags still win."""
+    """Prepend flag values from an INI file (section = subcommand) so that
+    explicit command-line flags still win. A value is one argument, split
+    on whitespace only for a flag that takes several (nargs)."""
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
     if idx + 1 == len(argv):
         raise ConfigError("--config needs a file path")
-    path = argv[idx + 1]
-    sub = argv[0]
+    path, sub = argv[idx + 1], argv[0]
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise ConfigError(f"cannot read config file {path}")
-    if not cp.has_section(sub):
+    if sub not in COMMANDS or not cp.has_section(sub):
         return argv
+    flags = {**COMMANDS[sub][2], **COMMON}
     injected = []
     for key, value in cp.items(sub):
-        injected.append(f"--{key}")
-        injected.extend(value.split())
+        options = flags.get(f"--{key}")
+        if options is None:
+            raise ConfigError(f"unknown key {key!r} in section [{sub}] of {path}")
+        injected += [f"--{key}", *value.split()] if "nargs" in options else [f"--{key}={value}"]
     return [sub] + injected + argv[1:]
+
+
+def _run(args) -> int:
+    """Run one subcommand: time it, create --out-dir, write its manifest
+    and print its message; returns its exit code."""
+    started = time.time()
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    done = args.func(args, out)
+    echo = {k: v for k, v in vars(args).items() if k != "func"}
+    echo.update(done.extra or {})
+    _write_json(out / f"{args.subcommand}_manifest.json", {
+        "subcommand": args.subcommand,
+        "config": echo,
+        "master_seed": args.seed,
+        "toolkit_version": __version__,
+        "duration_seconds": time.time() - started,
+        "outputs": [str(p) for p in done.outputs],
+        "tolerances": done.tolerances or {},
+    }, sort_keys=True)
+    print(done.message)
+    return done.code
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
         if argv and not argv[0].startswith("-"):
             argv = _apply_config_file(argv)
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InvalidProfileError as exc:
-        print(f"invalid profile: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConvergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _run(build_parser().parse_args(argv))
     except SpecdriftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        code, label = next((code, label) for kind, code, label in ERRORS if isinstance(exc, kind))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

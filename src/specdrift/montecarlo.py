@@ -16,7 +16,6 @@ components of M_t.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -374,29 +373,3 @@ def resolvent_diagonal(config: ExperimentConfig, z: complex, workers: int = 1) -
 
     vals = _map_samples(config, worker, workers)
     return np.mean(np.asarray(vals), axis=0)
-
-
-# ---------------------------------------------------------------------------
-# manifests
-
-
-def write_manifest(path, subcommand: str, config_echo: dict, seed, outputs,
-                   duration_s: float, tolerances: dict | None = None):
-    manifest = {
-        "subcommand": subcommand,
-        "config": config_echo,
-        "master_seed": seed,
-        "toolkit_version": _version(),
-        "duration_seconds": duration_s,
-        "outputs": list(outputs),
-        "tolerances": tolerances or {},
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest
-
-
-def _version():
-    from . import __version__
-    return __version__

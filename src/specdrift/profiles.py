@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, EdgeError, InvalidProfileError
+from .errors import ConfigError, DomainError, EdgeError, InvalidProfileError
 
 # Operations needing a' refuse points this close to {0,1} when the
 # derivative diverges there (semicircle quantile).
@@ -175,28 +175,6 @@ class SpectralProfile(ABC):
 
     def __call__(self, x):
         return self.eval(x)
-
-    # -- validation --------------------------------------------------------
-
-    def validate(self):
-        """Check strict monotonicity, inverse round trip and derivative
-        consistency on a probe grid of spacing 1e-3. Raises
-        InvalidProfileError on failure."""
-        xs = np.arange(0.0, 1.0005, 1e-3)
-        vals = np.asarray(self.eval(xs))
-        if np.any(np.diff(vals) <= 0):
-            raise InvalidProfileError(f"{self.kind} profile not strictly increasing")
-        interior = xs[(xs > 1e-2) & (xs < 1 - 1e-2)]
-        back = np.asarray(self.inverse(self.eval(interior)))
-        if np.max(np.abs(back - interior)) > 1e-9:
-            raise InvalidProfileError("inverse round trip exceeds 1e-9")
-        h = 1e-6
-        fd = (np.asarray(self.eval(interior + h)) - np.asarray(self.eval(interior - h))) / (2 * h)
-        deriv = np.asarray(self.derivative(interior))
-        rel = np.max(np.abs(deriv - fd) / np.maximum(np.abs(deriv), 1e-30))
-        if rel > 1e-5:
-            raise InvalidProfileError(f"derivative inconsistent with finite difference (rel {rel:.2e})")
-        return self
 
     @property
     def cache_token(self):
@@ -510,19 +488,27 @@ class TabulatedProfile(SpectralProfile):
         return (tuple(self._x), tuple(self._a))
 
 
-def make_profile(kind, **params):
-    """Factory used by the CLI. Kinds: linear, uniform-gap,
-    semicircle-quantile (alias: goe), tabulated (csv=path)."""
+def parse_profile(spec: str) -> SpectralProfile:
+    """The profile a spec names: goe | linear[:lo,hi] | semicircle[:radius] |
+    uniform-gap[:span] | csv:path. A malformed or unknown spec raises
+    ConfigError; a well-formed spec of an invalid profile, InvalidProfileError."""
+    kind, _, rest = spec.partition(":")
     kind = kind.lower()
-    if kind == "linear":
-        return LinearProfile(params.get("lo", 0.0), params.get("hi", 1.0))
-    if kind == "uniform-gap":
-        span = params.get("span", 1.0)
-        return LinearProfile(-span / 2.0, span / 2.0)
-    if kind in ("semicircle-quantile", "semicircle", "goe"):
-        return SemicircleQuantileProfile(params.get("radius", 2.0))
-    if kind == "tabulated":
-        if "csv" in params:
-            return TabulatedProfile.from_csv(params["csv"])
-        return TabulatedProfile(params["x"], params["a"])
-    raise InvalidProfileError(f"unknown profile kind {kind!r}")
+    try:
+        if kind == "goe" and not rest:
+            return SemicircleQuantileProfile()
+        if kind == "linear":
+            lo, hi = (float(v) for v in rest.split(",")) if rest else (0.0, 1.0)
+            return LinearProfile(lo, hi)
+        if kind in ("semicircle", "semicircle-quantile"):
+            return SemicircleQuantileProfile(float(rest) if rest else 2.0)
+        if kind == "uniform-gap":
+            span = float(rest) if rest else 1.0
+            return LinearProfile(-span / 2.0, span / 2.0)
+        if kind == "csv":
+            return TabulatedProfile.from_csv(rest)
+    except InvalidProfileError:
+        raise
+    except (ValueError, IndexError, OSError) as exc:
+        raise ConfigError(f"malformed profile spec {spec!r}: {exc}") from exc
+    raise ConfigError(f"unknown profile spec {spec!r}")

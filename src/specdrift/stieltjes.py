@@ -107,14 +107,16 @@ def _resolvent_moments(profile: SpectralProfile, w, rule=None):
         l1 = np.log(np.where(hi == 0, 1.0, hi)) - np.log(np.where(lo == 0, 1.0, lo))
         v = r.sum(axis=-1) + (c * (l1 - q1)).sum(axis=-1)
         d = (r * inv).sum(axis=-1) + (a2 * (1.0 / lo - 1.0 / hi - q2) + b1 * (l1 - q1)).sum(axis=-1)
-        if rule.u.shape[0] == 1:
-            val[b:b + BLOCK], der[b:b + BLOCK] = v[:, 0], d[:, 0]
+        rows = np.arange(len(wb))[:, None]
+        if rule.u.shape[0] == 1 and has.any(axis=1).all():
+            # one piece: the candidate that holds the pole carries the whole sum
+            pick = rows[:, 0], has.argmax(axis=1)
+            val[b:b + BLOCK], der[b:b + BLOCK] = v[pick], d[pick]
             continue
         # pieces without a pole: plain sums, piece by piece
         inv = 1.0 / (rule.s - wb[:, None, None])
         r = rule.ws * inv
         pv, pd = r.sum(axis=-1), (r * inv).sum(axis=-1)
-        rows = np.arange(len(wb))[:, None]
         val[b:b + BLOCK] = pv.sum(axis=1) + np.where(has, v - pv[rows, p], 0.0).sum(axis=1)
         der[b:b + BLOCK] = pd.sum(axis=1) + np.where(has, d - pd[rows, p], 0.0).sum(axis=1)
     return val, der

@@ -24,8 +24,8 @@ from scipy.integrate import quad
 
 from specdrift import (ExperimentConfig, GOEInitial, OverlapAccumulator,
                        ProfileInitial, WindowSpec, cdf_limit, distance_from_singular_values,
-                       ldos, make_profile, overlap_block, overlap_cauchy, overlap_full,
-                       overlap_goe, predicted_distance, run_overlap_experiment,
+                       ldos, overlap_block, overlap_cauchy, overlap_full,
+                       overlap_goe, parse_profile, predicted_distance, run_overlap_experiment,
                        run_subspace_experiment, solve_fixed_point, solve_grid,
                        theta_limit)
 from specdrift.cli import FIGURE_PARAMS, compare_figure
@@ -121,7 +121,7 @@ def test_criterion_5a_cauchy_limit():
 
 def test_criterion_5b_perturbative_monte_carlo():
     n, t, samples = 200, 1e-4, 2000
-    profile = make_profile("uniform-gap", span=2.0)  # a in [-1, 1]
+    profile = parse_profile("uniform-gap:2")  # a in [-1, 1]
     i, j = 50, 150  # gap ~1.0 >= 0.5
     config = ExperimentConfig(n=n, t=t, samples=samples,
                               initial=ProfileInitial(profile),

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from specdrift import overlap_cauchy, overlap_goe, semicircle_density
-from specdrift.cli import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK,
-                           main, parse_grid, parse_profile)
+from specdrift.cli import EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, main, parse_grid
 from specdrift.errors import ConfigError
-from specdrift.stieltjes import semicircle_density_line
+from specdrift.profiles import parse_profile
+from specdrift.stieltjes import semicircle_density_line, semicircle_hilbert
 
 
 def read_csv(path):
@@ -139,6 +139,16 @@ class TestReproduce:
         assert report["threshold_checked"] is False
         assert (tmp_path / "fig1_empirical.csv").exists()
         assert (tmp_path / "fig1_prediction.csv").exists()
+
+    def test_expected_peak_from_kernel(self, tmp_path):
+        # the kernel of eigenvalue 320 at t = 1 peaks at lambda + t H_1(lambda)
+        rc = main(["reproduce", "fig2", "--samples", "2", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        report = json.loads((tmp_path / "fig2_report.json").read_text())
+        lam = report["lambda_used"]
+        assert report["peak_expected"] == pytest.approx(lam + semicircle_hilbert(1.0, lam),
+                                                        rel=1e-15)
+        assert report["peak_expected"] == pytest.approx(1.0434, abs=1e-4)
 
 
 class TestStieltjes:
@@ -373,3 +383,95 @@ class TestImports:
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         assert result["codes"] == [0] + [EXIT_OK] * 4
         assert result["scipy"] == []
+
+
+# a minimal valid argv of every subcommand, and the namespace it parses to
+MINIMAL_ARGV = {
+    "predict": ["predict", "--t", "1", "--lambda", "0"],
+    "simulate": ["simulate", "--n", "20", "--t", "1", "--samples", "2", "--index", "10"],
+    "reproduce": ["reproduce", "fig1", "--samples", "2"],
+    "subspace": ["subspace", "--n", "20", "--t", "0.02", "--samples", "2",
+                 "--gamma", "-1", "1", "--delta", "0.2"],
+    "stieltjes": ["stieltjes", "--t", "1", "--grid", "0:0:1"],
+    "theta": ["theta", "--n", "20", "--t", "1", "--samples", "2", "--z", "0", "1"],
+    "cdf": ["cdf", "--n", "20", "--t", "1", "--samples", "2", "--lambda", "0", "--alpha", "0"],
+}
+COMMON = {"seed": 20260823, "out_dir": ".", "config": None}
+MC = {"n": 20, "t": 1.0, "samples": 2, "workers": 1, **COMMON}
+START = {"initial": "goe", "scale": 1.0, "profile": None}
+NAMESPACES = {
+    "predict": {"subcommand": "predict", "profile": "goe", "t": 1.0, "index": None, "n": None,
+                "lam": 0.0, "regime": "auto", "grid": None, **COMMON},
+    "simulate": {"subcommand": "simulate", **MC, "index": [10], **START, "binning": 1},
+    "reproduce": {"subcommand": "reproduce", "figure": "fig1", "samples": 2, "workers": 1,
+                  **COMMON},
+    "subspace": {"subcommand": "subspace", **MC, "t": 0.02, "gamma": [-1.0, 1.0],
+                 "delta": 0.2, "scale": 1.0},
+    "stieltjes": {"subcommand": "stieltjes", "profile": "goe", "t": 1.0, "grid": "0:0:1",
+                  "eta": None, "tol": 1e-12, **COMMON},
+    "theta": {"subcommand": "theta", **MC, "z": [0.0, 1.0], "g": "one", **START},
+    "cdf": {"subcommand": "cdf", **MC, "lam": 0.0, "alpha": 0.0, **START},
+}
+MANIFEST_KEYS = {"subcommand", "config", "master_seed", "toolkit_version",
+                 "duration_seconds", "outputs", "tolerances"}
+
+
+class TestContract:
+    def test_namespaces(self):
+        from specdrift.cli import build_parser
+        parser = build_parser()
+        for name, argv in MINIMAL_ARGV.items():
+            parsed = vars(parser.parse_args(argv))
+            parsed.pop("func")
+            assert parsed == NAMESPACES[name], name
+
+    @pytest.mark.parametrize("name", sorted(MINIMAL_ARGV))
+    def test_manifest(self, tmp_path, name):
+        rc = main([*MINIMAL_ARGV[name], "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        manifest = json.loads((tmp_path / f"{name}_manifest.json").read_text())
+        assert set(manifest) == MANIFEST_KEYS
+        assert manifest["subcommand"] == name and manifest["master_seed"] == 20260823
+        assert manifest["outputs"] and all(Path(p).is_file() for p in manifest["outputs"])
+        echo = manifest["config"]
+        for key, value in {**NAMESPACES[name], "out_dir": str(tmp_path)}.items():
+            # simulate and reproduce put the experiment's config block under "config"
+            if key != "config" or name not in ("simulate", "reproduce"):
+                assert echo[key] == value, key
+
+
+class TestConfigValues:
+    def test_value_with_spaces(self, tmp_path):
+        folder = tmp_path / "dir with space"
+        folder.mkdir()
+        (folder / "p.csv").write_text("x,a\n0,-1\n0.5,0\n1,1\n")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[stieltjes]\nprofile = csv:{folder / 'p.csv'}\ngrid = -0.5:0.5:0.5\n")
+        rc = main(["stieltjes", "--config", str(cfg), "--t", "0.5", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        manifest = json.loads((tmp_path / "stieltjes_manifest.json").read_text())
+        assert manifest["config"]["profile"] == f"csv:{folder / 'p.csv'}"
+
+    def test_nargs_value_split(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[theta]\nz = 0 1\n")
+        rc = main(["theta", "--config", str(cfg), "--n", "20", "--t", "1", "--samples", "2",
+                   "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        manifest = json.loads((tmp_path / "theta_manifest.json").read_text())
+        assert manifest["config"]["z"] == [0.0, 1.0]
+
+    def test_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[predict]\nlambda = 0\nbinning = 2\n")
+        rc = main(["predict", "--config", str(cfg), "--t", "1", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'binning'" in err and "[predict]" in err
+
+    def test_config_before_subcommand(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[predict]\nlambda = 0\n")
+        with pytest.raises(SystemExit) as info:
+            main(["--config", str(cfg), "predict", "--t", "1", "--out-dir", str(tmp_path)])
+        assert info.value.code == 2

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from specdrift import (ConfigError, DomainError, ExperimentConfig, GOEInitial, LinearProfile,
                        OverlapAccumulator, ProfileInitial, bin_overlap_curve,
                        empirical_cdf, estimate_theta, resolvent_diagonal,
-                       make_profile, run_overlap_experiment, solve_fixed_point)
+                       parse_profile, run_overlap_experiment, solve_fixed_point)
 from specdrift.montecarlo import (OverlapCurve, _band_smoother, _draw_sample,
                                   accumulate_overlaps,
                                   curves_from_accumulator, theta_sample,
@@ -38,7 +38,6 @@ class TestExperimentConfig:
         assert d["n"] == 40 and d["target_indices"] == [20]
 
     def test_profile_start_echoes_spec(self, tmp_path):
-        from specdrift.cli import parse_profile
         blocks = [small_config(initial=ProfileInitial(parse_profile(spec))).describe()["initial"]
                   for spec in ("linear:0,1", "linear:-1,1")]
         assert blocks[0] != blocks[1]
@@ -55,7 +54,7 @@ class TestGOEInitial:
     def test_limit_profile(self):
         # semicircle of radius 2 sqrt(scale); scale 1 is the goe profile
         assert GOEInitial(4.0).profile.support == (-4.0, 4.0)
-        assert GOEInitial(1.0).profile.cache_token == make_profile("goe").cache_token
+        assert GOEInitial(1.0).profile.cache_token == parse_profile("goe").cache_token
 
     def test_nonpositive_scale(self):
         with pytest.raises(DomainError):

@@ -7,8 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from specdrift import (DomainError, EdgeError, InvalidProfileError, LinearProfile,
-                       SemicircleQuantileProfile, TabulatedProfile, make_profile)
+from specdrift import (ConfigError, DomainError, EdgeError, InvalidProfileError, LinearProfile,
+                       SemicircleQuantileProfile, TabulatedProfile, parse_profile)
+
+
+def assert_valid_profile(p):
+    """Strictly increasing, inverse round trip within 1e-9 and derivative
+    against a central difference within 1e-5 relative, on a probe grid of
+    spacing 1e-3."""
+    xs = np.arange(0.0, 1.0005, 1e-3)
+    assert np.all(np.diff(np.asarray(p.eval(xs))) > 0)
+    interior = xs[(xs > 1e-2) & (xs < 1 - 1e-2)]
+    assert np.max(np.abs(np.asarray(p.inverse(p.eval(interior))) - interior)) <= 1e-9
+    h = 1e-6
+    fd = (np.asarray(p.eval(interior + h)) - np.asarray(p.eval(interior - h))) / (2 * h)
+    deriv = np.asarray(p.derivative(interior))
+    assert np.max(np.abs(deriv - fd) / np.maximum(np.abs(deriv), 1e-30)) <= 1e-5
 
 
 class TestLinearProfile:
@@ -121,7 +135,7 @@ class TestTabulatedProfile:
         x = np.linspace(0, 1, 21)
         p = TabulatedProfile(x, x ** 2 + x)
         assert p.eval(0.5) == pytest.approx(0.75, abs=1e-12)
-        p.validate()
+        assert_valid_profile(p)
 
     def test_from_csv_roundtrip(self, tmp_path):
         path = tmp_path / "prof.csv"
@@ -193,13 +207,9 @@ class TestPchipAgainstScipy:
 
 
 class TestNormalization:
-    @pytest.mark.parametrize("kind,params", [
-        ("linear", {}),
-        ("goe", {}),
-        ("uniform-gap", {"span": 2.0}),
-    ])
-    def test_density_integrates_to_one(self, kind, params):
-        p = make_profile(kind, **params)
+    @pytest.mark.parametrize("spec", ["linear", "goe", "uniform-gap:2"])
+    def test_density_integrates_to_one(self, spec):
+        p = parse_profile(spec)
         lo, hi = p.support
         total, _ = quad(p.density, lo, hi, epsabs=1e-9, epsrel=1e-9, limit=200)
         assert total == pytest.approx(1.0, abs=1e-6)
@@ -207,15 +217,22 @@ class TestNormalization:
 
 class TestFactory:
     def test_aliases(self):
-        assert isinstance(make_profile("goe"), SemicircleQuantileProfile)
-        assert isinstance(make_profile("semicircle-quantile"), SemicircleQuantileProfile)
-        assert isinstance(make_profile("uniform-gap", span=1.0), LinearProfile)
-        with pytest.raises(InvalidProfileError):
-            make_profile("nope")
+        assert isinstance(parse_profile("goe"), SemicircleQuantileProfile)
+        assert isinstance(parse_profile("semicircle-quantile"), SemicircleQuantileProfile)
+        assert isinstance(parse_profile("uniform-gap:1"), LinearProfile)
+        with pytest.raises(ConfigError):
+            parse_profile("nope")
 
     def test_uniform_gap_symmetric(self):
-        p = make_profile("uniform-gap", span=3.0)
+        p = parse_profile("uniform-gap:3")
         assert p.support == pytest.approx((-1.5, 1.5))
+
+    @pytest.mark.parametrize("spec", ["goe:4", "linear:1", "linear:0,1,2", "semicircle:abc",
+                                      "uniform-gap:x", "tabulated", ""])
+    def test_malformed_spec(self, spec):
+        # goe takes no parameter: goe:4 is not the semicircle of radius 4
+        with pytest.raises(ConfigError):
+            parse_profile(spec)
 
 
 class TestProperties:
@@ -244,5 +261,5 @@ class TestProperties:
         assert np.max(np.abs(p.eval(p.inverse(alphas)) - alphas)) <= 1e-12
 
     def test_validate_all_builtins(self, goe_profile, linear_profile):
-        goe_profile.validate()
-        linear_profile.validate()
+        for p in (goe_profile, linear_profile, _TABULATED["semicircle-33"]):
+            assert_valid_profile(p)

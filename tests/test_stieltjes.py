@@ -11,7 +11,8 @@ from specdrift import (ConvergenceError, DomainError, EdgeError, LinearProfile,
                        density_and_hilbert, semicircle_density,
                        semicircle_hilbert, semicircle_stieltjes, solve_fixed_point,
                        solve_grid, support_bounds, theta_limit)
-from specdrift.stieltjes import DEFAULT_TOL, fixed_point_residual
+from specdrift.stieltjes import (DEFAULT_TOL, _initial_line, _resolvent_moments,
+                                 boundary_values, fixed_point_residual)
 
 
 def semicircle_oracle(z):
@@ -152,6 +153,23 @@ class TestDensityAndHilbert:
         for t in (1e-12, 1e-10, 1e-8):
             line = density_and_hilbert(steep, t, lam)
             assert abs(line.rho - exact.rho) <= 1e-8 and abs(line.hilbert - exact.hilbert) <= 1e-8
+
+    def test_two_knot_tabulated_is_linear(self):
+        # one cubic piece, so the one-piece sum must read the neighbour
+        # candidate that holds the pole, not an invalid one
+        tab = TabulatedProfile([0.0, 1.0], [-1.0, 1.0])
+        lin = LinearProfile(-1.0, 1.0)
+        x = np.linspace(-1.4, 1.4, 15)
+        w = np.concatenate([x + 1j * eta for eta in (1.0, 1e-3, 1e-8)]
+                           + [np.array([-3.0, -1.5, 1.2, 3.0, 10.0]) + 0j])
+        for got, want in zip(_resolvent_moments(tab, w), _resolvent_moments(lin, w)):
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+        lams = np.linspace(-1.5, 1.5, 13)
+        assert np.max(np.abs(boundary_values(tab, 0.5, lams)[0]
+                             - boundary_values(lin, 0.5, lams)[0])) <= 1e-14
+        inner = np.linspace(-0.9, 0.9, 7)
+        for got, want in zip(_initial_line(tab, inner), _initial_line(lin, inner)):
+            assert np.max(np.abs(got - want)) <= 1e-14
 
 
 class TestSemicircleClosedForms:
