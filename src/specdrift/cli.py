@@ -10,10 +10,17 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import os
 import sys
 import time
 from pathlib import Path
 from typing import NamedTuple
+
+# One BLAS thread unless the user set a count: --workers overlaps draws with
+# decompositions instead, and the eigensolver's rounding depends on the
+# count. The variables only take effect before numpy is first imported.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 
@@ -339,8 +346,20 @@ def cmd_cdf(args, out) -> Done:
 # ---------------------------------------------------------------------------
 # option table and runner
 
+def default_workers() -> int:
+    """Two pipeline stages, so two threads when two CPUs are available: one
+    draws the next sample while the calling thread decomposes this one."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
+
+
 T = {"--t": dict(type=float, required=True)}
-WORKERS = {"--workers": dict(type=int, default=1)}
+WORKERS = {"--workers": dict(type=int, default=default_workers(),
+                             help="threads: the calling one decomposes, the others "
+                                  "draw samples ahead (default: %(default)s)")}
 MONTE_CARLO = {"--n": dict(type=int, required=True), **T,
                "--samples": dict(type=int, required=True), **WORKERS}
 START = {"--initial": dict(choices=["goe", "profile"], default="goe"),

@@ -48,4 +48,6 @@ def sample_goe(n: int, variance_scale: float, rng: RngStream | np.random.Generat
         raise DomainError("dimension must be at least 2")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     x = gen.standard_normal((n, n))
-    return (x + x.T) * np.sqrt(variance_scale / (2.0 * n))
+    x += x.T  # numpy buffers the overlapping transpose: x stays exactly symmetric
+    x *= np.sqrt(variance_scale / (2.0 * n))
+    return x

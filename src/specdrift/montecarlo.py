@@ -2,10 +2,12 @@
 diagonalize, and accumulate overlap curves, resolvent traces and the
 empirical bivariate CDF.
 
-Samples are independent work units keyed by substream index. Accumulators
-keep per-sample contributions, so merging is associative bit-exactly: the
-final reduction always runs in ascending substream order regardless of how
-partial accumulators were combined.
+Samples are independent work units keyed by substream index: helper
+threads may draw them ahead, and the calling thread decomposes them in
+ascending order (`_map_samples`). Accumulators keep per-sample
+contributions, so merging is associative bit-exactly: the final reduction
+always runs in ascending substream order regardless of how partial
+accumulators were combined.
 
 The initial matrix is always represented in its own eigenbasis (the noise is
 rotationally invariant, so a GOE start reduces to a diagonal matrix of
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -106,27 +109,58 @@ class ExperimentConfig:
                 "master_seed": self.master_seed, "binning": self.binning}
 
 
-def _draw_sample(config: ExperimentConfig, k: int, vectors: bool = True):
+def _draw(config: ExperimentConfig, k: int):
+    """Eigenvalues a of the initial matrix and M_t = diag(a) + H_t in the
+    initial eigenbasis, for substream k; M_t is None at t = 0. Reads only
+    the config, so helper threads can draw ahead of the decompositions."""
+    gen = RngStream(config.master_seed, k).generator()
+    a = config.initial.eigenvalues(config.n, gen)
+    if config.t == 0:
+        return a, None
+    m = sample_goe(config.n, config.t, gen)
+    m[np.diag_indices(config.n)] += a
+    return a, m
+
+
+def _draw_sample(config: ExperimentConfig, k: int, vectors: bool = True, drawn=None):
     """Eigenvalues a of the initial matrix, eigenvalues lam of M_t and the
     eigenvector matrix V of M_t in the initial eigenbasis (V[j, i] =
     <psi_i(t)|phi_j>), for substream k. With vectors=False, V is None and
-    lam comes from eigvalsh."""
-    gen = RngStream(config.master_seed, k).generator()
-    a = config.initial.eigenvalues(config.n, gen)
-    if config.t > 0:
-        m = np.diag(a) + sample_goe(config.n, config.t, gen)
-        if vectors:
-            return (a, *np.linalg.eigh(m))
-        return a, np.linalg.eigvalsh(m), None
-    return a, a.copy(), np.eye(config.n) if vectors else None
+    lam comes from eigvalsh. `drawn` is `_draw(config, k)` when the sample
+    was drawn ahead."""
+    a, m = _draw(config, k) if drawn is None else drawn
+    if m is None:
+        return a, a.copy(), np.eye(config.n) if vectors else None
+    if vectors:
+        return (a, *np.linalg.eigh(m))
+    return a, np.linalg.eigvalsh(m), None
 
 
-def _map_samples(config, worker, workers=1):
+def _map_samples(config: ExperimentConfig, worker, workers: int = 1) -> list:
+    """[worker(k, _draw(config, k)) for k in range(config.samples)].
+
+    Every worker call, and so every eigendecomposition, runs on the calling
+    thread in ascending k; workers - 1 helper threads only draw, up to
+    workers - 1 samples ahead. Only one decomposition's working set is alive
+    at a time, and each drawn sample is bit-identical to a serial draw.
+    """
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     indices = range(config.samples)
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, indices))
-    return [worker(k) for k in indices]
+    if workers == 1:
+        return [worker(k, _draw(config, k)) for k in indices]
+    pool = ThreadPoolExecutor(max_workers=workers - 1)
+    try:
+        ahead = deque(pool.submit(_draw, config, k) for k in indices[:workers - 1])
+        results = []
+        for k in indices:
+            drawn = ahead.popleft().result()
+            if k + workers - 1 < config.samples:
+                ahead.append(pool.submit(_draw, config, k + workers - 1))
+            results.append(worker(k, drawn))
+        return results
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +245,8 @@ def accumulate_overlaps(config: ExperimentConfig, workers: int = 1) -> OverlapAc
         raise ConfigError("no target indices configured")
     targets = [i - 1 for i in config.target_indices]
 
-    def worker(k):
-        a, _lam, vecs = _draw_sample(config, k)
+    def worker(k, drawn):
+        a, _lam, vecs = _draw_sample(config, k, drawn=drawn)
         sq = vecs[:, targets].T ** 2  # rows: targets, columns: j
         return k, a, sq
 
@@ -335,11 +369,11 @@ def estimate_theta(config: ExperimentConfig, z: complex, threshold: float,
     if z.imag == 0:
         raise DomainError("z must have nonzero imaginary part")
 
-    def worker(k):
+    def worker(k, drawn):
         if threshold == math.inf:
-            _a, lam, _ = _draw_sample(config, k, vectors=False)
+            _a, lam, _ = _draw_sample(config, k, vectors=False, drawn=drawn)
             return complex(np.sum(1.0 / (lam - z)) / len(lam))
-        a, lam, vecs = _draw_sample(config, k)
+        a, lam, vecs = _draw_sample(config, k, drawn=drawn)
         return theta_sample(a, lam, vecs, z, threshold)
 
     return _scalar_estimate(_map_samples(config, worker, workers))
@@ -350,8 +384,8 @@ def empirical_cdf(config: ExperimentConfig, lam: float, alpha: float,
     """Phi_N(lambda, alpha): mean overlap weight of pairs with
     lambda_i <= lambda and a_j <= alpha."""
 
-    def worker(k):
-        a, lams, vecs = _draw_sample(config, k)
+    def worker(k, drawn):
+        a, lams, vecs = _draw_sample(config, k, drawn=drawn)
         cols = lams <= lam
         rows = a <= alpha
         if not cols.any() or not rows.any():
@@ -367,8 +401,8 @@ def resolvent_diagonal(config: ExperimentConfig, z: complex, workers: int = 1) -
     if z.imag == 0:
         raise DomainError("z must have nonzero imaginary part")
 
-    def worker(k):
-        _a, lam, vecs = _draw_sample(config, k)
+    def worker(k, drawn):
+        _a, lam, vecs = _draw_sample(config, k, drawn=drawn)
         return vecs ** 2 @ (1.0 / (lam - z))
 
     vals = _map_samples(config, worker, workers)

@@ -171,8 +171,8 @@ def run_subspace_experiment(config: ExperimentConfig, window: WindowSpec,
     full rank.
     """
 
-    def worker(k):
-        block = overlap_block(*_draw_sample(config, k), window)
+    def worker(k, drawn):
+        block = overlap_block(*_draw_sample(config, k, drawn=drawn), window)
         q, p = block.shape
         return distance_from_singular_values(np.linalg.svd(block, compute_uv=False), p), p, q
 

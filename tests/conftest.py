@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, as the CLI sets it: the Monte Carlo fixtures overlap
+# draws with decompositions instead. Only takes effect before numpy loads.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -42,7 +42,7 @@ def figure_curves():
     """Shared 1000-sample figure-protocol run serving criteria 1 and 2."""
     config = ExperimentConfig(n=400, t=1.0, samples=1000, initial=GOEInitial(1.0),
                               target_indices=(200, 320), master_seed=FIGURE_SEED)
-    return run_overlap_experiment(config)
+    return run_overlap_experiment(config, workers=2)
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +126,7 @@ def test_criterion_5b_perturbative_monte_carlo():
     config = ExperimentConfig(n=n, t=t, samples=samples,
                               initial=ProfileInitial(profile),
                               target_indices=(i,), master_seed=FIGURE_SEED + 2)
-    curve = run_overlap_experiment(config)[i]
+    curve = run_overlap_experiment(config, workers=2)[i]
     a = profile.eval((np.arange(1, n + 1) - 0.5) / n)
     from specdrift import perturbative_offdiag
     predicted = n * perturbative_offdiag(t, n, a[i - 1], a[j - 1])
@@ -203,7 +203,7 @@ def test_criterion_8_subspace_semiperturbative(goe_profile):
     for t in (0.01, 0.02, 0.05):
         config = ExperimentConfig(n=400, t=t, samples=200, initial=GOEInitial(1.0),
                                   master_seed=FIGURE_SEED + 3)
-        result = run_subspace_experiment(config, window)
+        result = run_subspace_experiment(config, window, workers=2)
         # V1 is selected by perturbed eigenvalues in [-1.2, 1.2]; the
         # prediction integrates over initial positions, so the widened window
         # goes in as its semicircle quantile preimage [-1.2, 1.2] / sqrt(1+t)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from specdrift import overlap_cauchy, overlap_goe, semicircle_density
-from specdrift.cli import EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, main, parse_grid
+from specdrift.cli import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, default_workers,
+                           main, parse_grid)
 from specdrift.errors import ConfigError
 from specdrift.profiles import parse_profile
 from specdrift.stieltjes import semicircle_density_line, semicircle_hilbert
@@ -106,6 +107,13 @@ class TestSimulate:
         rc = main(["simulate", "--n", "30", "--t", "1", "--samples", "0",
                    "--index", "15", "--out-dir", str(tmp_path)])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit2(self, tmp_path, workers):
+        rc = main(["simulate", "--n", "20", "--t", "1", "--samples", "2", "--index", "10",
+                   "--workers", workers, "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert not (tmp_path / "overlap_i10.csv").exists()
 
     def test_manifest_written(self, tmp_path):
         main(["simulate", "--n", "20", "--t", "0.5", "--samples", "2",
@@ -362,6 +370,9 @@ print(json.dumps({"codes": codes, "scipy": loaded}))
 """
 
 
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 class TestImports:
     def test_no_scipy_loaded(self, tmp_path):
         # scipy is a test-only dependency: no invocation, tabulated (csv:)
@@ -384,6 +395,28 @@ class TestImports:
         assert result["codes"] == [0] + [EXIT_OK] * 4
         assert result["scipy"] == []
 
+    def test_blas_threads_pinned_before_numpy(self):
+        # `import specdrift` loads no numpy, so specdrift.cli can still pin
+        # the BLAS thread count; a count the user set wins
+        import specdrift
+        probe = ("import json, os, sys\n"
+                 "import specdrift\n"
+                 "numpy_at_import = 'numpy' in sys.modules\n"
+                 "import specdrift.cli\n"
+                 "print(json.dumps([numpy_at_import, [os.environ.get(v) for v in %r]]))"
+                 % (THREAD_VARS,))
+        env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+        env["PYTHONPATH"] = str(Path(specdrift.__file__).parents[1])
+        for user, expected in (({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3")):
+            proc = subprocess.run([sys.executable, "-c", probe], env={**env, **user},
+                                  capture_output=True, text=True, timeout=120, check=True)
+            numpy_at_import, values = json.loads(proc.stdout.strip().splitlines()[-1])
+            assert numpy_at_import is False
+            assert values == ["1", expected, "1"]
+
+    def test_default_workers(self):
+        assert default_workers() == min(2, len(os.sched_getaffinity(0)))
+
 
 # a minimal valid argv of every subcommand, and the namespace it parses to
 MINIMAL_ARGV = {
@@ -397,14 +430,14 @@ MINIMAL_ARGV = {
     "cdf": ["cdf", "--n", "20", "--t", "1", "--samples", "2", "--lambda", "0", "--alpha", "0"],
 }
 COMMON = {"seed": 20260823, "out_dir": ".", "config": None}
-MC = {"n": 20, "t": 1.0, "samples": 2, "workers": 1, **COMMON}
+MC = {"n": 20, "t": 1.0, "samples": 2, "workers": default_workers(), **COMMON}
 START = {"initial": "goe", "scale": 1.0, "profile": None}
 NAMESPACES = {
     "predict": {"subcommand": "predict", "profile": "goe", "t": 1.0, "index": None, "n": None,
                 "lam": 0.0, "regime": "auto", "grid": None, **COMMON},
     "simulate": {"subcommand": "simulate", **MC, "index": [10], **START, "binning": 1},
-    "reproduce": {"subcommand": "reproduce", "figure": "fig1", "samples": 2, "workers": 1,
-                  **COMMON},
+    "reproduce": {"subcommand": "reproduce", "figure": "fig1", "samples": 2,
+                  "workers": default_workers(), **COMMON},
     "subspace": {"subcommand": "subspace", **MC, "t": 0.02, "gamma": [-1.0, 1.0],
                  "delta": 0.2, "scale": 1.0},
     "stieltjes": {"subcommand": "stieltjes", "profile": "goe", "t": 1.0, "grid": "0:0:1",

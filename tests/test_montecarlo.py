@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 from specdrift import (ConfigError, DomainError, ExperimentConfig, GOEInitial, LinearProfile,
                        OverlapAccumulator, ProfileInitial, bin_overlap_curve,
                        empirical_cdf, estimate_theta, resolvent_diagonal,
-                       parse_profile, run_overlap_experiment, solve_fixed_point)
-from specdrift.montecarlo import (OverlapCurve, _band_smoother, _draw_sample,
+                       WindowSpec, parse_profile, run_overlap_experiment,
+                       run_subspace_experiment, solve_fixed_point)
+from specdrift import montecarlo
+from specdrift.montecarlo import (OverlapCurve, _band_smoother, _draw_sample, _map_samples,
                                   accumulate_overlaps,
                                   curves_from_accumulator, theta_sample,
                                   theta_sample_resolvent)
@@ -90,6 +94,78 @@ class TestDrawSample:
         assert np.array_equal(a, linear_profile.eval((np.arange(1, 41) - 0.5) / 40))
 
 
+class TestMapSamples:
+    def test_single_sample_and_t0(self):
+        for config in (small_config(samples=1), small_config(t=0.0)):
+            serial = run_overlap_experiment(config, workers=1)[20]
+            ahead = run_overlap_experiment(config, workers=2)[20]
+            assert serial.values.tobytes() == ahead.values.tobytes()
+        # at t = 0 the target eigenvector is the initial one
+        assert ahead.values[19] == config.n and np.count_nonzero(ahead.values) == 1
+
+    def test_workers_on_calling_thread_drawing_ahead(self, monkeypatch):
+        # worker calls (and so every decomposition) run on the calling
+        # thread in ascending k; helpers draw at most workers - 1 ahead
+        draw, started = montecarlo._draw, []
+
+        def counted(config, k):
+            started.append(k)
+            return draw(config, k)
+
+        monkeypatch.setattr(montecarlo, "_draw", counted)
+        config = small_config()
+        for workers in (1, 2, 3):
+            started.clear()
+
+            def worker(k, drawn):
+                assert len(started) <= k + workers
+                return k, threading.get_ident()
+
+            rows = _map_samples(config, worker, workers)
+            assert rows == [(k, threading.get_ident()) for k in range(config.samples)]
+            assert sorted(started) == list(range(config.samples))
+
+    def test_stress_more_helpers_than_cores(self, linear_profile):
+        # helpers share the config and a ProfileInitial's per-n cache; with a
+        # short switch interval and 8 helpers, every drawn sample still
+        # matches a serial draw bit for bit
+        def run(workers):
+            config = small_config(samples=24, initial=ProfileInitial(linear_profile))
+            return _map_samples(config, lambda k, drawn: _draw_sample(config, k, drawn=drawn),
+                                workers)
+
+        serial = run(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stressed = run(9)
+        finally:
+            sys.setswitchinterval(interval)
+        for one, other in zip(serial, stressed, strict=True):
+            for x, y in zip(one, other, strict=True):
+                assert x.tobytes() == y.tobytes()
+
+    def test_draw_error_reaches_caller(self, monkeypatch):
+        draw = montecarlo._draw
+
+        def failing(config, k):
+            if k == 3:
+                raise KeyError(k)
+            return draw(config, k)
+
+        monkeypatch.setattr(montecarlo, "_draw", failing)
+        before = threading.active_count()
+        for workers in (1, 2, 3):
+            with pytest.raises(KeyError):
+                run_overlap_experiment(small_config(), workers=workers)
+            assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one(self, workers):
+        with pytest.raises(ConfigError):
+            _map_samples(small_config(), lambda k, drawn: k, workers)
+
+
 class TestAccumulator:
     def _accs(self, config):
         full = accumulate_overlaps(config)
@@ -130,10 +206,25 @@ class TestOverlapExperiment:
         assert np.array_equal(c1.a, c2.a)
 
     def test_workers_match_serial(self):
-        config = small_config()
-        serial = run_overlap_experiment(config, workers=1)[20]
-        parallel = run_overlap_experiment(config, workers=4)[20]
-        assert np.array_equal(serial.values, parallel.values)
+        # all five estimators, values and standard errors, are byte-identical
+        # whatever the number of drawing threads
+        config, z = small_config(), 0.1 + 0.5j
+
+        def outputs(workers):
+            curve = run_overlap_experiment(config, workers=workers)[20]
+            sub = run_subspace_experiment(small_config(t=0.02), WindowSpec(-1.0, 1.0, 0.3),
+                                          workers=workers)
+            scalars = [estimate_theta(config, z, math.inf, workers),
+                       estimate_theta(config, z, 0.0, workers),
+                       empirical_cdf(config, 0.0, 0.0, workers), sub.distance]
+            return [curve.a, curve.values, curve.stderr, sub.distances,
+                    resolvent_diagonal(config, z, workers),
+                    *(np.array([e.value, e.stderr_re, e.stderr_im]) for e in scalars)]
+
+        serial = outputs(1)
+        for workers in (2, 3):
+            for x, y in zip(serial, outputs(workers), strict=True):
+                assert x.tobytes() == y.tobytes(), workers
 
     def test_single_sample_row_sum(self):
         curve = run_overlap_experiment(small_config(samples=1))[20]
