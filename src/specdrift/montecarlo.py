@@ -111,8 +111,9 @@ class ExperimentConfig:
 
 def _draw(config: ExperimentConfig, k: int):
     """Eigenvalues a of the initial matrix and M_t = diag(a) + H_t in the
-    initial eigenbasis, for substream k; M_t is None at t = 0. Reads only
-    the config, so helper threads can draw ahead of the decompositions."""
+    initial eigenbasis, for substream k; M_t is None at t = 0. Shares no
+    state between calls but ProfileInitial's per-n cache, whose entries do
+    not depend on who writes them, so helper threads can draw ahead."""
     gen = RngStream(config.master_seed, k).generator()
     a = config.initial.eigenvalues(config.n, gen)
     if config.t == 0:
