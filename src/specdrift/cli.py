@@ -359,7 +359,8 @@ def default_workers() -> int:
 T = {"--t": dict(type=float, required=True)}
 WORKERS = {"--workers": dict(type=int, default=default_workers(),
                              help="threads: the calling one decomposes, the others "
-                                  "draw samples ahead (default: %(default)s)")}
+                                  "draw samples ahead and run subspace's SVDs "
+                                  "(default: %(default)s)")}
 MONTE_CARLO = {"--n": dict(type=int, required=True), **T,
                "--samples": dict(type=int, required=True), **WORKERS}
 START = {"--initial": dict(choices=["goe", "profile"], default="goe"),

@@ -3,11 +3,11 @@ diagonalize, and accumulate overlap curves, resolvent traces and the
 empirical bivariate CDF.
 
 Samples are independent work units keyed by substream index: helper
-threads may draw them ahead, and the calling thread decomposes them in
-ascending order (`_map_samples`). Accumulators keep per-sample
-contributions, so merging is associative bit-exactly: the final reduction
-always runs in ascending substream order regardless of how partial
-accumulators were combined.
+threads may draw them ahead, the calling thread decomposes them in
+ascending order, and helpers may reduce what it cuts out (`_map_samples`).
+Accumulators keep per-sample contributions, so merging is associative
+bit-exactly: the final reduction always runs in ascending substream order
+regardless of how partial accumulators were combined.
 
 The initial matrix is always represented in its own eigenbasis (the noise is
 rotationally invariant, so a GOE start reduces to a diagonal matrix of
@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,45 +123,101 @@ def _draw(config: ExperimentConfig, k: int):
     return a, m
 
 
-def _draw_sample(config: ExperimentConfig, k: int, vectors: bool = True, drawn=None):
+def _draw_group(config: ExperimentConfig, ks):
+    """The initial eigenvalues of substreams ks and their M_t stacked into one
+    (len(ks), n, n) array (None at t = 0): one draw-ahead task."""
+    a, ms = zip(*(_draw(config, k) for k in ks))
+    if config.t == 0:
+        return a, None
+    return a, ms[0][np.newaxis] if len(ms) == 1 else np.stack(ms)  # a view: no copy for one
+
+
+def _decompose(a, m, vectors: bool) -> list:
+    """[(a_k, lam_k, V_k)] for a drawn group; V_k is None without vectors.
+    Eigenvectors come from one eigh per sample, eigenvalues alone from one
+    stacked eigvalsh, which equals per-matrix calls bit for bit."""
+    if m is None:
+        return [(ak, ak.copy(), np.eye(len(ak)) if vectors else None) for ak in a]
+    if vectors:
+        return [(ak, *np.linalg.eigh(mk)) for ak, mk in zip(a, m)]
+    return [(ak, lam, None) for ak, lam in zip(a, np.linalg.eigvalsh(m))]
+
+
+def _draw_sample(config: ExperimentConfig, k: int):
     """Eigenvalues a of the initial matrix, eigenvalues lam of M_t and the
     eigenvector matrix V of M_t in the initial eigenbasis (V[j, i] =
-    <psi_i(t)|phi_j>), for substream k. With vectors=False, V is None and
-    lam comes from eigvalsh. `drawn` is `_draw(config, k)` when the sample
-    was drawn ahead."""
-    a, m = _draw(config, k) if drawn is None else drawn
-    if m is None:
-        return a, a.copy(), np.eye(config.n) if vectors else None
-    if vectors:
-        return (a, *np.linalg.eigh(m))
-    return a, np.linalg.eigvalsh(m), None
+    <psi_i(t)|phi_j>), for substream k."""
+    return _decompose(*_draw_group(config, [k]), vectors=True)[0]
 
 
-def _map_samples(config: ExperimentConfig, worker, workers: int = 1) -> list:
-    """[worker(k, _draw(config, k)) for k in range(config.samples)].
+# numpy.linalg keeps the GIL through a call whose output has at most this
+# many elements, so a helper thread cannot draw while it runs.
+GIL_HELD_OUTPUT = 500
 
-    Every worker call, and so every eigendecomposition, runs on the calling
-    thread in ascending k; workers - 1 helper threads only draw, up to
-    workers - 1 samples ahead. Only one decomposition's working set is alive
-    at a time, and each drawn sample is bit-identical to a serial draw.
+
+def _group_size(n: int) -> int:
+    """Samples per values-only decomposition: the smallest G with G n > 500,
+    so that one stacked eigvalsh releases the GIL."""
+    return GIL_HELD_OUTPUT // n + 1
+
+
+def _now(fn, *args) -> Future:
+    """fn(*args) run here, as a completed future: the inline stand-in for a
+    pool's submit."""
+    done = Future()
+    done.set_result(fn(*args))
+    return done
+
+
+def _map_samples(config: ExperimentConfig, worker, workers: int = 1, *,
+                 vectors: bool = True, reduce=None) -> list:
+    """[reduce(worker(k, a_k, lam_k, V_k)) for k in range(config.samples)],
+    V_k None unless `vectors`, reduce the identity when None.
+
+    Every decomposition and every worker call runs on the calling thread in
+    ascending k. workers - 1 helper threads draw groups of samples, up to
+    workers - 1 groups ahead, and run `reduce`, with at most workers - 1
+    reductions pending; while the next group's draw is unfinished, the
+    calling thread reduces instead. A group is one sample when eigenvectors
+    are wanted and `_group_size(n)` samples when only eigenvalues are: numpy
+    keeps the GIL through a small eigvalsh, which would stall the drawing
+    thread. Only one eigh's working set is alive at a time, and every drawn
+    sample is bit-identical to a serial draw. workers = 1 runs all stages
+    inline.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
+    size = 1 if vectors else _group_size(config.n)
     indices = range(config.samples)
-    if workers == 1:
-        return [worker(k, _draw(config, k)) for k in indices]
-    pool = ThreadPoolExecutor(max_workers=workers - 1)
+    groups = [indices[s:s + size] for s in indices[::size]]
+    helpers = workers - 1
+    pool = ThreadPoolExecutor(max_workers=helpers) if helpers else None
+    submit = pool.submit if pool else _now
     try:
-        ahead = deque(pool.submit(_draw, config, k) for k in indices[:workers - 1])
-        results = []
-        for k in indices:
-            drawn = ahead.popleft().result()
-            if k + workers - 1 < config.samples:
-                ahead.append(pool.submit(_draw, config, k + workers - 1))
-            results.append(worker(k, drawn))
+        ahead = deque(submit(_draw_group, config, ks) for ks in groups[:helpers])
+        pending, results = deque(), []
+        for i, ks in enumerate(groups):
+            if i + helpers < len(groups):
+                ahead.append(submit(_draw_group, config, groups[i + helpers]))
+            # one expression, so that no name keeps M_t or V alive into the
+            # next group's draw and decomposition
+            parts = [worker(k, *sample)
+                     for k, sample in zip(ks, _decompose(*ahead.popleft().result(), vectors))]
+            if reduce is None:
+                results += parts
+                continue
+            for part in parts:
+                while len(pending) >= max(helpers, 1):
+                    results.append(pending.popleft().result())
+                # while the next draw is unfinished this thread would only
+                # wait for it, so it reduces instead
+                behind = ahead and not ahead[0].done()
+                pending.append((_now if behind else submit)(reduce, part))
+        results += [done.result() for done in pending]
         return results
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        if pool:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +302,7 @@ def accumulate_overlaps(config: ExperimentConfig, workers: int = 1) -> OverlapAc
         raise ConfigError("no target indices configured")
     targets = [i - 1 for i in config.target_indices]
 
-    def worker(k, drawn):
-        a, _lam, vecs = _draw_sample(config, k, drawn=drawn)
+    def worker(k, a, _lam, vecs):
         sq = vecs[:, targets].T ** 2  # rows: targets, columns: j
         return k, a, sq
 
@@ -369,15 +424,14 @@ def estimate_theta(config: ExperimentConfig, z: complex, threshold: float,
     z = complex(z)
     if z.imag == 0:
         raise DomainError("z must have nonzero imaginary part")
+    vectors = threshold != math.inf
 
-    def worker(k, drawn):
-        if threshold == math.inf:
-            _a, lam, _ = _draw_sample(config, k, vectors=False, drawn=drawn)
+    def worker(k, a, lam, vecs):
+        if not vectors:
             return complex(np.sum(1.0 / (lam - z)) / len(lam))
-        a, lam, vecs = _draw_sample(config, k, drawn=drawn)
         return theta_sample(a, lam, vecs, z, threshold)
 
-    return _scalar_estimate(_map_samples(config, worker, workers))
+    return _scalar_estimate(_map_samples(config, worker, workers, vectors=vectors))
 
 
 def empirical_cdf(config: ExperimentConfig, lam: float, alpha: float,
@@ -385,8 +439,7 @@ def empirical_cdf(config: ExperimentConfig, lam: float, alpha: float,
     """Phi_N(lambda, alpha): mean overlap weight of pairs with
     lambda_i <= lambda and a_j <= alpha."""
 
-    def worker(k, drawn):
-        a, lams, vecs = _draw_sample(config, k, drawn=drawn)
+    def worker(k, a, lams, vecs):
         cols = lams <= lam
         rows = a <= alpha
         if not cols.any() or not rows.any():
@@ -402,8 +455,7 @@ def resolvent_diagonal(config: ExperimentConfig, z: complex, workers: int = 1) -
     if z.imag == 0:
         raise DomainError("z must have nonzero imaginary part")
 
-    def worker(k, drawn):
-        _a, lam, vecs = _draw_sample(config, k, drawn=drawn)
+    def worker(k, _a, lam, vecs):
         return vecs ** 2 @ (1.0 / (lam - z))
 
     vals = _map_samples(config, worker, workers)

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyWindowError, RankDeficientError
-from .montecarlo import (ExperimentConfig, ScalarEstimate, _draw_sample, _map_samples,
-                         _scalar_estimate)
+from .montecarlo import ExperimentConfig, ScalarEstimate, _map_samples, _scalar_estimate
 from .profiles import ChartRule, SpectralProfile
 from .stieltjes import _resolvent_moments
 
@@ -171,12 +170,17 @@ def run_subspace_experiment(config: ExperimentConfig, window: WindowSpec,
     full rank.
     """
 
-    def worker(k, drawn):
-        block = overlap_block(*_draw_sample(config, k, drawn=drawn), window)
+    def cut(k, *sample):
+        return overlap_block(*sample, window)
+
+    def reduce(block):
         q, p = block.shape
         return distance_from_singular_values(np.linalg.svd(block, compute_uv=False), p), p, q
 
-    rows = _map_samples(config, worker, workers)
+    # eigh and the cut on the calling thread; the SVD, which holds the GIL,
+    # on a helper while the calling thread runs the next eigh, unless the
+    # helper is still drawing that eigh's sample
+    rows = _map_samples(config, cut, workers, reduce=reduce)
     ds = np.array([r[0] for r in rows])
     full = ds[np.isfinite(ds)]
     if len(full) == 0:

@@ -29,7 +29,7 @@ from specdrift import (ExperimentConfig, GOEInitial, OverlapAccumulator,
                        run_subspace_experiment, solve_fixed_point, solve_grid,
                        theta_limit)
 from specdrift.cli import FIGURE_PARAMS, compare_figure
-from specdrift.montecarlo import _draw_sample, accumulate_overlaps, theta_sample
+from specdrift.montecarlo import _draw_sample, _map_samples, accumulate_overlaps, theta_sample
 from specdrift.stieltjes import (semicircle_density, semicircle_density_line,
                                  semicircle_hilbert)
 from specdrift.subspace import determinant_distance
@@ -50,7 +50,7 @@ def theta_samples():
     """200 shared n=400 draws serving the theta and CDF checks."""
     config = ExperimentConfig(n=400, t=1.0, samples=200, initial=GOEInitial(1.0),
                               master_seed=FIGURE_SEED + 1)
-    return [_draw_sample(config, k) for k in range(config.samples)]
+    return _map_samples(config, lambda k, *sample: sample, workers=2)
 
 
 def _figure_criterion(curves, figure, number):

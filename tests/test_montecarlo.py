@@ -103,36 +103,67 @@ class TestMapSamples:
         # at t = 0 the target eigenvector is the initial one
         assert ahead.values[19] == config.n and np.count_nonzero(ahead.values) == 1
 
-    def test_workers_on_calling_thread_drawing_ahead(self, monkeypatch):
-        # worker calls (and so every decomposition) run on the calling
-        # thread in ascending k; helpers draw at most workers - 1 ahead
-        draw, started = montecarlo._draw, []
+    def test_workers_on_calling_thread_drawing_ahead(self, monkeypatch, linear_profile):
+        # decompositions and worker calls run on the calling thread in
+        # ascending k; helpers draw at most workers - 1 groups ahead; a
+        # reduction runs on a helper, or on the calling thread while the next
+        # draw is unfinished, with at most workers - 1 pending. A group is one
+        # sample with eigenvectors, _group_size(n) samples without.
+        main = threading.get_ident()
+        draw, started, decomposed, reduced = montecarlo._draw, [], [], []
 
         def counted(config, k):
-            started.append(k)
+            started.append(threading.get_ident())
             return draw(config, k)
 
+        def on_thread(fn):
+            def call(*args, **kwargs):
+                decomposed.append(threading.get_ident())
+                return fn(*args, **kwargs)
+            return call
+
         monkeypatch.setattr(montecarlo, "_draw", counted)
-        config = small_config()
-        for workers in (1, 2, 3):
-            started.clear()
+        monkeypatch.setattr(np.linalg, "eigh", on_thread(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", on_thread(np.linalg.eigvalsh))
+        # a profile start draws no eigvalsh; at n = 200 groups are 3, 3 and 2
+        config = small_config(n=200, samples=8, initial=ProfileInitial(linear_profile))
+        for vectors in (True, False):
+            size = 1 if vectors else montecarlo._group_size(config.n)
+            assert size == (1 if vectors else 3)
+            for workers in (1, 2, 3):
+                for log in (started, decomposed, reduced):
+                    log.clear()
 
-            def worker(k, drawn):
-                assert len(started) <= k + workers
-                return k, threading.get_ident()
+                def worker(k, a, lam, vecs):
+                    assert len(started) <= min((k // size + workers) * size, config.samples)
+                    assert len(reduced) >= k - k % size - (workers - 1)
+                    assert (vecs is not None) == vectors
+                    return k, threading.get_ident()
 
-            rows = _map_samples(config, worker, workers)
-            assert rows == [(k, threading.get_ident()) for k in range(config.samples)]
-            assert sorted(started) == list(range(config.samples))
+                def reduce(part):
+                    reduced.append((part[0], threading.get_ident()))
+                    return part
+
+                rows = _map_samples(config, worker, workers, vectors=vectors, reduce=reduce)
+                assert rows == [(k, main) for k in range(config.samples)]
+                assert len(started) == len(reduced) == config.samples
+                assert decomposed == [main] * -(-config.samples // size)
+                # with nothing left to draw, the last reduction goes to a helper
+                last = dict(reduced)[config.samples - 1]
+                if workers == 1:
+                    assert set(started) == {last} == {t for _, t in reduced} == {main}
+                else:
+                    assert main not in started and last != main
 
     def test_stress_more_helpers_than_cores(self, linear_profile):
         # helpers share the config and a ProfileInitial's per-n cache; with a
         # short switch interval and 8 helpers, every drawn sample still
-        # matches a serial draw bit for bit
+        # matches a serial draw bit for bit, in groups and through reductions
         def run(workers):
             config = small_config(samples=24, initial=ProfileInitial(linear_profile))
-            return _map_samples(config, lambda k, drawn: _draw_sample(config, k, drawn=drawn),
-                                workers)
+            return (_map_samples(config, lambda k, *sample: sample, workers)
+                    + _map_samples(config, lambda k, a, lam, _v: (a, lam), workers,
+                                   vectors=False, reduce=lambda part: part))
 
         serial = run(1)
         interval = sys.getswitchinterval()
@@ -163,7 +194,37 @@ class TestMapSamples:
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one(self, workers):
         with pytest.raises(ConfigError):
-            _map_samples(small_config(), lambda k, drawn: k, workers)
+            _map_samples(small_config(), lambda k, *sample: k, workers)
+
+
+class TestValuesOnlyGroups:
+    @pytest.mark.parametrize("n", [2, 60, 200, 250, 400, 500, 501])
+    def test_group_rule(self, n):
+        # the smallest group whose stacked eigvalsh output exceeds 500 elements
+        g = montecarlo._group_size(n)
+        assert g * n > 500 and (g - 1) * n <= 500
+
+    @pytest.mark.parametrize("n, t, samples", [(200, 0.5, 7), (200, 0.5, 1), (200, 0.0, 5),
+                                               (60, 0.5, 20), (2, 0.5, 9)])
+    def test_theta_g_one_matches_per_matrix_eigvalsh(self, n, t, samples):
+        # groups of 3 at n = 200 (a partial last group at 7 samples), of 9 at
+        # n = 60, of 251 > samples at n = 2; t = 0 has no M_t to stack. The
+        # stacked eigvalsh equals one call per matrix bit for bit, whatever
+        # the number of threads
+        config = small_config(n=n, t=t, samples=samples, target_indices=())
+        z = 0.3 + 0.2j
+
+        def per_matrix(k):
+            a, m = montecarlo._draw(config, k)
+            lam = a.copy() if m is None else np.linalg.eigvalsh(m)
+            return complex(np.sum(1.0 / (lam - z)) / n)
+
+        want = montecarlo._scalar_estimate([per_matrix(k) for k in range(samples)])
+        for workers in (1, 2, 3):
+            got = estimate_theta(config, z, math.inf, workers)
+            assert got.samples == samples
+            assert (np.array([got.value, got.stderr_re, got.stderr_im]).tobytes()
+                    == np.array([want.value, want.stderr_re, want.stderr_im]).tobytes())
 
 
 class TestAccumulator:

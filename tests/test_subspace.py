@@ -1,4 +1,6 @@
+import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from scipy.optimize import brentq
 from specdrift import (DomainError, EmptyWindowError, ExperimentConfig, GOEInitial,
                        WindowSpec, distance_from_singular_values, gram_entry_predictions,
                        overlap_block, predicted_distance, run_subspace_experiment)
-from specdrift.montecarlo import _draw_sample
+from specdrift.montecarlo import _draw_sample, _map_samples
 from specdrift.profiles import SemicircleQuantileProfile, TabulatedProfile
 from specdrift.subspace import determinant_distance, escape_rate, select_window
 
@@ -227,16 +229,17 @@ class TestGramEntryPredictions:
         profile = SemicircleQuantileProfile()
         config = ExperimentConfig(n=n, t=t, samples=samples,
                                   initial=GOEInitial(1.0), master_seed=4242)
-        diag_samples, off_samples = [], []
-        for k in range(samples):
-            a, lam, vecs = _draw_sample(config, k)
+
+        def entries(k, a, lam, vecs):
             cols = select_window(a, *w.inner)
             rows = select_window(lam, *w.outer)
             block = vecs[cols][:, rows].T
             gram = block.T @ block
             mid = len(cols) // 2
-            diag_samples.append((gram[mid, mid], a[cols[mid]]))
-            off_samples.append((gram[mid, mid + 5], a[cols[mid]], a[cols[mid + 5]]))
+            return ((gram[mid, mid], a[cols[mid]]),
+                    (gram[mid, mid + 5], a[cols[mid]], a[cols[mid + 5]]))
+
+        diag_samples, off_samples = zip(*_map_samples(config, entries, workers=2))
         gmean = np.mean([g for g, _ in diag_samples])
         gerr = np.std([g for g, _ in diag_samples], ddof=1) / math.sqrt(samples)
         a_mid = np.mean([a for _, a in diag_samples])
@@ -281,6 +284,46 @@ class TestExperiment:
         assert result.distance.samples == len(finite)
         assert result.distance.value.real == pytest.approx(finite.mean(), abs=1e-15)
         assert math.isfinite(result.distance.stderr_re)
+
+
+    @pytest.mark.parametrize("samples, t", [(1, 0.02), (5, 0.02), (4, 0.0)])
+    def test_workers_byte_identical(self, samples, t):
+        # the SVD runs on helpers; per-sample distances, mean, standard errors
+        # and window sizes match the serial route bit for bit
+        w = WindowSpec(-1.0, 1.0, 0.3)
+        config = ExperimentConfig(n=80, t=t, samples=samples, initial=GOEInitial(1.0),
+                                  master_seed=11)
+        blocks = [overlap_block(*_draw_sample(config, k), w) for k in range(samples)]
+        serial = np.array([_distance(b) for b in blocks])
+        for workers in (1, 2, 3):
+            r = run_subspace_experiment(config, w, workers=workers)
+            assert r.distances.tobytes() == serial.tobytes()
+            assert r.mean_q == np.mean([b.shape[0] for b in blocks])
+            assert r.mean_p == np.mean([b.shape[1] for b in blocks])
+            got = [r.distance.value, r.distance.stderr_re, r.distance.stderr_im]
+            if workers == 1:
+                first = got
+            assert np.array(got).tobytes() == np.array(first).tobytes()
+
+    def test_reduction_error_reaches_caller(self, monkeypatch):
+        # a LinAlgError in a helper-side SVD surfaces with its type, and no
+        # helper thread outlives the call
+        svd, calls = np.linalg.svd, itertools.count()
+
+        def failing(*args, **kwargs):
+            if next(calls) == 3:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        config = ExperimentConfig(n=40, t=0.02, samples=8, initial=GOEInitial(1.0),
+                                  master_seed=3)
+        before = threading.active_count()
+        for workers in (1, 2, 3):
+            calls = itertools.count()
+            with pytest.raises(np.linalg.LinAlgError):
+                run_subspace_experiment(config, WindowSpec(-1.0, 1.0, 0.3), workers=workers)
+            assert threading.active_count() == before
 
 
 class TestProperties:
