@@ -26,8 +26,8 @@ _EXPORTS = {
                    "OverlapCurve", "ProfileInitial", "bin_overlap_curve",
                    "empirical_cdf", "estimate_theta", "resolvent_diagonal",
                    "run_overlap_experiment"),
-    "profiles": ("LinearProfile", "SemicircleQuantileProfile", "SpectralProfile",
-                 "TabulatedProfile", "parse_profile"),
+    "profiles": ("SemicircleQuantileProfile", "SpectralProfile", "TabulatedProfile",
+                 "parse_profile"),
     "stieltjes": ("DensityLine", "StieltjesSolution", "cdf_limit", "density_and_hilbert",
                   "semicircle_density", "semicircle_hilbert", "semicircle_stieltjes",
                   "solve_fixed_point", "solve_grid", "support_bounds", "theta_limit"),

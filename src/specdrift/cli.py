@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 import time
@@ -57,11 +58,20 @@ FIGURE_BIN_WINDOW = 5
 FIGURE_MIN_SAMPLES = 200
 
 
+def finite_float(text: str) -> float:
+    """The number text spells; nan and infinities raise ValueError, which
+    argparse reports as a usage error (exit 2)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def parse_grid(spec: str) -> np.ndarray:
     try:
-        lo, hi, step = (float(v) for v in spec.split(":"))
+        lo, hi, step = (finite_float(v) for v in spec.split(":"))
     except ValueError as exc:
-        raise ConfigError(f"grid must be lo:hi:step, got {spec!r}") from exc
+        raise ConfigError(f"grid must be lo:hi:step of finite numbers, got {spec!r}") from exc
     if step <= 0 or hi < lo:
         raise ConfigError("grid needs hi >= lo and step > 0")
     return np.arange(lo, hi + step / 2, step)
@@ -159,7 +169,7 @@ def _experiment_config(args) -> ExperimentConfig:
     if args.initial == "goe":
         initial = GOEInitial(args.scale)
         if (args.profile is not None
-                and parse_profile(args.profile).cache_token != initial.profile.cache_token):
+                and parse_profile(args.profile).spec != initial.profile.spec):
             raise ConfigError(f"--profile {args.profile} conflicts with the GOE start "
                               f"(semicircle of radius {initial.profile.radius:g})")
     else:
@@ -299,9 +309,9 @@ def cmd_stieltjes(args, out) -> Done:
     profile = parse_profile(args.profile)
     grid = parse_grid(args.grid)
     try:
-        etas = tuple(float(v) for v in args.eta.split(",")) if args.eta else stieltjes.DEFAULT_ETA_SCHEDULE
+        etas = tuple(finite_float(v) for v in args.eta.split(",")) if args.eta else stieltjes.DEFAULT_ETA_SCHEDULE
     except ValueError as exc:
-        raise ConfigError(f"--eta must be comma-separated numbers, got {args.eta!r}") from exc
+        raise ConfigError(f"--eta must be comma-separated finite numbers, got {args.eta!r}") from exc
     sol = stieltjes.solve_grid(profile, args.t, grid, eta_schedule=etas, tol=args.tol)
     path = out / "stieltjes.csv"
     sol.to_csv(path)
@@ -356,7 +366,7 @@ def default_workers() -> int:
     return min(2, cpus)
 
 
-T = {"--t": dict(type=float, required=True)}
+T = {"--t": dict(type=finite_float, required=True)}
 WORKERS = {"--workers": dict(type=int, default=default_workers(),
                              help="threads: the calling one decomposes, the others "
                                   "draw samples ahead and run subspace's SVDs "
@@ -364,7 +374,7 @@ WORKERS = {"--workers": dict(type=int, default=default_workers(),
 MONTE_CARLO = {"--n": dict(type=int, required=True), **T,
                "--samples": dict(type=int, required=True), **WORKERS}
 START = {"--initial": dict(choices=["goe", "profile"], default="goe"),
-         "--scale": dict(type=float, default=1.0), "--profile": dict(default=None)}
+         "--scale": dict(type=finite_float, default=1.0), "--profile": dict(default=None)}
 COMMON = {"--seed": dict(type=int, default=DEFAULT_SEED), "--out-dir": dict(default="."),
           "--config": dict(default=None, help="INI file; section per subcommand")}
 
@@ -373,7 +383,7 @@ COMMANDS = {
     "predict": (cmd_predict, "closed-form / solver overlap curves", {
         "--profile": dict(default="goe"), **T,
         "--index": dict(type=int, default=None), "--n": dict(type=int, default=None),
-        "--lambda": dict(dest="lam", type=float, default=None),
+        "--lambda": dict(dest="lam", type=finite_float, default=None),
         "--regime": dict(choices=["auto", "full", "goe", "cauchy"], default="auto"),
         "--grid": dict(default=None, help="a_j grid lo:hi:step")}),
     "simulate": (cmd_simulate, "finite-N overlap experiment", {
@@ -383,19 +393,19 @@ COMMANDS = {
         "figure": dict(choices=sorted(FIGURE_PARAMS)),
         "--samples": dict(type=int, default=None), **WORKERS}),
     "subspace": (cmd_subspace, "window subspace distance experiment", {
-        **MONTE_CARLO, "--gamma": dict(type=float, nargs=2, required=True),
-        "--delta": dict(type=float, required=True), "--scale": START["--scale"]}),
+        **MONTE_CARLO, "--gamma": dict(type=finite_float, nargs=2, required=True),
+        "--delta": dict(type=finite_float, required=True), "--scale": START["--scale"]}),
     "stieltjes": (cmd_stieltjes, "solve the fixed point on a grid", {
         "--profile": dict(default="goe"), **T,
         "--grid": dict(required=True, help="lambda grid lo:hi:step"),
         "--eta": dict(default=None, help="comma-separated eta schedule"),
-        "--tol": dict(type=float, default=stieltjes.DEFAULT_TOL)}),
+        "--tol": dict(type=finite_float, default=stieltjes.DEFAULT_TOL)}),
     "theta": (cmd_theta, "resolvent trace functional, empirical vs limit", {
-        **MONTE_CARLO, "--z": dict(type=float, nargs=2, required=True, metavar=("RE", "IM")),
+        **MONTE_CARLO, "--z": dict(type=finite_float, nargs=2, required=True, metavar=("RE", "IM")),
         "--g": dict(default="one"), **START}),
     "cdf": (cmd_cdf, "bivariate overlap CDF, empirical vs limit", {
-        **MONTE_CARLO, "--lambda": dict(dest="lam", type=float, required=True),
-        "--alpha": dict(type=float, required=True), **START}),
+        **MONTE_CARLO, "--lambda": dict(dest="lam", type=finite_float, required=True),
+        "--alpha": dict(type=finite_float, required=True), **START}),
 }
 
 

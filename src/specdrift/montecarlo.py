@@ -39,8 +39,8 @@ class GOEInitial:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise DomainError("GOE scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise DomainError("GOE scale must be positive and finite")
 
     @property
     def profile(self) -> SemicircleQuantileProfile:

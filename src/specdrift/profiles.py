@@ -90,11 +90,15 @@ class ChartRule:
 
 
 class SpectralProfile(ABC):
-    """Strictly increasing allocation function a : [0,1] -> [a_min, a_max]."""
+    """Strictly increasing allocation function a : [0,1] -> [a_min, a_max].
 
-    kind: str = "abstract"
+    Subclasses give the --profile `spec` that parses back to the profile,
+    its one identity, and the fixed quadrature rule `chart_rule`."""
+
     #: True when the derivative diverges at x in {0,1}.
     edge_singular: bool = False
+    spec: str
+    chart_rule: ChartRule
 
     # -- core surface -----------------------------------------------------
 
@@ -143,12 +147,6 @@ class SpectralProfile(ABC):
             return float(out[0])
         return out
 
-    @cached_property
-    def chart_rule(self) -> ChartRule:
-        """The fixed quadrature rule, built once: by default one Gauss panel
-        in the quantile variable itself, s = a(u) with W = 1."""
-        return ChartRule.build([0.0, 1.0], self.eval, lambda u: 1.0, self.inverse)
-
     def chart_poles(self, w):
         """Poles of W(u)/(S(u) - w) near the chart, for complex w of shape
         (B,): the pieces that hold them, shape (B, K) (-1 for none), and on
@@ -173,79 +171,6 @@ class SpectralProfile(ABC):
                 raise EdgeError("derivative diverges at the support edge")
         return x_arr
 
-    def __call__(self, x):
-        return self.eval(x)
-
-    @property
-    def cache_token(self):
-        """Hashable identity: equal for profiles that induce the same density."""
-        return (self.kind,) + self._params()
-
-    def _params(self) -> tuple:
-        return ()
-
-
-class LinearProfile(SpectralProfile):
-    """Affine allocation a(x) = lo + (hi - lo) x; induces the uniform density
-    on [lo, hi]. Covers both the plain linear profile and uniform-gap
-    spectra."""
-
-    kind = "linear"
-
-    def __init__(self, lo=0.0, hi=1.0):
-        if not hi > lo:
-            raise InvalidProfileError("need hi > lo")
-        self.lo = float(lo)
-        self.hi = float(hi)
-
-    def eval(self, x):
-        x_arr = self._check_x(x)
-        out = self.lo + (self.hi - self.lo) * x_arr
-        return float(out) if x_arr.ndim == 0 else out
-
-    def derivative(self, x):
-        x_arr = self._check_x(x, open_interval=True)
-        if x_arr.ndim == 0:
-            return self.hi - self.lo
-        return np.full_like(x_arr, self.hi - self.lo)
-
-    def inverse(self, alpha):
-        alpha_arr = np.asarray(alpha, dtype=float)
-        if np.any(alpha_arr < self.lo - 1e-12) or np.any(alpha_arr > self.hi + 1e-12):
-            raise DomainError(f"alpha outside [{self.lo}, {self.hi}]")
-        x = (alpha_arr - self.lo) / (self.hi - self.lo)
-        x = np.clip(x, 0.0, 1.0)
-        return float(x) if alpha_arr.ndim == 0 else x
-
-    def density(self, alpha):
-        alpha_arr = np.asarray(alpha, dtype=float)
-        inside = (alpha_arr > self.lo) & (alpha_arr < self.hi)
-        out = np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
-        return float(out) if alpha_arr.ndim == 0 else out
-
-    @property
-    def support(self):
-        return (self.lo, self.hi)
-
-    @property
-    def spec(self):
-        """The --profile spec that parses back to this profile."""
-        return f"linear:{self.lo!r},{self.hi!r}"
-
-    # S is affine and W = 1, so subtracting the pole leaves nothing to
-    # integrate: the one-panel rule gives the closed form.
-    def chart_poles(self, w):
-        span = self.hi - self.lo
-        u0 = (np.asarray(w, dtype=complex)[:, None, None] - self.lo) / span
-        c = np.full(u0.shape, 1.0 / span, dtype=complex)
-        return np.zeros(u0.shape[:2], dtype=int), u0, c, c * c, np.zeros_like(c)
-
-    def chart_gap(self, piece, u, u0):
-        return (self.hi - self.lo) * (u - u0)
-
-    def _params(self):
-        return (self.lo, self.hi)
-
 
 class SemicircleQuantileProfile(SpectralProfile):
     """Quantile of the Wigner semicircle on [-radius, radius].
@@ -254,13 +179,12 @@ class SemicircleQuantileProfile(SpectralProfile):
     by the bisection of semicircle_angle; the inverse is F itself.
     """
 
-    kind = "semicircle-quantile"
     edge_singular = True
 
     def __init__(self, radius=2.0):
-        if not radius > 0:
-            raise InvalidProfileError("radius must be positive")
         self.radius = float(radius)
+        if not 0 < self.radius < math.inf:
+            raise InvalidProfileError("radius must be positive and finite")
 
     def cdf(self, alpha):
         r = self.radius
@@ -327,9 +251,6 @@ class SemicircleQuantileProfile(SpectralProfile):
         # sin u - sin u0 as a product that vanishes at both roots
         return 2.0 * self.radius * np.cos((u + u0) / 2.0) * np.sin((u - u0) / 2.0)
 
-    def _params(self):
-        return (self.radius,)
-
 
 class _Pchip:
     """Monotone piecewise cubic of Fritsch & Carlson (SIAM J. Numer. Anal.
@@ -377,22 +298,24 @@ class _Pchip:
 
 class TabulatedProfile(SpectralProfile):
     """Profile interpolated from (x_k, a_k) knots by the monotone
-    piecewise cubic of _Pchip; the derivative is the interpolant's."""
+    piecewise cubic of _Pchip; the derivative is the interpolant's. Two
+    knots give the line through them: the linear and uniform-gap profiles.
+    `spec` is the --profile spec that names it, "tabulated" when none does."""
 
-    kind = "tabulated"
-
-    def __init__(self, x_knots, a_knots):
+    def __init__(self, x_knots, a_knots, spec="tabulated"):
         x = np.asarray(x_knots, dtype=float)
         a = np.asarray(a_knots, dtype=float)
         if x.ndim != 1 or x.shape != a.shape or len(x) < 2:
             raise InvalidProfileError("need two equal-length 1-d knot arrays")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(a))):
+            raise InvalidProfileError("knots must be finite")
         if abs(x[0]) > 1e-12 or abs(x[-1] - 1.0) > 1e-12:
             raise InvalidProfileError("knots must span [0,1]")
         if np.any(np.diff(x) <= 0) or np.any(np.diff(a) <= 0):
             raise InvalidProfileError("knots must be strictly increasing in x and a")
         self._x = x
         self._a = a
-        self.source = None  # CSV path, set by from_csv
+        self.spec = spec
         self._interp = _Pchip(x, a)
 
     @classmethod
@@ -409,9 +332,7 @@ class TabulatedProfile(SpectralProfile):
                     continue
                 xs.append(float(row[0]))
                 As.append(float(row[1]))
-        profile = cls(xs, As)
-        profile.source = str(path)
-        return profile
+        return cls(xs, As, spec=f"csv:{path}")
 
     def eval(self, x):
         x_arr = self._check_x(x)
@@ -422,10 +343,6 @@ class TabulatedProfile(SpectralProfile):
         x_arr = self._check_x(x, open_interval=True)
         out = self._interp.derivative(x_arr)
         return float(out) if x_arr.ndim == 0 else out
-
-    @property
-    def spec(self):
-        return f"csv:{self.source}" if self.source else self.kind
 
     @cached_property
     def chart_rule(self):
@@ -484,9 +401,6 @@ class TabulatedProfile(SpectralProfile):
     def support(self):
         return (float(self._a[0]), float(self._a[-1]))
 
-    def _params(self):
-        return (tuple(self._x), tuple(self._a))
-
 
 def parse_profile(spec: str) -> SpectralProfile:
     """The profile a spec names: goe | linear[:lo,hi] | semicircle[:radius] |
@@ -497,14 +411,15 @@ def parse_profile(spec: str) -> SpectralProfile:
     try:
         if kind == "goe" and not rest:
             return SemicircleQuantileProfile()
-        if kind == "linear":
-            lo, hi = (float(v) for v in rest.split(",")) if rest else (0.0, 1.0)
-            return LinearProfile(lo, hi)
+        if kind in ("linear", "uniform-gap"):
+            if kind == "linear":
+                lo, hi = (float(v) for v in rest.split(",")) if rest else (0.0, 1.0)
+            else:
+                span = float(rest) if rest else 1.0
+                lo, hi = -span / 2.0, span / 2.0
+            return TabulatedProfile([0.0, 1.0], [lo, hi], spec=f"linear:{lo!r},{hi!r}")
         if kind in ("semicircle", "semicircle-quantile"):
             return SemicircleQuantileProfile(float(rest) if rest else 2.0)
-        if kind == "uniform-gap":
-            span = float(rest) if rest else 1.0
-            return LinearProfile(-span / 2.0, span / 2.0)
         if kind == "csv":
             return TabulatedProfile.from_csv(rest)
     except InvalidProfileError:

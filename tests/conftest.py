@@ -8,7 +8,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from specdrift import (LinearProfile, RngStream, SemicircleQuantileProfile)
+from specdrift import RngStream, SemicircleQuantileProfile, parse_profile
 
 #: one line per acceptance criterion, echoed in the terminal summary
 ACCEPTANCE_LINES = []
@@ -35,7 +35,7 @@ def goe_profile():
 
 @pytest.fixture(scope="session")
 def linear_profile():
-    return LinearProfile(0.0, 1.0)
+    return parse_profile("linear:0,1")
 
 
 @pytest.fixture

@@ -45,12 +45,26 @@ def figure_curves():
     return run_overlap_experiment(config, workers=2)
 
 
+# criterion 7: Theta_N at z = lam + 0.05i for each weight g = 1(a <= threshold)
+# (g = 1 at +inf), and the bivariate CDF at (0, 0)
+THETA_Z = tuple(complex(lam, 0.05) for lam in (-1.0, 0.0, 1.0))
+THETA_G = {"g=1": math.inf, "g=1(a<=0)": 0.0}
+
+
 @pytest.fixture(scope="module")
 def theta_samples():
-    """200 shared n=400 draws serving the theta and CDF checks."""
+    """Per-sample Theta_N values, shape (200, len(THETA_Z), len(THETA_G)), and
+    Phi_N(0, 0) terms, shape (200,), of 200 n=400 draws; a draw's eigenvectors
+    are dropped once its seven numbers are taken."""
     config = ExperimentConfig(n=400, t=1.0, samples=200, initial=GOEInitial(1.0),
                               master_seed=FIGURE_SEED + 1)
-    return _map_samples(config, lambda k, *sample: sample, workers=2)
+
+    def worker(k, a, lam, v):
+        thetas = [[theta_sample(a, lam, v, z, g) for g in THETA_G.values()] for z in THETA_Z]
+        return thetas, np.sum(v[a <= 0.0][:, lam <= 0.0] ** 2) / config.n
+
+    thetas, phis = zip(*_map_samples(config, worker, workers=2))
+    return np.array(thetas), np.array(phis)
 
 
 def _figure_criterion(curves, figure, number):
@@ -161,14 +175,11 @@ def test_criterion_6_ldos_normalization(goe_profile, linear_profile):
 
 def test_criterion_7_theta_and_cdf(goe_profile, theta_samples):
     t = 1.0
-    # g = 1(a <= threshold): g = 1 at +inf
-    gs = {"g=1": math.inf, "g=1(a<=0)": 0.0}
+    thetas, phi_vals = theta_samples
     failures, details = [], []
-    for lam in (-1.0, 0.0, 1.0):
-        z = complex(lam, 0.05)
-        for gname, g in gs.items():
-            vals = np.array([theta_sample(a, lm, v, z, g)
-                             for a, lm, v in theta_samples])
+    for i, z in enumerate(THETA_Z):
+        for j, (gname, g) in enumerate(THETA_G.items()):
+            vals = thetas[:, i, j]
             mean = vals.mean()
             se_re = vals.real.std(ddof=1) / math.sqrt(len(vals))
             se_im = vals.imag.std(ddof=1) / math.sqrt(len(vals))
@@ -180,9 +191,6 @@ def test_criterion_7_theta_and_cdf(goe_profile, theta_samples):
                 failures.append(f"theta z={z} {gname}: d=({d_re:.3f},{d_im:.3f})")
             details.append(max(d_re, d_im))
     # empirical bivariate CDF at (0, 0)
-    n = theta_samples[0][2].shape[0]
-    phi_vals = np.array([np.sum(v[a <= 0.0][:, lm <= 0.0] ** 2) / n
-                         for a, lm, v in theta_samples])
     phi_emp = phi_vals.mean()
     phi_lim = cdf_limit(goe_profile, t, 0.0, 0.0)
     d_phi = abs(phi_emp - phi_lim)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from specdrift import overlap_cauchy, overlap_goe, semicircle_density
-from specdrift.cli import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, default_workers,
-                           main, parse_grid)
+from specdrift.cli import (COMMANDS, EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK,
+                           default_workers, finite_float, main, parse_grid)
 from specdrift.errors import ConfigError
 from specdrift.profiles import parse_profile
 from specdrift.stieltjes import semicircle_density_line, semicircle_hilbert
@@ -24,7 +24,7 @@ def read_csv(path):
 
 class TestParsers:
     def test_profiles(self):
-        assert parse_profile("goe").kind == "semicircle-quantile"
+        assert parse_profile("goe").spec == "semicircle:2.0"
         assert parse_profile("linear:0,2").support == (0.0, 2.0)
         assert parse_profile("uniform-gap:4").support == (-2.0, 2.0)
         with pytest.raises(ConfigError):
@@ -33,8 +33,9 @@ class TestParsers:
     def test_grid(self):
         g = parse_grid("-1:1:0.5")
         assert np.allclose(g, [-1.0, -0.5, 0.0, 0.5, 1.0])
-        with pytest.raises(ConfigError):
-            parse_grid("1:0:0.5")
+        for spec in ("1:0:0.5", "0:inf:0.5", "nan:1:0.5", "0:1:inf"):
+            with pytest.raises(ConfigError):
+                parse_grid(spec)
 
 
 class TestPredict:
@@ -133,8 +134,8 @@ class TestSimulate:
             manifest = json.loads((tmp_path / spec / "simulate_manifest.json").read_text())
             configs[spec] = manifest["config"]["config"]["initial"]
         assert configs["linear:0,1"] != configs["linear:-1,1"]
-        assert parse_profile(configs["linear:-1,1"]["profile"]).cache_token == \
-            parse_profile("linear:-1,1").cache_token
+        assert parse_profile(configs["linear:-1,1"]["profile"]).spec == \
+            parse_profile("linear:-1,1").spec
 
 
 class TestReproduce:
@@ -285,11 +286,39 @@ PROFILE_COMMANDS = {
 
 class TestMalformedInput:
     @pytest.mark.parametrize("command", sorted(PROFILE_COMMANDS))
-    @pytest.mark.parametrize("spec", ["linear:1", "semicircle:abc", "csv:MISSING"])
+    @pytest.mark.parametrize("spec", ["linear:1", "semicircle:abc", "csv:MISSING",
+                                      "semicircle:inf", "linear:0,inf", "uniform-gap:inf",
+                                      "csv:NAN_KNOT", "csv:INF_KNOT"])
     def test_bad_profile_exit2(self, tmp_path, command, spec):
-        spec = spec.replace("MISSING", str(tmp_path / "missing.csv"))
+        (tmp_path / "nan.csv").write_text("x,a\n0,-1\nnan,0\n1,1\n")
+        (tmp_path / "inf.csv").write_text("x,a\n0,-1\n0.5,0\n1,inf\n")
+        spec = (spec.replace("MISSING", str(tmp_path / "missing.csv"))
+                .replace("NAN_KNOT", str(tmp_path / "nan.csv"))
+                .replace("INF_KNOT", str(tmp_path / "inf.csv")))
         rc = main([*PROFILE_COMMANDS[command], "--profile", spec, "--out-dir", str(tmp_path)])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_number_exit2(self, tmp_path, capsys, value):
+        # every float flag of every subcommand: argparse refuses the value
+        # before anything runs (nan used to run to a csv of nan, inf to a
+        # LinAlgError traceback or a solver failure)
+        for name, (_func, _help, flags) in COMMANDS.items():
+            for flag, options in flags.items():
+                if options.get("type") is not finite_float:
+                    continue
+                if "nargs" in options:
+                    if value.startswith("-"):
+                        continue  # argparse would read -inf as a flag
+                    args = [flag, *["0"] * (options["nargs"] - 1), value]
+                else:
+                    args = [f"{flag}={value}"]
+                out = tmp_path / name / flag.lstrip("-")
+                with pytest.raises(SystemExit) as info:
+                    main([*MINIMAL_ARGV[name], *args, "--out-dir", str(out)])
+                assert info.value.code == EXIT_CONFIG, (name, flag)
+                assert "finite_float" in capsys.readouterr().err, (name, flag)
+                assert not out.exists()
 
     def test_bad_weight_exit2(self, tmp_path):
         # a NaN threshold would reach the limit's clip as NaN
@@ -298,9 +327,11 @@ class TestMalformedInput:
             assert rc == EXIT_CONFIG
 
     def test_bad_eta_exit2(self, tmp_path):
-        rc = main([*PROFILE_COMMANDS["stieltjes"], "--eta", "0.01,x",
-                   "--out-dir", str(tmp_path)])
-        assert rc == EXIT_CONFIG
+        for eta in ("0.01,x", "0.01,nan", "inf", "0.01,-inf"):
+            rc = main([*PROFILE_COMMANDS["stieltjes"], f"--eta={eta}",
+                       "--out-dir", str(tmp_path)])
+            assert rc == EXIT_CONFIG, eta
+        assert not (tmp_path / "stieltjes.csv").exists()
 
     @pytest.mark.parametrize("command", sorted(PROFILE_COMMANDS) + ["subspace"])
     def test_trailing_config_exit2(self, tmp_path, command):
@@ -413,6 +444,20 @@ class TestImports:
             numpy_at_import, values = json.loads(proc.stdout.strip().splitlines()[-1])
             assert numpy_at_import is False
             assert values == ["1", expected, "1"]
+
+    def test_lazy_exports_resolve(self):
+        # a stale entry in the lazy export table fails only when accessed, so
+        # every public name and submodule is accessed here
+        import specdrift
+        listing = dir(specdrift)
+        for name in specdrift.__all__:
+            assert name in listing, name
+            if name != "__version__":
+                assert specdrift.__getattr__(name) is getattr(specdrift, name), name
+        for module in specdrift._EXPORTS:
+            assert specdrift.__getattr__(module).__name__ == f"specdrift.{module}"
+        with pytest.raises(AttributeError):
+            specdrift.__getattr__("LinearProfile")  # a line is parse_profile("linear:lo,hi")
 
     def test_default_workers(self):
         assert default_workers() == min(2, len(os.sched_getaffinity(0)))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from specdrift import (DegenerateGapError, LinearProfile, OutsideSupportError,
+from specdrift import (DegenerateGapError, OutsideSupportError,
                        RngStream, SemicircleQuantileProfile, density_and_hilbert, ldos, overlap_cauchy, overlap_full, overlap_goe,
                        perturbation_expansion, perturbative_diag, perturbative_offdiag,
                        perturbed_quantile)
@@ -239,7 +239,7 @@ class TestPerturbedQuantile:
     def test_quantile_limit_start(self, monkeypatch):
         # Newton starts from the semicircle-shaped CDF, which has the cubic
         # flattening of rho_t at the edges: few density solves near them
-        from specdrift import LinearProfile, stieltjes
+        from specdrift import parse_profile, stieltjes
         calls = []
         solve = stieltjes.boundary_values
 
@@ -248,7 +248,7 @@ class TestPerturbedQuantile:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(stieltjes, "boundary_values", counted)
-        assert quantile_limit(LinearProfile(-1.0, 1.0), 0.5, 0.999) == pytest.approx(
+        assert quantile_limit(parse_profile("linear:-1,1"), 0.5, 0.999) == pytest.approx(
             1.7739276341, abs=1e-10)
         assert len(calls) <= 4
 

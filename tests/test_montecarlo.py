@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdrift import (ConfigError, DomainError, ExperimentConfig, GOEInitial, LinearProfile,
+from specdrift import (ConfigError, DomainError, ExperimentConfig, GOEInitial,
                        OverlapAccumulator, ProfileInitial, bin_overlap_curve,
                        empirical_cdf, estimate_theta, resolvent_diagonal,
                        WindowSpec, parse_profile, run_overlap_experiment,
@@ -42,6 +42,7 @@ class TestExperimentConfig:
         assert d["n"] == 40 and d["target_indices"] == [20]
 
     def test_profile_start_echoes_spec(self, tmp_path):
+        x = np.linspace(0.0, 1.0, 11)
         blocks = [small_config(initial=ProfileInitial(parse_profile(spec))).describe()["initial"]
                   for spec in ("linear:0,1", "linear:-1,1")]
         assert blocks[0] != blocks[1]
@@ -51,18 +52,26 @@ class TestExperimentConfig:
                      f"csv:{path}"):
             profile = parse_profile(spec)
             echoed = ProfileInitial(profile).describe()["profile"]
-            assert parse_profile(echoed).cache_token == profile.cache_token
+            again = parse_profile(echoed)
+            assert again.spec == echoed and again.support == profile.support
+            assert np.array_equal(again.eval(x), profile.eval(x))
 
 
 class TestGOEInitial:
     def test_limit_profile(self):
         # semicircle of radius 2 sqrt(scale); scale 1 is the goe profile
         assert GOEInitial(4.0).profile.support == (-4.0, 4.0)
-        assert GOEInitial(1.0).profile.cache_token == parse_profile("goe").cache_token
+        assert GOEInitial(1.0).profile.spec == parse_profile("goe").spec
+        assert GOEInitial(4.0).profile.spec == parse_profile("semicircle:4").spec
 
     def test_nonpositive_scale(self):
         with pytest.raises(DomainError):
             GOEInitial(0.0)
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan])
+    def test_non_finite_scale(self, scale):
+        with pytest.raises(DomainError):
+            GOEInitial(scale)
 
 
 class TestDrawSample:
@@ -344,7 +353,7 @@ class TestTheta:
         assert abs(theta_sample(a, lam, vecs, z, math.inf) - direct) <= 1e-12
 
     @pytest.mark.parametrize("initial", [GOEInitial(1.0),
-                                         ProfileInitial(LinearProfile(-1.0, 1.0))])
+                                         ProfileInitial(parse_profile("linear:-1,1"))])
     def test_g_one_reads_eigenvalues_only(self, monkeypatch, initial):
         # g = 1 takes mean 1/(lam - z) from eigvalsh; the theta_sample route
         # on the same draws agrees to rounding

@@ -18,9 +18,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from specdrift import (LinearProfile, SemicircleQuantileProfile, TabulatedProfile,
-                       density_and_hilbert, semicircle_density, semicircle_hilbert,
-                       solve_grid, support_bounds)
+from specdrift import (SemicircleQuantileProfile, TabulatedProfile, density_and_hilbert,
+                       parse_profile, semicircle_density, semicircle_hilbert, solve_grid,
+                       support_bounds)
 from specdrift.stieltjes import _resolvent_moments, _rule_below
 
 DIGITS = 30
@@ -56,7 +56,7 @@ def _linear_edge(t):
 
 
 CASES = {
-    "linear": (LinearProfile(-1.0, 1.0), _linear_g0(-1, 1), _linear_edge),
+    "linear": (parse_profile("linear:-1,1"), _linear_g0(-1, 1), _linear_edge),
     "semicircle2": (SemicircleQuantileProfile(2.0), _semicircle_g0(2),
                     lambda t: 2.0 * math.sqrt(1.0 + t)),
     "semicircle4": (SemicircleQuantileProfile(4.0), _semicircle_g0(4),
@@ -176,7 +176,7 @@ _KNOTS = np.linspace(0.0, 1.0, 33)
 _TAB = TabulatedProfile(_KNOTS, SemicircleQuantileProfile().eval(_KNOTS))
 # name: (profile, chart, interior thresholds)
 CLIPPED = {
-    "linear": (LinearProfile(-1.0, 1.0), _linear_chart(-1, 1), (-0.6, 0.45)),
+    "linear": (parse_profile("linear:-1,1"), _linear_chart(-1, 1), (-0.6, 0.45)),
     "semicircle2": (SemicircleQuantileProfile(2.0), _semicircle_chart(2), (-1.2, 0.9)),
     "semicircle4": (SemicircleQuantileProfile(4.0), _semicircle_chart(4), (-2.4, 1.8)),
     # between two knots, and on one

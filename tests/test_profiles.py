@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from specdrift import (ConfigError, DomainError, EdgeError, InvalidProfileError, LinearProfile,
+from specdrift import (ConfigError, DomainError, EdgeError, InvalidProfileError,
                        SemicircleQuantileProfile, TabulatedProfile, parse_profile)
 
 
@@ -27,25 +27,25 @@ def assert_valid_profile(p):
 
 class TestLinearProfile:
     def test_eval_identity(self):
-        p = LinearProfile(0.0, 1.0)
+        p = parse_profile("linear:0,1")
         assert p.eval(0.25) == pytest.approx(0.25, abs=1e-15)
 
     def test_inverse_identity(self):
-        p = LinearProfile(0.0, 1.0)
+        p = parse_profile("linear:0,1")
         assert p.inverse(0.3) == pytest.approx(0.3, abs=1e-12)
 
     def test_derivative_constant(self):
-        p = LinearProfile(0.0, 1.0)
+        p = parse_profile("linear:0,1")
         xs = np.linspace(0.01, 0.99, 11)
         assert np.allclose(p.derivative(xs), 1.0)
 
     def test_induced_density_uniform(self):
-        p = LinearProfile(0.0, 1.0)
+        p = parse_profile("linear:0,1")
         assert p.induced_density(0.5) == pytest.approx(1.0)
         assert p.induced_density(0.001) == pytest.approx(1.0)
 
     def test_domain_errors(self):
-        p = LinearProfile(0.0, 1.0)
+        p = parse_profile("linear:0,1")
         with pytest.raises(DomainError):
             p.eval(1.5)
         with pytest.raises(DomainError):
@@ -55,7 +55,7 @@ class TestLinearProfile:
 
     def test_invalid_bounds(self):
         with pytest.raises(InvalidProfileError):
-            LinearProfile(1.0, 1.0)
+            parse_profile("linear:1,1")
 
 
 class TestSemicircleQuantile:
@@ -152,6 +152,18 @@ class TestTabulatedProfile:
         with pytest.raises(InvalidProfileError):
             TabulatedProfile([0.0, 0.5, 1.0], [0.0, 1.0, 0.5])
 
+    @pytest.mark.parametrize("rows", ["0,-1\nnan,0\n1,1", "0,-1\n0.5,0\n1,inf",
+                                      "0,-1\n0.5,nan\n1,1", "0,-inf\n1,1"],
+                             ids=["nan-x", "inf-last", "nan-a", "-inf-first"])
+    def test_non_finite_knots_rejected(self, tmp_path, rows):
+        # comparisons with nan are false, so only an explicit check refuses it
+        path = tmp_path / "prof.csv"
+        path.write_text(f"x,a\n{rows}\n")
+        with pytest.raises(InvalidProfileError):
+            TabulatedProfile.from_csv(path)
+        with pytest.raises(InvalidProfileError):
+            parse_profile(f"csv:{path}")
+
 
 def _random_knots(rng):
     """Strictly increasing knots on [0, 1] with values whose secants range
@@ -219,9 +231,28 @@ class TestFactory:
     def test_aliases(self):
         assert isinstance(parse_profile("goe"), SemicircleQuantileProfile)
         assert isinstance(parse_profile("semicircle-quantile"), SemicircleQuantileProfile)
-        assert isinstance(parse_profile("uniform-gap:1"), LinearProfile)
+        assert isinstance(parse_profile("uniform-gap:1"), TabulatedProfile)
+        assert parse_profile("uniform-gap:1").spec == "linear:-0.5,0.5"
         with pytest.raises(ConfigError):
             parse_profile("nope")
+
+    def test_spec_is_identity(self):
+        # floats echo by repr, so the spec parses back to the same profile
+        p = parse_profile("linear:-1,1")
+        assert p.spec == "linear:-1.0,1.0"
+        again = parse_profile(p.spec)
+        assert again.spec == p.spec and again.support == p.support
+        x = np.linspace(0.0, 1.0, 11)
+        assert np.array_equal(again.eval(x), p.eval(x))
+        assert parse_profile("semicircle:4").spec == "semicircle:4.0"
+        assert parse_profile("goe").spec == "semicircle:2.0"
+        assert TabulatedProfile([0.0, 1.0], [0.0, 1.0]).spec == "tabulated"
+
+    @pytest.mark.parametrize("spec", ["semicircle:inf", "semicircle:nan", "linear:0,inf",
+                                      "linear:nan,1", "uniform-gap:inf", "uniform-gap:nan"])
+    def test_non_finite_rejected(self, spec):
+        with pytest.raises(InvalidProfileError):
+            parse_profile(spec)
 
     def test_uniform_gap_symmetric(self):
         p = parse_profile("uniform-gap:3")
@@ -247,7 +278,7 @@ class TestProperties:
            width=st.floats(min_value=0.1, max_value=5))
     @settings(max_examples=50, deadline=None)
     def test_roundtrip_linear(self, x, lo, width):
-        p = LinearProfile(lo, lo + width)
+        p = parse_profile(f"linear:{lo!r},{lo + width!r}")
         assert p.inverse(p.eval(x)) == pytest.approx(x, abs=1e-9)
 
     @pytest.mark.parametrize("knots", ["semicircle-33", "sinh-5"])

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdrift import (ConvergenceError, DomainError, EdgeError, LinearProfile,
-                       SemicircleQuantileProfile, TabulatedProfile, cdf_limit,
-                       density_and_hilbert, semicircle_density,
+from specdrift import (ConvergenceError, DomainError, EdgeError, SemicircleQuantileProfile,
+                       TabulatedProfile, cdf_limit, density_and_hilbert, parse_profile,
+                       semicircle_density,
                        semicircle_hilbert, semicircle_stieltjes, solve_fixed_point,
                        solve_grid, support_bounds, theta_limit)
 from specdrift.stieltjes import (DEFAULT_TOL, _initial_line, _resolvent_moments,
@@ -87,7 +87,7 @@ class TestDensityAndHilbert:
         assert line.rho == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("profile,lam,rho,hilbert", [
-        (LinearProfile(0.0, 1.0), 0.2, 1.0, math.log(4.0)),
+        (parse_profile("linear:0,1"), 0.2, 1.0, math.log(4.0)),
         (SemicircleQuantileProfile(), 1.9, semicircle_density(0.0, 1.9),
          semicircle_hilbert(0.0, 1.9)),
     ], ids=["linear", "goe"])
@@ -99,7 +99,7 @@ class TestDensityAndHilbert:
 
     def test_t0_real_g0_off_support(self):
         # just below linear:0,1 the real G0(lam) = log((1 - lam)/(-lam))
-        line = density_and_hilbert(LinearProfile(0.0, 1.0), 0.0, -1e-12)
+        line = density_and_hilbert(parse_profile("linear:0,1"), 0.0, -1e-12)
         assert line.rho == 0.0
         assert abs(line.hilbert - math.log1p(1e12)) <= 1e-12 * math.log1p(1e12)
 
@@ -116,7 +116,7 @@ class TestDensityAndHilbert:
     def test_t0_jump_edge_rejected(self, which):
         # rho_0 jumps at the edge and H_0 diverges there logarithmically
         x = np.linspace(0.0, 1.0, 33)
-        profile = (LinearProfile(0.0, 1.0) if which == "linear"
+        profile = (parse_profile("linear:0,1") if which == "linear"
                    else TabulatedProfile(x, SemicircleQuantileProfile().eval(x)))
         for lam in profile.support:
             with pytest.raises(EdgeError):
@@ -155,21 +155,36 @@ class TestDensityAndHilbert:
             assert abs(line.rho - exact.rho) <= 1e-8 and abs(line.hilbert - exact.hilbert) <= 1e-8
 
     def test_two_knot_tabulated_is_linear(self):
-        # one cubic piece, so the one-piece sum must read the neighbour
-        # candidate that holds the pole, not an invalid one
-        tab = TabulatedProfile([0.0, 1.0], [-1.0, 1.0])
-        lin = LinearProfile(-1.0, 1.0)
+        # linear:lo,hi is the two-knot tabulated profile: one cubic piece, so
+        # the one-piece sum must read the neighbour candidate that holds the
+        # pole, not an invalid one. Checked against the uniform density's
+        # closed forms G0 = log((hi - w)/(lo - w))/(hi - lo) and its derivative.
+        lo, hi = -1.0, 1.0
+        tab = parse_profile("linear:-1,1")
+        assert isinstance(tab, TabulatedProfile)
+
+        def g0(w):
+            return np.log((hi - w) / (lo - w)) / (hi - lo)
+
+        def g0_prime(w):
+            return (1.0 / (lo - w) - 1.0 / (hi - w)) / (hi - lo)
+
         x = np.linspace(-1.4, 1.4, 15)
         w = np.concatenate([x + 1j * eta for eta in (1.0, 1e-3, 1e-8)]
                            + [np.array([-3.0, -1.5, 1.2, 3.0, 10.0]) + 0j])
-        for got, want in zip(_resolvent_moments(tab, w), _resolvent_moments(lin, w)):
+        for got, want in zip(_resolvent_moments(tab, w), (g0(w), g0_prime(w))):
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+        # the t = 0.5 boundary values solve m = G0(lam + t m)
         lams = np.linspace(-1.5, 1.5, 13)
-        assert np.max(np.abs(boundary_values(tab, 0.5, lams)[0]
-                             - boundary_values(lin, 0.5, lams)[0])) <= 1e-14
+        m = boundary_values(tab, 0.5, lams)[0]
+        assert np.all(m.imag > 0)
+        assert np.max(np.abs(m - g0(lams + 0.5 * m))) <= 1e-14
+        # the exact t = 0 line: rho_0 = 1/(hi - lo), H_0 the principal value
         inner = np.linspace(-0.9, 0.9, 7)
-        for got, want in zip(_initial_line(tab, inner), _initial_line(lin, inner)):
-            assert np.max(np.abs(got - want)) <= 1e-14
+        want = (np.full_like(inner, 1.0 / (hi - lo)),
+                np.log((hi - inner) / (inner - lo)) / (hi - lo))
+        for got, exact in zip(_initial_line(tab, inner), want):
+            assert np.max(np.abs(got - exact)) <= 1e-14
 
 
 class TestSemicircleClosedForms:
@@ -273,8 +288,8 @@ class TestSupportBounds:
         return x + (t / 2.0) * math.log((x + 1.0) / (x - 1.0))
 
     @pytest.mark.parametrize("profile,t,edge", [
-        (LinearProfile(-1.0, 1.0), 0.5, _linear_edge(0.5)),
-        (LinearProfile(-1.0, 1.0), 0.05, _linear_edge(0.05)),
+        (parse_profile("linear:-1,1"), 0.5, _linear_edge(0.5)),
+        (parse_profile("linear:-1,1"), 0.05, _linear_edge(0.05)),
         (SemicircleQuantileProfile(), 1.0, 2.0 * math.sqrt(2.0)),
         (SemicircleQuantileProfile(), 0.05, 2.0 * math.sqrt(1.05)),
         (SemicircleQuantileProfile(4.0), 0.2, 2.0 * math.sqrt(4.2)),
@@ -285,7 +300,7 @@ class TestSupportBounds:
         assert abs(lo + edge) <= 1e-9
 
     @pytest.mark.parametrize("profile", [
-        LinearProfile(-1.0, 1.0), SemicircleQuantileProfile(),
+        parse_profile("linear:-1,1"), SemicircleQuantileProfile(),
         TabulatedProfile(np.linspace(0, 1, 33), np.linspace(0, 1, 33) ** 2 + np.linspace(0, 1, 33)),
     ], ids=["linear", "goe", "tabulated"])
     def test_line_on_edge(self, profile):
@@ -374,7 +389,7 @@ class TestProperties:
            lam=st.floats(min_value=-1.0, max_value=1.0))
     @settings(max_examples=15, deadline=None)
     def test_linear_profile_residual(self, t, lam):
-        p = LinearProfile(0.0, 1.0)
+        p = parse_profile("linear:0,1")
         z = complex(lam, 0.01)
         m = solve_fixed_point(p, t, z)
         assert fixed_point_residual(p, t, z, m) <= 1e-12
