@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,16 +81,17 @@ def _resolvent_moments(profile: SpectralProfile, w, rule=None):
     """(int rho0(s)/(s-w) ds, int rho0(s)/(s-w)^2 ds) for every entry of w,
     over the chart rule `rule` (the profile's whole rule, or a clip of it).
 
-    Sums the rule over a block of w at once. On the pieces that hold a pole
-    of W(u)/(S(u) - w) (profile.chart_poles), S(u) - w is taken from
-    profile.chart_gap, which has no cancellation near the roots, and the
-    poles are subtracted node by node, in the value and in its w-derivative,
-    and added back integrated in closed form over the piece.
+    Sums the rule over a block of w at once, in one pass over every piece
+    but those that hold a pole of W(u)/(S(u) - w) (profile.chart_poles). On
+    those S(u) - w is taken from profile.chart_gap, which has no cancellation
+    near the roots, and the poles are subtracted node by node, in the value
+    and in its w-derivative, and added back integrated in closed form.
     """
     rule = profile.chart_rule if rule is None else rule
     w = np.atleast_1d(np.asarray(w, dtype=complex))
-    val = np.empty(w.shape, dtype=complex)
-    der = np.empty(w.shape, dtype=complex)
+    val, der = np.empty((2, len(w)), dtype=complex)
+    # one temporary for all blocks: a fresh one per block pays its page faults
+    buf = np.empty((min(len(w), BLOCK), rule.s.size), dtype=complex)
     for b in range(0, len(w), BLOCK):
         wb = w[b:b + BLOCK]
         piece, u0, c, a2, b1 = profile.chart_poles(wb)
@@ -107,18 +109,14 @@ def _resolvent_moments(profile: SpectralProfile, w, rule=None):
         l1 = np.log(np.where(hi == 0, 1.0, hi)) - np.log(np.where(lo == 0, 1.0, lo))
         v = r.sum(axis=-1) + (c * (l1 - q1)).sum(axis=-1)
         d = (r * inv).sum(axis=-1) + (a2 * (1.0 / lo - 1.0 / hi - q2) + b1 * (l1 - q1)).sum(axis=-1)
-        rows = np.arange(len(wb))[:, None]
-        if rule.u.shape[0] == 1 and has.any(axis=1).all():
-            # one piece: the candidate that holds the pole carries the whole sum
-            pick = rows[:, 0], has.argmax(axis=1)
-            val[b:b + BLOCK], der[b:b + BLOCK] = v[pick], d[pick]
-            continue
-        # pieces without a pole: plain sums, piece by piece
-        inv = 1.0 / (rule.s - wb[:, None, None])
-        r = rule.ws * inv
-        pv, pd = r.sum(axis=-1), (r * inv).sum(axis=-1)
-        val[b:b + BLOCK] = pv.sum(axis=1) + np.where(has, v - pv[rows, p], 0.0).sum(axis=1)
-        der[b:b + BLOCK] = pd.sum(axis=1) + np.where(has, d - pd[rows, p], 0.0).sum(axis=1)
+        # the pole pieces' nodes are zeroed by valid candidates only: p clips
+        # invalid ones onto piece 0, a pole piece itself on a one-piece rule
+        plain = buf[:len(wb)]
+        np.reciprocal(np.subtract(rule.s.ravel(), wb[:, None], out=plain), out=plain)
+        plain.reshape(len(wb), *rule.s.shape)[np.nonzero(has)[0], piece[has]] = 0.0
+        val[b:b + BLOCK] = plain @ rule.ws.ravel() + np.where(has, v, 0.0).sum(axis=1)
+        plain *= plain
+        der[b:b + BLOCK] = plain @ rule.ws.ravel() + np.where(has, d, 0.0).sum(axis=1)
     return val, der
 
 
@@ -203,8 +201,10 @@ def solve_fixed_point(profile: SpectralProfile, t: float, z: complex,
 # support edges and the real-axis line
 
 
+@functools.lru_cache(maxsize=32)
 def _edges(profile: SpectralProfile, t: float):
-    """(x, lam) of the lower and of the upper time-t support edge.
+    """(x, lam) of the lower and of the upper time-t support edge, kept per
+    (profile, t) for the next caller (a quantile and the line at it).
 
     Beyond the initial support t G0'(x) falls from +inf to 0 and is at most
     t/(x - end)^2, so the root of t G0'(x) = 1 lies within sqrt(t) of the
@@ -227,7 +227,7 @@ def _edges(profile: SpectralProfile, t: float):
             delta = np.linspace(a, b, EDGE_GRID)
         x = end + side * 0.5 * (a + b)
         edges.append((x, x - t * _resolvent_moments(profile, x)[0][0].real))
-    return edges
+    return tuple(edges)
 
 
 def support_bounds(profile: SpectralProfile, t: float) -> tuple[float, float]:
@@ -266,13 +266,11 @@ def _outside(profile, t, lams, x_edge, upper, tol):
                            residual=float(res[worst]), iterations=MAX_ITER)
 
 
-def boundary_values(profile: SpectralProfile, t: float, lams, tol: float = DEFAULT_TOL,
-                    edges=None):
+def boundary_values(profile: SpectralProfile, t: float, lams, tol: float = DEFAULT_TOL):
     """Boundary values m = G_t(lam + i0) = H_t + i pi rho_t at every lam
-    (t > 0), and the residuals of the solve. `edges` (from _edges) is found
-    when not given."""
+    (t > 0), and the residuals of the solve."""
     lams = np.asarray(lams, dtype=float)
-    (x_lo, lam_lo), (x_hi, lam_hi) = edges or _edges(profile, t)
+    (x_lo, lam_lo), (x_hi, lam_hi) = _edges(profile, t)
     inside = (lams > lam_lo) & (lams < lam_hi)
     m = np.empty(len(lams), dtype=complex)
     res = np.zeros(len(lams))
@@ -403,13 +401,13 @@ def cdf_limit(profile: SpectralProfile, t: float, lam: float, alpha: float) -> f
         raise DomainError("cdf_limit needs t > 0")
     if alpha <= profile.support[0]:
         return 0.0
-    (_, lower), (_, upper) = edges = _edges(profile, t)
+    (_, lower), (_, upper) = _edges(profile, t)
     top = min(lam, upper)
     if top <= lower:
         return 0.0
     v = math.asin(math.sqrt((top - lower) / (upper - lower)))
     xi, wq = _sine_rule(lower, upper, v, max(48, math.ceil((top - lower) / CDF_XI_SPACING)))
-    m, _ = boundary_values(profile, t, xi, edges=edges)
+    m, _ = boundary_values(profile, t, xi)
     g = _resolvent_moments(profile, xi + t * m, _rule_below(profile, alpha))[0]
     return float(wq @ g.imag / math.pi)
 
@@ -419,12 +417,12 @@ def quantile_limit(profile: SpectralProfile, t: float, x: float) -> float:
     the CDF int_lower^xi rho_t = x, by Newton in the sine chart coordinate,
     safeguarded by bisection, from the root for the semicircle-shaped CDF
     (2v - sin(4v)/2)/pi. Every CDF value is one _sine_rule sum."""
-    (_, lower), (_, upper) = edges = _edges(profile, t)
+    (_, lower), (_, upper) = _edges(profile, t)
     a, b, v = 0.0, math.pi / 2.0, (float(semicircle_angle(x)) + math.pi / 2.0) / 2.0
     for _ in range(MAX_ITER):
         xi, wq = _sine_rule(lower, upper, v, QUANTILE_NODES)
         xv = lower + (upper - lower) * math.sin(v) ** 2
-        rho = boundary_values(profile, t, np.append(xi, xv), edges=edges)[0].imag / math.pi
+        rho = boundary_values(profile, t, np.append(xi, xv))[0].imag / math.pi
         excess = float(wq @ rho[:-1]) - x
         if abs(excess) <= DEFAULT_TOL:
             return float(xv)

@@ -83,6 +83,27 @@ class TestPredict:
         _, data = read_csv(tmp_path / "prediction.csv")
         assert np.all(data[:, 1] > 0)
 
+    def test_index_brackets_edges_once(self, tmp_path, monkeypatch):
+        # --index reads the time-t support edges twice, for the quantile and
+        # for the line at it; they are bracketed once per (profile, t). The
+        # edge search is what evaluates the moments at real w here.
+        from specdrift import stieltjes
+        moments, real_calls = stieltjes._resolvent_moments, []
+
+        def counted(profile, w, rule=None):
+            real_calls.append(np.isrealobj(w))
+            return moments(profile, w, rule)
+
+        monkeypatch.setattr(stieltjes, "_resolvent_moments", counted)
+        path = tmp_path / "tab.csv"
+        path.write_text("x,a\n0,-1\n0.25,-0.4\n0.5,0\n0.75,0.4\n1,1\n")
+        stieltjes._edges(parse_profile(f"csv:{path}"), 0.5)
+        once, real_calls[:] = sum(real_calls), []
+        rc = main(["predict", "--profile", f"csv:{path}", "--t", "0.5", "--index", "350",
+                   "--n", "400", "--grid=0:0:1", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert once > 0 and sum(real_calls) == once
+
     def test_out_of_support_exit3(self, tmp_path, capsys):
         rc = main(["predict", "--t", "1", "--lambda", "5", "--out-dir", str(tmp_path)])
         assert rc == EXIT_DOMAIN

@@ -188,9 +188,20 @@ CLIPPED = {
 @pytest.mark.parametrize("eta", [1.0, 1e-3, 1e-8])
 @pytest.mark.parametrize("name", CLIPPED)
 def test_mpmath_truncated_resolvent(name, eta):
+    _check_truncated(name, complex(-0.37 * CLIPPED[name][0].support[1], eta))
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+@pytest.mark.parametrize("name", ["semicircle2", "semicircle4"])
+def test_mpmath_truncated_resolvent_at_edge(name, side):
+    # within 1e-10 of an edge and 1e-9 of the axis, where the two poles the
+    # two-panel semicircle rule subtracts nearly meet
+    _check_truncated(name, complex(side * (CLIPPED[name][0].radius - 1e-10), 1e-9))
+
+
+def _check_truncated(name, w):
     profile, chart, interior = CLIPPED[name]
     lo, hi = profile.support
-    w = complex(-0.37 * hi, eta)
     full = _resolvent_moments(profile, w)[0][0]
     for threshold in (lo - 0.5, *interior, hi + 0.5):
         oracle = 0.0 if threshold < lo else _truncated_oracle(chart, min(threshold, hi), w)

@@ -11,7 +11,8 @@ from specdrift import (ConvergenceError, DomainError, EdgeError, SemicircleQuant
                        semicircle_density,
                        semicircle_hilbert, semicircle_stieltjes, solve_fixed_point,
                        solve_grid, support_bounds, theta_limit)
-from specdrift.stieltjes import (DEFAULT_TOL, _initial_line, _resolvent_moments,
+from specdrift.profiles import ChartRule
+from specdrift.stieltjes import (BLOCK, DEFAULT_TOL, _initial_line, _resolvent_moments,
                                  boundary_values, fixed_point_residual)
 
 
@@ -185,6 +186,48 @@ class TestDensityAndHilbert:
                 np.log((hi - inner) / (inner - lo)) / (hi - lo))
         for got, exact in zip(_initial_line(tab, inner), want):
             assert np.max(np.abs(got - exact)) <= 1e-14
+
+
+_X33 = np.linspace(0.0, 1.0, 33)
+_X5 = np.linspace(0.0, 1.0, 5)
+MOMENT_PROFILES = {
+    "two-knot": parse_profile("linear:-1,1"),
+    "steep-5-knot": TabulatedProfile(_X5, np.sinh(5.0 * (2.0 * _X5 - 1.0))),
+    "33-knot": TabulatedProfile(_X33, 2.0 * _X33 - 1.0 + 0.15 * np.sin(2.0 * math.pi * _X33)),
+    "semicircle": SemicircleQuantileProfile(),
+}
+
+
+@pytest.mark.parametrize("name", MOMENT_PROFILES)
+def test_masked_pass_against_refined_rule(name):
+    # One block mixes w whose pole sits on a piece (Im w = 1, 1e-3, and real
+    # w inside the support) with w beyond the support, near and far, real or
+    # not; a second block holds the rest. Every w must get the plain sums of
+    # exactly the pieces without its pole: on a one-piece rule the invalid
+    # neighbour candidates of the pole piece are clipped onto it too, and far
+    # from the support no candidate may be valid at all. The reference is
+    # the same rule with every panel split in six; its bound is the rounding
+    # noise the node-by-node pole subtraction leaves in G0' at real w (up to
+    # ~1e-9), where a plain sum over a pole piece is off by far more. Far
+    # from the support the plain sums of the refined rule alone are exact.
+    profile = MOMENT_PROFILES[name]
+    rule = profile.chart_rule
+    e = rule.edges
+    fine = ChartRule.build(np.interp(np.arange(6 * len(e) - 5) / 6.0, np.arange(len(e)), e),
+                           rule.S, rule.W, rule.U, len(rule.lo))
+    lo, hi = profile.support
+    span = hi - lo
+    x = lo + span * np.linspace(0.013, 0.987, 20)
+    far = np.array([lo - span / 2.0, hi + span / 2.0])
+    far = np.concatenate([far, far + 0.3j * span])
+    w = np.concatenate([x + 1j, x + 1e-3j, x + 0j, [lo - 1e-3, hi + 1e-3], far])
+    assert len(w) > BLOCK
+    got = _resolvent_moments(profile, w)
+    for g, want in zip(got, _resolvent_moments(profile, w, fine)):
+        assert np.max(np.abs(g - want) / np.maximum(1.0, np.abs(want))) <= 1e-8
+    plain = 1.0 / (fine.s.ravel() - far[:, None])
+    for g, want in zip(got, (plain @ fine.ws.ravel(), (plain * plain) @ fine.ws.ravel())):
+        assert np.max(np.abs(g[-len(far):] - want) / np.abs(want)) <= 1e-13
 
 
 class TestSemicircleClosedForms:
