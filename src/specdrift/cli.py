@@ -8,7 +8,6 @@ comparison failure, 5 solver failure.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import math
 import os
@@ -25,10 +24,12 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
-from . import __version__, laws, montecarlo, stieltjes, subspace
+# Only what every subcommand needs loads here; each subcommand imports the
+# compute modules it calls, so a predict or stieltjes run skips the Monte
+# Carlo stack.
+from . import __version__, stieltjes
 from .errors import (ConfigError, ConvergenceError, DomainError, InvalidProfileError,
                      SpecdriftError)
-from .montecarlo import ExperimentConfig, GOEInitial, ProfileInitial
 from .profiles import SemicircleQuantileProfile, parse_profile
 
 EXIT_OK = 0
@@ -82,13 +83,13 @@ def parse_g(spec: str) -> float:
     if spec == "one":
         return float("inf")
     kind, _, value = spec.partition(":")
-    try:
-        threshold = float(value)
-    except ValueError:
-        threshold = float("nan")
-    if kind != "indicator" or threshold != threshold:
-        raise ConfigError(f"bad weight function {spec!r} (use one | indicator:THR)")
-    return threshold
+    if kind == "indicator":
+        try:
+            return finite_float(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"bad weight function {spec!r} (use one | indicator:THR, "
+                      "THR a finite number)")
 
 
 class Done(NamedTuple):
@@ -120,6 +121,7 @@ def _write_prediction_csv(path, a_grid, values, regime):
 
 
 def cmd_predict(args, out) -> Done:
+    from . import laws
     profile = parse_profile(args.profile)
     t = args.t
     if args.index is not None:
@@ -163,9 +165,10 @@ def cmd_predict(args, out) -> Done:
                 extra={"lambda_used": lam})
 
 
-def _experiment_config(args) -> ExperimentConfig:
-    """Config of simulate, theta and cdf. An explicit --profile must match a GOE
-    start's own semicircle; a profile start defaults to goe."""
+def _experiment_config(args):
+    """The ExperimentConfig of simulate, theta and cdf. An explicit --profile
+    must match a GOE start's own semicircle; a profile start defaults to goe."""
+    from .montecarlo import ExperimentConfig, GOEInitial, ProfileInitial
     if args.initial == "goe":
         initial = GOEInitial(args.scale)
         if (args.profile is not None
@@ -181,6 +184,7 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def cmd_simulate(args, out) -> Done:
+    from . import montecarlo
     config = _experiment_config(args)
     curves = montecarlo.run_overlap_experiment(config, workers=args.workers)
     paths = [out / f"overlap_i{idx}.csv" for idx in curves]
@@ -209,6 +213,7 @@ def compare_figure(curve, figure: str):
     """Binned empirical curve vs the GOE closed form; returns the comparison
     report dict (pass/fail thresholds from the acceptance protocol). The
     expected peak is the kernel's, at a = lambda + t H_t(lambda)."""
+    from . import laws, montecarlo
     params = FIGURE_PARAMS[figure]
     n, t = params["n"], params["t"]
     binned = montecarlo.bin_overlap_curve(curve, FIGURE_BIN_WINDOW)
@@ -235,6 +240,8 @@ def compare_figure(curve, figure: str):
 
 
 def cmd_reproduce(args, out) -> Done:
+    from . import laws, montecarlo
+    from .montecarlo import ExperimentConfig, GOEInitial
     params = FIGURE_PARAMS[args.figure]
     samples = args.samples or params["samples"]
     config = ExperimentConfig(n=params["n"], t=params["t"], samples=samples,
@@ -271,6 +278,8 @@ def cmd_reproduce(args, out) -> Done:
 
 
 def cmd_subspace(args, out) -> Done:
+    from . import subspace
+    from .montecarlo import ExperimentConfig, GOEInitial
     if args.delta <= 0:
         raise ConfigError("margin --delta must be positive (the prediction "
                           "integral diverges without it)")
@@ -320,6 +329,7 @@ def cmd_stieltjes(args, out) -> Done:
 
 
 def cmd_theta(args, out) -> Done:
+    from . import montecarlo
     z = complex(args.z[0], args.z[1])
     threshold = parse_g(args.g)
     config = _experiment_config(args)
@@ -339,6 +349,7 @@ def cmd_theta(args, out) -> Done:
 
 
 def cmd_cdf(args, out) -> Done:
+    from . import montecarlo
     config = _experiment_config(args)
     est = montecarlo.empirical_cdf(config, args.lam, args.alpha, workers=args.workers)
     limit = stieltjes.cdf_limit(config.initial.profile, args.t, args.lam, args.alpha)
@@ -430,6 +441,7 @@ def _apply_config_file(argv):
     idx = argv.index("--config")
     if idx + 1 == len(argv):
         raise ConfigError("--config needs a file path")
+    import configparser
     path, sub = argv[idx + 1], argv[0]
     cp = configparser.ConfigParser()
     if not cp.read(path):

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGapError, DomainError, OutsideSupportError
-from .matrices import ensure_symmetric
 from .profiles import SemicircleQuantileProfile
 from .stieltjes import (DensityLine, density_and_hilbert, quantile_limit,
                         semicircle_density_line)
@@ -112,6 +111,7 @@ class PerturbationExpansion:
 def perturbation_expansion(spectrum, h1, i: int) -> PerturbationExpansion:
     """First/second order coefficients for eigenpair i (0-based) of
     diag(spectrum) + sqrt(t) h1."""
+    from .matrices import ensure_symmetric  # here, so importing laws skips matrices
     a = np.asarray(spectrum, dtype=float)
     h1 = ensure_symmetric(h1)
     if len(a) != h1.shape[0]:

@@ -133,21 +133,15 @@ def _draw_group(config: ExperimentConfig, ks):
 
 
 def _decompose(a, m, vectors: bool) -> list:
-    """[(a_k, lam_k, V_k)] for a drawn group; V_k is None without vectors.
-    Eigenvectors come from one eigh per sample, eigenvalues alone from one
+    """[(a_k, lam_k, V_k)] for a drawn group: the initial eigenvalues, the
+    eigenvalues of M_t and its eigenvectors in the initial eigenbasis,
+    V_k[j, i] = <psi_i(t)|phi_j>; V_k is None without vectors. Eigenvectors come from one eigh per sample, eigenvalues alone from one
     stacked eigvalsh, which equals per-matrix calls bit for bit."""
     if m is None:
         return [(ak, ak.copy(), np.eye(len(ak)) if vectors else None) for ak in a]
     if vectors:
         return [(ak, *np.linalg.eigh(mk)) for ak, mk in zip(a, m)]
     return [(ak, lam, None) for ak, lam in zip(a, np.linalg.eigvalsh(m))]
-
-
-def _draw_sample(config: ExperimentConfig, k: int):
-    """Eigenvalues a of the initial matrix, eigenvalues lam of M_t and the
-    eigenvector matrix V of M_t in the initial eigenbasis (V[j, i] =
-    <psi_i(t)|phi_j>), for substream k."""
-    return _decompose(*_draw_group(config, [k]), vectors=True)[0]
 
 
 # numpy.linalg keeps the GIL through a call whose output has at most this

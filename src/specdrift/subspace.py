@@ -51,8 +51,8 @@ def select_window(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def overlap_block(a, lam, vecs, window: WindowSpec) -> np.ndarray:
-    """Q x P block <psi_k(t)|phi_j> of one sample as `_draw_sample` returns
-    it (vecs[j, k] = <psi_k(t)|phi_j>), with a_j in the inner window and
+    """Q x P block <psi_k(t)|phi_j> of one sample as `montecarlo._decompose`
+    returns it (vecs[j, k] = <psi_k(t)|phi_j>), with a_j in the inner window and
     lambda_k in the widened window."""
     cols = select_window(a, *window.inner)
     rows = select_window(lam, *window.outer)

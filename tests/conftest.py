@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from specdrift import RngStream, SemicircleQuantileProfile, parse_profile
+from specdrift.montecarlo import _decompose, _draw_group
 
 #: one line per acceptance criterion, echoed in the terminal summary
 ACCEPTANCE_LINES = []
@@ -41,6 +42,14 @@ def linear_profile():
 @pytest.fixture
 def gen():
     return RngStream(master_seed=12345, substream_index=0).generator()
+
+
+def draw_sample(config, k):
+    """Eigenvalues a of the initial matrix, eigenvalues lam of M_t and the
+    eigenvector matrix V of M_t in the initial eigenbasis (V[j, i] =
+    <psi_i(t)|phi_j>) of substream k, drawn and decomposed as the pipeline
+    does."""
+    return _decompose(*_draw_group(config, [k]), vectors=True)[0]
 
 
 def assert_close(a, b, tol, msg=""):

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import record_acceptance
+from conftest import draw_sample, record_acceptance
 from scipy.integrate import quad
 
 from specdrift import (ExperimentConfig, GOEInitial, OverlapAccumulator,
@@ -29,7 +29,7 @@ from specdrift import (ExperimentConfig, GOEInitial, OverlapAccumulator,
                        run_subspace_experiment, solve_fixed_point, solve_grid,
                        theta_limit)
 from specdrift.cli import FIGURE_PARAMS, compare_figure
-from specdrift.montecarlo import _draw_sample, _map_samples, accumulate_overlaps, theta_sample
+from specdrift.montecarlo import _map_samples, accumulate_overlaps, theta_sample
 from specdrift.stieltjes import (semicircle_density, semicircle_density_line,
                                  semicircle_hilbert)
 from specdrift.subspace import determinant_distance
@@ -235,7 +235,7 @@ def test_criterion_9_property_suite(goe_profile):
                               target_indices=(30,), master_seed=FIGURE_SEED + 4)
 
     # per-sample overlap row normalization
-    _a, _lam, vecs = _draw_sample(config, 0)
+    _a, _lam, vecs = draw_sample(config, 0)
     checks["row normalization"] = float(np.max(np.abs((vecs ** 2).sum(axis=0) - 1.0))) <= 1e-10
 
     # Herglotz sign of G across a (lambda, eta) grid
@@ -248,7 +248,7 @@ def test_criterion_9_property_suite(goe_profile):
     # singular values in [0,1] and determinant identity
     block_config = ExperimentConfig(n=100, t=0.05, samples=1, initial=GOEInitial(1.0),
                                     master_seed=1)
-    block = overlap_block(*_draw_sample(block_config, 0), WindowSpec(-1.0, 1.0, 0.3))
+    block = overlap_block(*draw_sample(block_config, 0), WindowSpec(-1.0, 1.0, 0.3))
     s = np.linalg.svd(block, compute_uv=False)
     checks["singular values in [0,1]"] = bool(np.all(s <= 1 + 1e-10) and np.all(s >= 0))
     distance = distance_from_singular_values(s, block.shape[1])

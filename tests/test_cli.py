@@ -342,10 +342,12 @@ class TestMalformedInput:
                 assert not out.exists()
 
     def test_bad_weight_exit2(self, tmp_path):
-        # a NaN threshold would reach the limit's clip as NaN
-        for g in ("indicator:x", "indicator:nan", "step:0"):
+        # a NaN threshold would reach the limit's clip as NaN; an infinite
+        # one would run as g = one or as g = 0
+        for g in ("indicator:x", "indicator:nan", "step:0", "indicator:inf",
+                  "indicator:1e400", "indicator:-inf"):
             rc = main([*PROFILE_COMMANDS["theta"], "--g", g, "--out-dir", str(tmp_path)])
-            assert rc == EXIT_CONFIG
+            assert rc == EXIT_CONFIG, g
 
     def test_bad_eta_exit2(self, tmp_path):
         for eta in ("0.01,x", "0.01,nan", "inf", "0.01,-inf"):
@@ -417,9 +419,19 @@ def run(argv):
         return exc.code
 
 codes = [run(argv) for argv in json.loads(sys.argv[1])]
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"codes": codes, "scipy": loaded}))
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
 """
+
+
+def run_in_fresh_process(argvs):
+    """Exit codes of main(argv) for each argv, run in turn in one new
+    interpreter, and the modules loaded there afterwards."""
+    import specdrift
+    env = dict(os.environ, PYTHONPATH=str(Path(specdrift.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=300, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return result["codes"], set(result["modules"])
 
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -429,23 +441,34 @@ class TestImports:
     def test_no_scipy_loaded(self, tmp_path):
         # scipy is a test-only dependency: no invocation, tabulated (csv:)
         # profiles included, imports it
-        import specdrift
         path = tmp_path / "profile.csv"
         path.write_text("x,a\n0,-1\n0.5,0\n1,1\n")
         out = str(tmp_path)
-        argvs = [["--version"],
-                 ["predict", "--profile", "goe", "--t", "1", "--lambda", "0", "--out-dir", out],
-                 ["reproduce", "fig1", "--samples", "2", "--out-dir", out],
-                 ["predict", "--profile", f"csv:{path}", "--t", "1", "--lambda", "0",
-                  "--out-dir", out],
-                 ["stieltjes", "--profile", f"csv:{path}", "--t", "0.5", "--grid=-1.5:1.5:0.5",
-                  "--out-dir", out]]
-        env = dict(os.environ, PYTHONPATH=str(Path(specdrift.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
-                              env=env, capture_output=True, text=True, timeout=300, check=True)
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert result["codes"] == [0] + [EXIT_OK] * 4
-        assert result["scipy"] == []
+        codes, modules = run_in_fresh_process([
+            ["--version"],
+            ["predict", "--profile", "goe", "--t", "1", "--lambda", "0", "--out-dir", out],
+            ["reproduce", "fig1", "--samples", "2", "--out-dir", out],
+            ["predict", "--profile", f"csv:{path}", "--t", "1", "--lambda", "0",
+             "--out-dir", out],
+            ["stieltjes", "--profile", f"csv:{path}", "--t", "0.5", "--grid=-1.5:1.5:0.5",
+             "--out-dir", out]])
+        assert codes == [0] + [EXIT_OK] * 4
+        assert sorted(m for m in modules if m.split(".")[0] == "scipy") == []
+
+    def test_limit_commands_skip_monte_carlo(self, tmp_path):
+        # predict, stieltjes and --version load no module they never call:
+        # each subcommand imports its compute modules itself
+        out = str(tmp_path)
+        codes, modules = run_in_fresh_process([
+            ["--version"],
+            ["predict", "--profile", "linear:-1,1", "--t", "0.5", "--index", "100",
+             "--n", "400", "--out-dir", out],
+            ["stieltjes", "--profile", "goe", "--t", "1", "--grid=-1:1:0.5", "--out-dir", out]])
+        assert codes == [0, EXIT_OK, EXIT_OK]
+        assert "specdrift.stieltjes" in modules
+        skipped = {"specdrift.montecarlo", "specdrift.subspace", "specdrift.matrices",
+                   "concurrent.futures", "configparser"}
+        assert modules & skipped == set()
 
     def test_blas_threads_pinned_before_numpy(self):
         # `import specdrift` loads no numpy, so specdrift.cli can still pin

@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import draw_sample
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,7 @@ from specdrift import (ConfigError, DomainError, ExperimentConfig, GOEInitial,
                        WindowSpec, parse_profile, run_overlap_experiment,
                        run_subspace_experiment, solve_fixed_point)
 from specdrift import montecarlo
-from specdrift.montecarlo import (OverlapCurve, _band_smoother, _draw_sample, _map_samples,
+from specdrift.montecarlo import (OverlapCurve, _band_smoother, _map_samples,
                                   accumulate_overlaps,
                                   curves_from_accumulator, theta_sample,
                                   theta_sample_resolvent)
@@ -77,28 +78,28 @@ class TestGOEInitial:
 class TestDrawSample:
     def test_row_sums(self):
         config = small_config()
-        _a, _lam, vecs = _draw_sample(config, 0)
+        _a, _lam, vecs = draw_sample(config, 0)
         sq = vecs ** 2
         assert np.max(np.abs(sq.sum(axis=0) - 1.0)) <= 1e-10
         assert np.max(np.abs(sq.sum(axis=1) - 1.0)) <= 1e-10
 
     def test_determinism(self):
         config = small_config()
-        a1, l1, v1 = _draw_sample(config, 3)
-        a2, l2, v2 = _draw_sample(config, 3)
+        a1, l1, v1 = draw_sample(config, 3)
+        a2, l2, v2 = draw_sample(config, 3)
         assert np.array_equal(a1, a2) and np.array_equal(l1, l2) and np.array_equal(v1, v2)
 
     def test_t0_identity(self):
         config = small_config(t=0.0)
-        _a, lam, vecs = _draw_sample(config, 0)
+        _a, lam, vecs = draw_sample(config, 0)
         assert np.array_equal(vecs, np.eye(config.n))
 
     def test_profile_initial_deterministic_diagonal(self, linear_profile):
         config = small_config(initial=ProfileInitial(linear_profile))
-        a, _lam, _vecs = _draw_sample(config, 0)
+        a, _lam, _vecs = draw_sample(config, 0)
         assert np.allclose(a, (np.arange(1, 41) - 0.5) / 40)
         # evaluated once per n, shared read-only, bit-identical to eval
-        a1, _lam, _vecs = _draw_sample(config, 1)
+        a1, _lam, _vecs = draw_sample(config, 1)
         assert a1 is a and not a.flags.writeable
         assert np.array_equal(a, linear_profile.eval((np.arange(1, 41) - 0.5) / 40))
 
@@ -347,7 +348,7 @@ class TestBinning:
 class TestTheta:
     def test_g_one_is_empirical_stieltjes(self):
         config = small_config(samples=1)
-        a, lam, vecs = _draw_sample(config, 0)
+        a, lam, vecs = draw_sample(config, 0)
         z = 0.3 + 0.2j
         direct = np.mean(1.0 / (lam - z))
         assert abs(theta_sample(a, lam, vecs, z, math.inf) - direct) <= 1e-12
@@ -359,7 +360,7 @@ class TestTheta:
         # on the same draws agrees to rounding
         config = small_config(initial=initial)
         z = 0.3 + 0.2j
-        routes = [theta_sample(*_draw_sample(config, k), z, math.inf)
+        routes = [theta_sample(*draw_sample(config, k), z, math.inf)
                   for k in range(config.samples)]
         monkeypatch.setattr(np.linalg, "eigh", None)
         est = estimate_theta(config, z, math.inf)
@@ -369,7 +370,7 @@ class TestTheta:
 
     def test_two_routes_agree(self):
         config = small_config(samples=1)
-        gen_a, lam, vecs = _draw_sample(config, 0)
+        gen_a, lam, vecs = draw_sample(config, 0)
         m_t = (vecs * lam) @ vecs.T
         z = -0.5 + 0.1j
         v1 = theta_sample(gen_a, lam, vecs, z, 0.0)
@@ -429,7 +430,7 @@ class TestResolventDiagonal:
         z = 0.5 + 0.05j
         rows = []
         for k in range(config.samples):
-            _a, lam, vecs = _draw_sample(config, k)
+            _a, lam, vecs = draw_sample(config, k)
             rows.append(vecs ** 2 @ (1.0 / (lam - z)))
         rows = np.array(rows)
         vals = rows.mean(axis=0)
@@ -449,7 +450,7 @@ class TestProperties:
     @settings(max_examples=10, deadline=None)
     def test_row_sums_any_seed(self, seed):
         config = small_config(n=20, samples=1, master_seed=seed, target_indices=(10,))
-        _a, _lam, vecs = _draw_sample(config, 0)
+        _a, _lam, vecs = draw_sample(config, 0)
         assert np.max(np.abs((vecs ** 2).sum(axis=0) - 1.0)) <= 1e-10
 
     def test_binning_mass_any_window(self):

@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import draw_sample
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
@@ -13,7 +14,7 @@ from scipy.optimize import brentq
 from specdrift import (DomainError, EmptyWindowError, ExperimentConfig, GOEInitial,
                        WindowSpec, distance_from_singular_values, gram_entry_predictions,
                        overlap_block, predicted_distance, run_subspace_experiment)
-from specdrift.montecarlo import _draw_sample, _map_samples
+from specdrift.montecarlo import _map_samples
 from specdrift.profiles import SemicircleQuantileProfile, TabulatedProfile
 from specdrift.subspace import determinant_distance, escape_rate, select_window
 
@@ -22,7 +23,7 @@ def _sample(n=80, t=0.05, seed=12345):
     """(a, lam, vecs) of one draw from a unit GOE start."""
     config = ExperimentConfig(n=n, t=t, samples=1, initial=GOEInitial(1.0),
                               master_seed=seed)
-    return _draw_sample(config, 0)
+    return draw_sample(config, 0)
 
 
 def _distance(block):
@@ -293,7 +294,7 @@ class TestExperiment:
         w = WindowSpec(-1.0, 1.0, 0.3)
         config = ExperimentConfig(n=80, t=t, samples=samples, initial=GOEInitial(1.0),
                                   master_seed=11)
-        blocks = [overlap_block(*_draw_sample(config, k), w) for k in range(samples)]
+        blocks = [overlap_block(*draw_sample(config, k), w) for k in range(samples)]
         serial = np.array([_distance(b) for b in blocks])
         for workers in (1, 2, 3):
             r = run_subspace_experiment(config, w, workers=workers)
