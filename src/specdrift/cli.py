@@ -8,6 +8,7 @@ comparison failure, 5 solver failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -481,7 +482,15 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    """Run the subcommand that argv names; returns its exit code. With no
+    argv the run is the process's own (the command line): the heap that
+    start-up built lives until exit, so it is frozen, and the cyclic
+    collector traverses it no more, during the run or at exit. A library
+    call freezes nothing."""
+    if argv is None:
+        gc.freeze()
+        argv = sys.argv[1:]
+    argv = list(argv)
     try:
         if argv and not argv[0].startswith("-"):
             argv = _apply_config_file(argv)

@@ -13,7 +13,7 @@ import math
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -36,6 +36,33 @@ def _bisect(f, lo, hi):
         below = f(mid) < 0
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def _legendre(n, x):
+    """(P_n(x), P_n'(x)) by the three-term recurrence, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(n):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], read-only. The
+    nodes are the eigenvalues of the Jacobi matrix of the Legendre recurrence,
+    off-diagonal k/sqrt(4k^2 - 1) (Golub & Welsch, Math. Comp. 23:221, 1969),
+    polished by two Newton steps on P_n; the weights are
+    2/((1 - x^2) P_n'(x)^2). Both are made exactly symmetric about 0."""
+    k = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    for _ in range(2):
+        p, dp = _legendre(n, x)
+        x = x - p / dp
+    _, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x, w = (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def semicircle_angle(x):
@@ -72,7 +99,7 @@ class ChartRule:
     def build(cls, edges, S, W, U, pieces=1):
         """RULE_ORDER-point Gauss-Legendre panels between consecutive
         `edges`, split evenly into `pieces` pieces."""
-        x, w = np.polynomial.legendre.leggauss(RULE_ORDER)
+        x, w = gauss_legendre(RULE_ORDER)
         edges = np.asarray(edges, dtype=float)
         half = np.diff(edges)[:, None] / 2.0
         u = ((edges[:-1, None] + edges[1:, None]) / 2.0 + half * x).reshape(pieces, -1)
@@ -362,9 +389,10 @@ class TabulatedProfile(SpectralProfile):
         w = np.asarray(w, dtype=complex)[:, None]
         x, a = self._x, self._a
         last = len(x) - 2
-        xr = np.interp(w.real, a, x)
-        xr = np.where(w.real > a[-1], 1.0 + (w.real - a[-1]) / self._end_slopes[1], xr)
-        xr = np.where(w.real < a[0], (w.real - a[0]) / self._end_slopes[0], xr)
+        with np.errstate(all="ignore"):  # a zero end slope starts at +-inf: rejected below
+            xr = np.interp(w.real, a, x)
+            xr = np.where(w.real > a[-1], 1.0 + (w.real - a[-1]) / self._end_slopes[1], xr)
+            xr = np.where(w.real < a[0], (w.real - a[0]) / self._end_slopes[0], xr)
         piece = np.clip(np.searchsorted(x, xr, side="right") - 1, 0, last) + np.arange(-1, 2)
         valid = (piece >= 0) & (piece <= last)
         k = np.clip(piece, 0, last)

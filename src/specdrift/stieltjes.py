@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, EdgeError
-from .profiles import SpectralProfile, semicircle_angle
+from .profiles import SpectralProfile, gauss_legendre, semicircle_angle
 
 #: Default eta offsets of the off-axis rows of the stieltjes CSV.
 DEFAULT_ETA_SCHEDULE = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
@@ -49,15 +49,16 @@ MAX_ITER = 200
 HALVINGS = 6
 #: Points per vectorized block: bounds the (points x nodes) temporaries.
 BLOCK = 64
-#: Edge search: grid points per bracketing round, and the smallest distance
-#: (relative to the initial support) from the initial edge it considers.
-EDGE_GRID = 33
+#: Edge search: grid points per end and bracketing round (both ends make one
+#: block), and the smallest distance (relative to the initial support) from
+#: the initial edge it considers.
+EDGE_GRID = BLOCK // 2
 EDGE_MIN = 1e-14
 
 #: cdf_limit: spacing of the outer xi Gauss rule. quantile_limit: nodes of
-#: the rule that integrates rho_t.
+#: the rule that integrates rho_t (with the point it solves at, one block).
 CDF_XI_SPACING = 0.02
-QUANTILE_NODES = 64
+QUANTILE_NODES = BLOCK - 1
 
 
 @dataclass
@@ -128,12 +129,6 @@ def _rule_below(profile: SpectralProfile, threshold: float):
 
 # ---------------------------------------------------------------------------
 # fixed point
-
-
-def fixed_point_residual(profile: SpectralProfile, t: float, z: complex, m: complex) -> float:
-    """|F(m) - m| for the self-consistency map F(m) = G0(z + t m)."""
-    val, _ = _resolvent_moments(profile, complex(z) + t * complex(m))
-    return float(abs(val[0] - m))
 
 
 def _solve(profile, t, z, m, tol, max_iter):
@@ -208,26 +203,35 @@ def _edges(profile: SpectralProfile, t: float):
 
     Beyond the initial support t G0'(x) falls from +inf to 0 and is at most
     t/(x - end)^2, so the root of t G0'(x) = 1 lies within sqrt(t) of the
-    end. It is bracketed on a log grid and the bracket zoomed to rounding.
-    lam = x - t G0(x) is stationary in x there.
+    end. It is bracketed on a log grid and the bracket zoomed to rounding,
+    at both ends at once: one moments call per round. lam = x - t G0(x) is
+    stationary in x there.
     """
     lo0, hi0 = profile.support
-    edges = []
-    for side, end in ((-1, lo0), (1, hi0)):
-        delta = np.geomspace(EDGE_MIN * max(1.0, abs(end), hi0 - lo0), math.sqrt(t), EDGE_GRID)
-        for _ in range(MAX_ITER):
-            excess = t * _resolvent_moments(profile, end + side * delta)[1].real - 1.0
-            k = int(np.argmax(~(excess > 0)))
-            if excess[k] > 0 or k == 0:  # no sign change: the edge sits at a grid end
-                a = b = delta[-1] if excess[k] > 0 else delta[0]
-                break
-            a, b = delta[k - 1], delta[k]
-            if b - a <= 4.0 * np.spacing(abs(end) + b):
-                break
-            delta = np.linspace(a, b, EDGE_GRID)
-        x = end + side * 0.5 * (a + b)
-        edges.append((x, x - t * _resolvent_moments(profile, x)[0][0].real))
-    return tuple(edges)
+    ends, sides = np.array([lo0, hi0]), np.array([-1.0, 1.0])
+    delta = np.array([np.geomspace(EDGE_MIN * max(1.0, abs(end), hi0 - lo0), math.sqrt(t),
+                                   EDGE_GRID) for end in ends])
+    bracket = np.empty((2, 2))
+    active = [0, 1]
+    for _ in range(MAX_ITER):
+        if not active:
+            break
+        w = ends[active, None] + sides[active, None] * delta[active]
+        excess = t * _resolvent_moments(profile, w.ravel())[1].real.reshape(w.shape) - 1.0
+        zoom = []
+        for i, ex in zip(active, excess):
+            k = int(np.argmax(~(ex > 0)))
+            if ex[k] > 0 or k == 0:  # no sign change: the edge sits at a grid end
+                bracket[i] = delta[i, -1] if ex[k] > 0 else delta[i, 0]
+                continue
+            a, b = bracket[i] = delta[i, k - 1], delta[i, k]
+            if b - a > 4.0 * np.spacing(abs(ends[i]) + b):
+                delta[i] = np.linspace(a, b, EDGE_GRID)
+                zoom.append(i)
+        active = zoom
+    x = ends + sides * 0.5 * (bracket[:, 0] + bracket[:, 1])
+    lam = x - t * _resolvent_moments(profile, x)[0].real
+    return (float(x[0]), float(lam[0])), (float(x[1]), float(lam[1]))
 
 
 def support_bounds(profile: SpectralProfile, t: float) -> tuple[float, float]:
@@ -242,7 +246,9 @@ def _outside(profile, t, lams, x_edge, upper, tol):
     """Real m = G_t(lam) beyond the support. lam -> w = lam + t m is
     inverted by Newton from w = lam: w - t G0(w) is increasing and convex
     above the upper edge (concave below the lower), so the iterates move
-    monotonically onto the root, and they are clamped at the edge x."""
+    monotonically onto the root, and they are clamped at the edge x. Every
+    point has its own edge x_edge and side (upper), so both sides take one
+    Newton."""
     m = np.zeros(len(lams))
     bound = (x_edge - lams) / t
     F, dF = _resolvent_moments(profile, lams + t * m)
@@ -272,15 +278,16 @@ def boundary_values(profile: SpectralProfile, t: float, lams, tol: float = DEFAU
     lams = np.asarray(lams, dtype=float)
     (x_lo, lam_lo), (x_hi, lam_hi) = _edges(profile, t)
     inside = (lams > lam_lo) & (lams < lam_hi)
+    upper = lams >= lam_hi
+    outside = (lams <= lam_lo) | upper
     m = np.empty(len(lams), dtype=complex)
     res = np.zeros(len(lams))
     if inside.any():
         m[inside], res[inside] = _solve(profile, t, lams[inside] + 0j, None, tol, MAX_ITER)
-    for side in (lams <= lam_lo, lams >= lam_hi):
-        if side.any():
-            upper = lams[side][0] >= lam_hi
-            m[side], res[side] = _outside(profile, t, lams[side], x_hi if upper else x_lo,
-                                          upper, tol)
+    if outside.any():
+        upper = upper[outside]
+        m[outside], res[outside] = _outside(profile, t, lams[outside],
+                                            np.where(upper, x_hi, x_lo), upper, tol)
     return m, res
 
 
@@ -323,9 +330,6 @@ class StieltjesSolution:
     rho: np.ndarray
     hilbert: np.ndarray
     residual: np.ndarray  # self-consistency residuals of every solved point
-
-    def max_residual(self) -> float:
-        return float(self.residual.max(initial=0.0))
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -383,7 +387,7 @@ def _sine_rule(lower: float, upper: float, v: float, n: int):
     """n-point Gauss rule (xi, weights) for int f d xi from lower to xi(v) in
     the sine chart xi(u) = lower + (upper - lower) sin^2(u), 0 <= u <= pi/2,
     of the support, in which the square-root edges of rho_t are smooth."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = gauss_legendre(n)
     u = (nodes + 1.0) * (v / 2.0)
     span = upper - lower
     return lower + span * np.sin(u) ** 2, (v / 2.0) * span * weights * np.sin(2.0 * u)

@@ -210,6 +210,20 @@ class TestStieltjes:
         for r in rows:
             assert float(r[4]) == pytest.approx(1.0, abs=1e-4)
 
+    def test_zero_end_slope_quiet(self, tmp_path):
+        # PCHIP sets the lower end slope of these knots to 0: the chart
+        # poles' start beyond that end is infinite, rejected without a warning
+        import specdrift
+        path = tmp_path / "flat_end.csv"
+        path.write_text("x,a\n0,0\n0.5,0.1\n1,1\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(specdrift.__file__).parents[1]))
+        for argv in (["stieltjes", "--t", "0.5", "--grid=-1:2:0.5"],
+                     ["predict", "--t", "0.5", "--index", "100", "--n", "400"]):
+            proc = subprocess.run([sys.executable, "-m", "specdrift.cli", *argv,
+                                   "--profile", f"csv:{path}", "--out-dir", str(tmp_path)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), argv
+
 
 class TestSubspaceCmd:
     def test_delta_zero_refused(self, tmp_path):
@@ -467,8 +481,29 @@ class TestImports:
         assert codes == [0, EXIT_OK, EXIT_OK]
         assert "specdrift.stieltjes" in modules
         skipped = {"specdrift.montecarlo", "specdrift.subspace", "specdrift.matrices",
-                   "concurrent.futures", "configparser"}
+                   "concurrent.futures", "configparser", "numpy.polynomial"}
         assert modules & skipped == set()
+
+    def test_program_run_freezes_start_up_heap(self, tmp_path):
+        # main() on the process's own command line freezes the heap built so
+        # far out of the cyclic collector; a library call main([...]) does not
+        import specdrift
+        probe = ("import gc, json, sys\n"
+                 "from specdrift.cli import main\n"
+                 "argv = ['stieltjes', '--t', '1', '--grid=0:0:1', '--out-dir', sys.argv[1]]\n"
+                 "counts = [gc.get_freeze_count()]\n"
+                 "codes = [main(argv)]\n"
+                 "counts.append(gc.get_freeze_count())\n"
+                 "sys.argv[1:] = argv\n"
+                 "codes.append(main())\n"
+                 "counts.append(gc.get_freeze_count())\n"
+                 "print(json.dumps([codes, counts]))")
+        env = dict(os.environ, PYTHONPATH=str(Path(specdrift.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        codes, (start, library, program) = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert codes == [EXIT_OK, EXIT_OK]
+        assert library == start and program > start
 
     def test_blas_threads_pinned_before_numpy(self):
         # `import specdrift` loads no numpy, so specdrift.cli can still pin

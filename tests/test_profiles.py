@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from specdrift import (ConfigError, DomainError, EdgeError, InvalidProfileError,
                        SemicircleQuantileProfile, TabulatedProfile, parse_profile)
+from specdrift.profiles import gauss_legendre
 
 
 def assert_valid_profile(p):
@@ -23,6 +24,55 @@ def assert_valid_profile(p):
     fd = (np.asarray(p.eval(interior + h)) - np.asarray(p.eval(interior - h))) / (2 * h)
     deriv = np.asarray(p.derivative(interior))
     assert np.max(np.abs(deriv - fd) / np.maximum(np.abs(deriv), 1e-30)) <= 1e-5
+
+
+class TestGaussLegendre:
+    @staticmethod
+    def _mpmath_rule(x):
+        """Nodes and weights at 40 digits: three Newton steps on P_n from x."""
+        n = len(x)
+        with mp.workdps(40):
+            def legendre(t):
+                p0, p1 = mp.mpf(1), t
+                for k in range(1, n):
+                    p0, p1 = p1, ((2 * k + 1) * t * p1 - k * p0) / (k + 1)
+                return p1, n * (t * p1 - p0) / (t * t - 1)
+
+            nodes, weights = [], []
+            for start in x:
+                t = mp.mpf(float(start))
+                for _ in range(3):
+                    p, dp = legendre(t)
+                    t -= p / dp
+                _, dp = legendre(t)
+                nodes.append(t)
+                weights.append(2 / ((1 - t * t) * dp * dp))
+            return nodes, weights
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 48, 64, 200])
+    def test_against_mpmath(self, n):
+        x, w = gauss_legendre(n)
+        nodes, weights = self._mpmath_rule(x)
+        assert max(abs(float(a - b)) for a, b in zip(x, nodes)) <= 2e-16
+        assert max(abs(float((a - b) / b)) for a, b in zip(w, weights)) <= 2e-13
+        assert abs(w.sum() - 2.0) <= 1e-14
+        assert np.all(x == -x[::-1]) and np.all(w == w[::-1])
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 48, 63, 64])
+    def test_against_leggauss(self, n):
+        # numpy's own rule, within its weights' error (1.3e-12 at n = 64,
+        # 2.2e-11 at n = 200); the program never imports numpy.polynomial
+        from numpy.polynomial.legendre import leggauss
+        x, w = gauss_legendre(n)
+        nodes, weights = leggauss(n)
+        assert np.max(np.abs(x - nodes)) <= 2e-12
+        assert np.max(np.abs(w - weights) / weights) <= 2e-12
+
+    def test_cached_read_only(self):
+        x, w = gauss_legendre(12)
+        assert gauss_legendre(12)[0] is x
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
 
 class TestLinearProfile:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,9 +12,28 @@ from specdrift import (ConvergenceError, DomainError, EdgeError, SemicircleQuant
                        semicircle_density,
                        semicircle_hilbert, semicircle_stieltjes, solve_fixed_point,
                        solve_grid, support_bounds, theta_limit)
+from specdrift import stieltjes
 from specdrift.profiles import ChartRule
-from specdrift.stieltjes import (BLOCK, DEFAULT_TOL, _initial_line, _resolvent_moments,
-                                 boundary_values, fixed_point_residual)
+from specdrift.stieltjes import (BLOCK, DEFAULT_TOL, EDGE_MIN, _initial_line,
+                                 _resolvent_moments, boundary_values)
+
+
+def fixed_point_residual(profile, t, z, m):
+    """|F(m) - m| for the self-consistency map F(m) = G0(z + t m)."""
+    val, _ = _resolvent_moments(profile, complex(z) + t * complex(m))
+    return float(abs(val[0] - m))
+
+
+def sine_profile(knots=33, seed=20260823):
+    """The tabulated profile of the benchmark's limit-solver workload:
+    a(x) = 2x - 1 + A sin(2 pi x) on `knots` knots, A in [0.1, 0.2) drawn
+    from the seed, the upper half the exact mirror of the lower."""
+    amplitude = 0.1 + 0.1 * random.Random(seed).random()
+    last = knots - 1
+    lower = [2.0 * (k / last) - 1.0 + amplitude * math.sin(2.0 * math.pi * (k / last))
+             for k in range(last // 2)]
+    a = lower + [0.0] * (knots - 2 * len(lower)) + [-v for v in reversed(lower)]
+    return TabulatedProfile([k / last for k in range(knots)], a)
 
 
 def semicircle_oracle(z):
@@ -275,7 +295,7 @@ class TestSolveGrid:
     def test_residuals_and_extrapolation(self, goe_profile):
         grid = np.linspace(-2.0, 2.0, 9)
         sol = solve_grid(goe_profile, 1.0, grid)
-        assert sol.max_residual() <= 1e-10
+        assert sol.residual.max() <= 1e-10
         for j, lam in enumerate(grid):
             assert sol.rho[j] == pytest.approx(semicircle_density(1.0, lam), abs=1e-8)
         # Herglotz at every stored point
@@ -305,6 +325,22 @@ class TestSolveGrid:
         sol.to_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "lambda,eta,reG,imG,rho,hilbert"
+
+    @pytest.mark.parametrize("profile", [
+        SemicircleQuantileProfile(), parse_profile("linear:-1,1"), sine_profile(),
+    ], ids=["goe", "linear", "benchmark-33"])
+    def test_outer_line_both_sides(self, profile):
+        # the points beyond both edges take one real Newton together; each
+        # side's m is the one a grid on that side alone gets
+        t = 0.5
+        lo, hi = support_bounds(profile, t)
+        below, above = np.linspace(lo - 2.0, lo, 6), np.linspace(hi, hi + 2.0, 6)
+        both = solve_grid(profile, t, np.concatenate([below, above]))
+        apart = [solve_grid(profile, t, side) for side in (below, above)]
+        assert np.all(both.rho == 0.0)
+        for got, want in ((both.hilbert, np.concatenate([s.hilbert for s in apart])),
+                          (both.values, np.concatenate([s.values for s in apart], axis=1))):
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
     def test_density_normalized(self, goe_profile):
         lo, hi = support_bounds(goe_profile, 1.0)
@@ -341,6 +377,37 @@ class TestSupportBounds:
         lo, hi = support_bounds(profile, t)
         assert abs(hi - edge) <= 1e-9
         assert abs(lo + edge) <= 1e-9
+
+    @pytest.mark.parametrize("profile", [
+        SemicircleQuantileProfile(), parse_profile("linear:-1,1"), sine_profile(),
+    ], ids=["goe", "linear", "benchmark-33"])
+    def test_both_ends_one_call_per_round(self, profile, monkeypatch):
+        # both ends are bracketed in one moments call per zoom round, each
+        # call one block, and one more call takes lam at both edges
+        moments, sizes = stieltjes._resolvent_moments, []
+
+        def counted(profile, w, rule=None):
+            sizes.append(np.size(w))
+            return moments(profile, w, rule)
+
+        monkeypatch.setattr(stieltjes, "_resolvent_moments", counted)
+        for t in (1e-8, 1e-4, 0.5, 4.0):
+            sizes.clear()
+            stieltjes._edges.__wrapped__(profile, t)  # past the per-(profile, t) cache
+            assert 0 < len(sizes) <= 13, t
+            assert max(sizes) <= BLOCK and sizes[-1] == 2
+
+    @pytest.mark.parametrize("t,floor", [(1e-8, 4.0 * EDGE_MIN), (1e-4, 0.0), (0.5, 0.0),
+                                         (4.0, 0.0)])
+    def test_semicircle_edges(self, goe_profile, t, floor):
+        # t G0'(x) = 1 at x = (2 + t)/sqrt(1 + t), where lam = 2 sqrt(1 + t).
+        # At t = 1e-8, x - 2 = t^2/4 is nearer the initial edge than the
+        # search's first point, EDGE_MIN times the support width 4: the edge
+        # is taken there, and lam (slope below 1 in x) is off by at most that
+        (x_lo, lam_lo), (x_hi, lam_hi) = stieltjes._edges(goe_profile, t)
+        x, lam = (2.0 + t) / math.sqrt(1.0 + t), 2.0 * math.sqrt(1.0 + t)
+        for got, want in ((x_hi, x), (-x_lo, x), (lam_hi, lam), (-lam_lo, lam)):
+            assert abs(got - want) <= floor + 1e-14 * want
 
     @pytest.mark.parametrize("profile", [
         parse_profile("linear:-1,1"), SemicircleQuantileProfile(),
