@@ -30,7 +30,7 @@ _EXPORTS = {
                  "parse_profile"),
     "stieltjes": ("DensityLine", "StieltjesSolution", "cdf_limit", "density_and_hilbert",
                   "semicircle_density", "semicircle_hilbert", "semicircle_stieltjes",
-                  "solve_fixed_point", "solve_grid", "support_bounds", "theta_limit"),
+                  "solve_fixed_point", "solve_grid", "theta_limit"),
     "subspace": ("WindowSpec", "distance_from_singular_values", "gram_entry_predictions",
                  "overlap_block", "predicted_distance", "run_subspace_experiment"),
 }

@@ -25,8 +25,10 @@ EDGE_MARGIN = 1e-6
 
 #: Gauss-Legendre order of every panel of a chart rule.
 RULE_ORDER = 12
-#: Newton steps that polish a pole on a tabulated profile's cubic piece.
+#: Newton steps that polish a pole on a tabulated profile's cubic piece, at most.
 TABULATED_NEWTON = 8
+#: (point, piece) pairs a tabulated profile's pole screen tests at once.
+NEAR_CELLS = 1 << 13
 
 
 def _bisect(f, lo, hi):
@@ -182,6 +184,11 @@ class SpectralProfile(ABC):
         W/(S - w)^2 = a2/(u - u_j)^2 + b1/(u - u_j) + regular.
         """
         raise NotImplementedError
+
+    def chart_near(self, w):
+        """For complex w of shape (B,): False where chart_poles can return no
+        valid piece, True where it may. Here always True."""
+        return np.ones(len(w), dtype=bool)
 
     def chart_gap(self, piece, u, u0):
         """S(u) - S(u0) on the given pieces, computed without cancellation
@@ -382,10 +389,47 @@ class TabulatedProfile(SpectralProfile):
         return ChartRule.build(edges, self._interp, lambda u: 1.0, self.inverse,
                                pieces=len(self._x) - 1)
 
+    @cached_property
+    def _pole_disks(self):
+        # chart_poles accepts a root u of piece k only within 2 widths h of
+        # the piece's middle, |u - mid| <= 2h, so P(u) - P(mid) is at most
+        # |P'| 2h + |P''/2| (2h)^2 + |c3| (2h)^3, P's Taylor terms at mid, and
+        # only with |P(u) - w| <= 1e-13 (1 + |w|). The slack, 1e-12 (1 + the
+        # cubic's terms at |u - x_k| = 2.5h), holds that residual and the
+        # rounding of every cubic evaluated there.
+        c3, c2, c1, c0 = self._interp.c
+        h = np.diff(self._x)
+        m, r, g = h / 2.0, 2.0 * h, 2.5 * h
+        centre = ((c3 * m + c2) * m + c1) * m + c0
+        radius = (np.abs((3.0 * c3 * m + 2.0 * c2) * m + c1) * r
+                  + np.abs(3.0 * c3 * m + c2) * r * r + np.abs(c3) * r ** 3)
+        slack = 1e-12 * (1.0 + np.abs(c0) + np.abs(c1) * g + np.abs(c2) * g * g
+                         + np.abs(c3) * g ** 3)
+        return centre, radius + slack
+
+    def chart_near(self, w):
+        # True where w lies in some piece's disk, NEAR_CELLS (point, piece)
+        # pairs at a time
+        centre, radius = self._pole_disks
+        w = np.asarray(w, dtype=complex)[:, None]
+        near = np.empty(len(w), dtype=bool)
+        step = max(1, NEAR_CELLS // len(centre))
+        for b in range(0, len(w), step):
+            np.any(np.abs(w[b:b + step] - centre) <= radius, axis=1, out=near[b:b + step])
+        return near
+
+    @cached_property
+    def _complex_pieces(self):
+        # chart_poles' cubic coefficients, derivative coefficients and knots,
+        # cast once: numpy would cast them to complex at every Newton step
+        return np.concatenate([self._interp.c, self._interp._dc, self._x[None, :-1]]).astype(complex)
+
     def chart_poles(self, w):
         # Each cubic piece continues to its own analytic function with its
         # own root near the pole, so the root is Newton-polished on the
-        # piece that holds Re(w) and on its two neighbours.
+        # piece that holds Re(w) and on its two neighbours, until a step
+        # leaves every root unchanged bit for bit: a fixed point of the map,
+        # on which the TABULATED_NEWTON steps would end too.
         w = np.asarray(w, dtype=complex)[:, None]
         x, a = self._x, self._a
         last = len(x) - 2
@@ -396,21 +440,23 @@ class TabulatedProfile(SpectralProfile):
         piece = np.clip(np.searchsorted(x, xr, side="right") - 1, 0, last) + np.arange(-1, 2)
         valid = (piece >= 0) & (piece <= last)
         k = np.clip(piece, 0, last)
-        c3, c2, c1, c0 = self._interp.c[:, k]
-        d2, d1, d0 = self._interp._dc[:, k]  # 3 c3, 2 c2, c1
-        base = x[k]
+        # d2, d1, d0 = 3 c3, 2 c2, c1; take, unlike [:, k], leaves each contiguous
+        c3, c2, c1, c0, d2, d1, d0, base = np.take(self._complex_pieces, k, axis=1)
         u = xr + 0j
         with np.errstate(all="ignore"):
             for _ in range(TABULATED_NEWTON):
                 d = u - base
-                u = u - ((((c3 * d + c2) * d + c1) * d + c0) - w) / ((d2 * d + d1) * d + d0)
+                step = u - ((((c3 * d + c2) * d + c1) * d + c0) - w) / ((d2 * d + d1) * d + d0)
+                if step.tobytes() == u.tobytes():
+                    break
+                u = step
             # roots of adjacent pieces that only rounding tells apart (w on or
             # by a knot) are made one, so their logs at the shared knot cancel
             gap = np.abs((u - u[:, 1:2]) * ((d2 * d + d1) * d + d0))  # in s
             u = np.where(gap <= 1e-13 * (1.0 + np.abs(w)), u[:, 1:2], u)
             d = u - base
             miss = np.abs(((c3 * d + c2) * d + c1) * d + c0 - w)
-            width = x[k + 1] - base
+            width = x[k + 1] - x[k]
             ok = (valid & np.isfinite(u) & (miss <= 1e-13 * (1.0 + np.abs(w)))
                   & (np.abs(d - width / 2) <= 2.0 * width))
             c = 1.0 / ((d2 * d + d1) * d + d0)

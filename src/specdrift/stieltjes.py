@@ -49,6 +49,8 @@ MAX_ITER = 200
 HALVINGS = 6
 #: Points per vectorized block: bounds the (points x nodes) temporaries.
 BLOCK = 64
+#: Points near a pole whose pole pieces are summed at once (_pole_sums).
+POLE_BLOCK = 4 * BLOCK
 #: Edge search: grid points per end and bracketing round (both ends make one
 #: block), and the smallest distance (relative to the initial support) from
 #: the initial edge it considers.
@@ -78,46 +80,76 @@ class DensityLine:
 # quadrature
 
 
+def _pole_sums(profile: SpectralProfile, rule, w):
+    """The pole pieces of the moments at every entry of w: the pieces that
+    hold a pole (profile.chart_poles, -1 for none), and per point the sum of
+    their terms in the value and in its w-derivative.
+
+    On those pieces S(u) - w is taken from profile.chart_gap, which has no
+    cancellation near the roots, and the poles are subtracted node by node,
+    in the value and in its w-derivative, and added back integrated in
+    closed form."""
+    piece, u0, c, a2, b1 = profile.chart_poles(w)
+    has = piece >= 0
+    p = np.where(has, piece, 0)
+    uu, wt = rule.u[p], rule.wt[p]
+    inv = 1.0 / profile.chart_gap(p, uu, u0[..., :1])
+    r = rule.ws[p] * inv
+    e = 1.0 / (uu[..., None, :] - u0[..., None])
+    q1 = (wt[..., None, :] * e).sum(axis=-1)
+    q2 = (wt[..., None, :] * e * e).sum(axis=-1)
+    lo, hi = rule.lo[p][..., None] - u0, rule.hi[p][..., None] - u0
+    # a real w can put a root exactly on a piece end (a tabulated knot, the
+    # semicircle's edge), where the real parts of the divergent logs cancel
+    l1 = np.log(np.where(hi == 0, 1.0, hi)) - np.log(np.where(lo == 0, 1.0, lo))
+    v = r.sum(axis=-1) + (c * (l1 - q1)).sum(axis=-1)
+    d = (r * inv).sum(axis=-1) + (a2 * (1.0 / lo - 1.0 / hi - q2) + b1 * (l1 - q1)).sum(axis=-1)
+    return piece, np.where(has, v, 0.0).sum(axis=1), np.where(has, d, 0.0).sum(axis=1)
+
+
 def _resolvent_moments(profile: SpectralProfile, w, rule=None):
     """(int rho0(s)/(s-w) ds, int rho0(s)/(s-w)^2 ds) for every entry of w,
     over the chart rule `rule` (the profile's whole rule, or a clip of it).
 
-    Sums the rule over a block of w at once, in one pass over every piece
-    but those that hold a pole of W(u)/(S(u) - w) (profile.chart_poles). On
-    those S(u) - w is taken from profile.chart_gap, which has no cancellation
-    near the roots, and the poles are subtracted node by node, in the value
-    and in its w-derivative, and added back integrated in closed form.
+    The pieces of the rule that hold a pole of W(u)/(S(u) - w) are summed
+    by _pole_sums, only for the points the profile's screen
+    (profile.chart_near) cannot rule out, and for all of them at once (up to
+    POLE_BLOCK points); the other points have no pole piece. Every other
+    piece is summed in one pass over its nodes, BLOCK points at a time.
     """
     rule = profile.chart_rule if rule is None else rule
     w = np.atleast_1d(np.asarray(w, dtype=complex))
+    at = np.flatnonzero(profile.chart_near(w))
+    if 0 < at.size == len(w) <= POLE_BLOCK:  # every point near: nothing to gather or scatter
+        piece, pole_val, pole_der = _pole_sums(profile, rule, w)
+        rows, k = np.nonzero(piece >= 0)
+        pieces = piece[rows, k]
+    else:
+        pole_val, pole_der = np.zeros((2, len(w)), dtype=complex)
+        rows = pieces = at[:0]
+        for c in range(0, at.size, POLE_BLOCK):
+            near = at[c:c + POLE_BLOCK]
+            piece, pole_val[near], pole_der[near] = _pole_sums(profile, rule, w[near])
+            r, k = np.nonzero(piece >= 0)
+            rows, pieces = np.append(rows, near[r]), np.append(pieces, piece[r, k])
+    if len(rule.lo) == 1 and rows.size == len(w):
+        # every point's one piece holds its pole (always on the semicircle):
+        # every node would be zeroed, and the plain pass would add +0
+        return pole_val + 0.0, pole_der + 0.0
     val, der = np.empty((2, len(w)), dtype=complex)
     # one temporary for all blocks: a fresh one per block pays its page faults
     buf = np.empty((min(len(w), BLOCK), rule.s.size), dtype=complex)
     for b in range(0, len(w), BLOCK):
         wb = w[b:b + BLOCK]
-        piece, u0, c, a2, b1 = profile.chart_poles(wb)
-        has = piece >= 0
-        p = np.where(has, piece, 0)
-        uu, wt = rule.u[p], rule.wt[p]
-        inv = 1.0 / profile.chart_gap(p, uu, u0[..., :1])
-        r = rule.ws[p] * inv
-        e = 1.0 / (uu[..., None, :] - u0[..., None])
-        q1 = (wt[..., None, :] * e).sum(axis=-1)
-        q2 = (wt[..., None, :] * e * e).sum(axis=-1)
-        lo, hi = rule.lo[p][..., None] - u0, rule.hi[p][..., None] - u0
-        # a real w can put a root exactly on a piece end (a tabulated knot, the
-        # semicircle's edge), where the real parts of the divergent logs cancel
-        l1 = np.log(np.where(hi == 0, 1.0, hi)) - np.log(np.where(lo == 0, 1.0, lo))
-        v = r.sum(axis=-1) + (c * (l1 - q1)).sum(axis=-1)
-        d = (r * inv).sum(axis=-1) + (a2 * (1.0 / lo - 1.0 / hi - q2) + b1 * (l1 - q1)).sum(axis=-1)
-        # the pole pieces' nodes are zeroed by valid candidates only: p clips
-        # invalid ones onto piece 0, a pole piece itself on a one-piece rule
         plain = buf[:len(wb)]
         np.reciprocal(np.subtract(rule.s.ravel(), wb[:, None], out=plain), out=plain)
-        plain.reshape(len(wb), *rule.s.shape)[np.nonzero(has)[0], piece[has]] = 0.0
-        val[b:b + BLOCK] = plain @ rule.ws.ravel() + np.where(has, v, 0.0).sum(axis=1)
+        # the pole pieces' nodes are zeroed by valid candidates only: _pole_sums
+        # clips invalid ones onto piece 0, a pole piece itself on a one-piece rule
+        lo, hi = np.searchsorted(rows, (b, b + BLOCK))
+        plain.reshape(len(wb), *rule.s.shape)[rows[lo:hi] - b, pieces[lo:hi]] = 0.0
+        val[b:b + BLOCK] = plain @ rule.ws.ravel() + pole_val[b:b + BLOCK]
         plain *= plain
-        der[b:b + BLOCK] = plain @ rule.ws.ravel() + np.where(has, d, 0.0).sum(axis=1)
+        der[b:b + BLOCK] = plain @ rule.ws.ravel() + pole_der[b:b + BLOCK]
     return val, der
 
 
@@ -234,14 +266,6 @@ def _edges(profile: SpectralProfile, t: float):
     return (float(x[0]), float(lam[0])), (float(x[1]), float(lam[1]))
 
 
-def support_bounds(profile: SpectralProfile, t: float) -> tuple[float, float]:
-    """Edges of the time-t spectral support."""
-    if t == 0:
-        return profile.support
-    (_, lower), (_, upper) = _edges(profile, t)
-    return lower, upper
-
-
 def _outside(profile, t, lams, x_edge, upper, tol):
     """Real m = G_t(lam) beyond the support. lam -> w = lam + t m is
     inverted by Newton from w = lam: w - t G0(w) is increasing and convex
@@ -274,8 +298,11 @@ def _outside(profile, t, lams, x_edge, upper, tol):
 
 def boundary_values(profile: SpectralProfile, t: float, lams, tol: float = DEFAULT_TOL):
     """Boundary values m = G_t(lam + i0) = H_t + i pi rho_t at every lam
-    (t > 0), and the residuals of the solve."""
+    (t > 0), and the residuals of the solve. A non-finite lam is a
+    DomainError."""
     lams = np.asarray(lams, dtype=float)
+    if not np.isfinite(lams).all():
+        raise DomainError("lambda must be finite")
     (x_lo, lam_lo), (x_hi, lam_hi) = _edges(profile, t)
     inside = (lams > lam_lo) & (lams < lam_hi)
     upper = lams >= lam_hi
@@ -297,6 +324,8 @@ def _initial_line(profile: SpectralProfile, lams):
     w = lam, a principal value. On an edge H_0 is finite where rho_0
     vanishes (semicircle) and diverges where it jumps (EdgeError)."""
     lams = np.asarray(lams, dtype=float)
+    if not np.isfinite(lams).all():
+        raise DomainError("lambda must be finite")
     if not profile.edge_singular and np.isin(lams, profile.support).any():
         raise EdgeError("H_0 diverges on a support edge where rho_0 jumps")
     with np.errstate(divide="ignore", invalid="ignore"):

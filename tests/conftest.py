@@ -10,6 +10,7 @@ import pytest
 
 from specdrift import RngStream, SemicircleQuantileProfile, parse_profile
 from specdrift.montecarlo import _decompose, _draw_group
+from specdrift.stieltjes import _edges
 
 #: one line per acceptance criterion, echoed in the terminal summary
 ACCEPTANCE_LINES = []
@@ -55,3 +56,12 @@ def draw_sample(config, k):
 def assert_close(a, b, tol, msg=""):
     err = np.max(np.abs(np.asarray(a) - np.asarray(b)))
     assert err <= tol, f"{msg} max abs error {err:.3e} > {tol:.1e}"
+
+
+def support_bounds(profile, t):
+    """Edges (lower, upper) of the time-t spectral support: the profile's
+    support at t = 0, else the lam of the root-found edges."""
+    if t == 0:
+        return profile.support
+    (_, lower), (_, upper) = _edges(profile, t)
+    return lower, upper

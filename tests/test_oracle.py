@@ -18,9 +18,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import support_bounds
 from specdrift import (SemicircleQuantileProfile, TabulatedProfile, density_and_hilbert,
-                       parse_profile, semicircle_density, semicircle_hilbert, solve_grid,
-                       support_bounds)
+                       parse_profile, semicircle_density, semicircle_hilbert, solve_grid)
 from specdrift.stieltjes import _resolvent_moments, _rule_below
 
 DIGITS = 30

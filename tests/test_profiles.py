@@ -233,6 +233,14 @@ def _benchmark_knots(amplitude=0.15):
     return x, np.concatenate([lower, [0.0], -lower[::-1]])
 
 
+_NAMED_KNOT_SETS = pytest.mark.parametrize("x,a", [
+    ([0.0, 1.0], [-2.0, 3.0]),
+    ([0.0, 0.5, 1.0], [0.0, 0.1, 1.0]),  # end slope cut to 0
+    (_KNOTS_5, np.sinh(5.0 * (2.0 * _KNOTS_5 - 1.0))),
+    _benchmark_knots(),
+], ids=["two-knots", "zero-end-slope", "sinh-5", "benchmark-33"])
+
+
 class TestPchipAgainstScipy:
     """The numpy PCHIP equals scipy.interpolate.PchipInterpolator (used here
     only) bit for bit: coefficients, values and derivatives."""
@@ -254,18 +262,55 @@ class TestPchipAgainstScipy:
         for _ in range(200):
             self._assert_identical(*_random_knots(rng), rng)
 
-    @pytest.mark.parametrize("x,a", [
-        ([0.0, 1.0], [-2.0, 3.0]),
-        ([0.0, 0.5, 1.0], [0.0, 0.1, 1.0]),  # end slope cut to 0
-        (_KNOTS_5, np.sinh(5.0 * (2.0 * _KNOTS_5 - 1.0))),
-        _benchmark_knots(),
-    ], ids=["two-knots", "zero-end-slope", "sinh-5", "benchmark-33"])
+    @_NAMED_KNOT_SETS
     def test_named_knot_sets(self, x, a):
         self._assert_identical(np.asarray(x, dtype=float), np.asarray(a, dtype=float),
                                np.random.default_rng(1))
 
     def test_zero_end_slope(self):
         assert TabulatedProfile([0.0, 0.5, 1.0], [0.0, 0.1, 1.0]).derivative(0.0) == 0.0
+
+
+class TestChartNear:
+    """The pole screen: wherever chart_near is False, chart_poles returns
+    no valid piece. Probed on the knot values, 1e-9 off them, on and beyond
+    both ends and across the support, each at several heights Im w."""
+
+    IMAG = np.array([0.0, 1e-14, 1e-9, 1e-3, 1.0])
+
+    @classmethod
+    def _screen(cls, x, a):
+        profile = TabulatedProfile(x, a)
+        a = np.asarray(a, dtype=float)
+        span = a[-1] - a[0]
+        beyond = span * np.geomspace(1e-12, 1.0, 13)
+        re = np.concatenate([a, a - 1e-9, a + 1e-9, a[0] - beyond, a[-1] + beyond,
+                             np.linspace(a[0] - span, a[-1] + span, 101)])
+        w = (re[:, None] + 1j * cls.IMAG).ravel()
+        near = profile.chart_near(w)
+        found = (profile.chart_poles(w)[0] >= 0).any(axis=1)
+        assert not np.any(found & ~near)
+        return w, near
+
+    def test_random_knot_sets(self):
+        rng = np.random.default_rng(20260823)
+        for _ in range(400):
+            self._screen(*_random_knots(rng))
+
+    @_NAMED_KNOT_SETS
+    def test_named_knot_sets(self, x, a):
+        self._screen(np.asarray(x, dtype=float), np.asarray(a, dtype=float))
+
+    def test_rules_out_far_points(self):
+        # every piece's disk on the 33-knot profile has a radius below 0.2:
+        # a point one unit above the axis holds no pole, one on the support may
+        w, near = self._screen(*_benchmark_knots())
+        assert not near[w.imag == 1.0].any()
+        assert near[(w.imag == 0.0) & (np.abs(w.real) < 0.9)].all()
+
+    def test_semicircle_always_near(self, goe_profile):
+        w = np.array([0.0, 2.0, 5.0 + 3.0j, -40.0 + 1e-9j])
+        assert goe_profile.chart_near(w).all()
 
 
 class TestNormalization:

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import support_bounds
 from specdrift import (ConvergenceError, DomainError, EdgeError, SemicircleQuantileProfile,
                        TabulatedProfile, cdf_limit, density_and_hilbert, parse_profile,
                        semicircle_density,
                        semicircle_hilbert, semicircle_stieltjes, solve_fixed_point,
-                       solve_grid, support_bounds, theta_limit)
+                       solve_grid, theta_limit)
 from specdrift import stieltjes
 from specdrift.profiles import ChartRule
 from specdrift.stieltjes import (BLOCK, DEFAULT_TOL, EDGE_MIN, _initial_line,
@@ -248,6 +249,68 @@ def test_masked_pass_against_refined_rule(name):
     plain = 1.0 / (fine.s.ravel() - far[:, None])
     for g, want in zip(got, (plain @ fine.ws.ravel(), (plain * plain) @ fine.ws.ravel())):
         assert np.max(np.abs(g[-len(far):] - want) / np.abs(want)) <= 1e-13
+
+
+SCREEN_PROFILES = {**MOMENT_PROFILES,
+                   "zero-end-slope": TabulatedProfile([0.0, 0.5, 1.0], [0.0, 0.1, 1.0])}
+
+
+def _all_near(self, w):
+    return np.ones(len(w), dtype=bool)
+
+
+class TestPoleScreen:
+    """The pole pieces are summed only for the points the profile's screen
+    keeps, all of them at once, and that changes no bit of the moments."""
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 201, 600])
+    @pytest.mark.parametrize("name", SCREEN_PROFILES)
+    def test_bit_identical_to_unscreened(self, name, n, monkeypatch):
+        profile = SCREEN_PROFILES[name]
+        lo, hi = profile.support
+        span = hi - lo
+        rng = np.random.default_rng(n)
+        w = (rng.uniform(lo - span / 2.0, hi + span / 2.0, n)
+             + 1j * span * rng.choice([0.0, 1e-14, 1e-9, 1e-3, 0.5, 10.0], n))
+        w[:4] = [lo, hi, 0.5 * (lo + hi), hi + 1e-9][:n]
+        rules = (None, stieltjes._rule_below(profile, lo + 0.4 * span))
+        if isinstance(profile, TabulatedProfile) and n >= 64:
+            near = profile.chart_near(w)
+            assert near.any() and not near.all()
+        with np.errstate(all="ignore"):  # G0' on a knot value (w = lo, hi) is not finite
+            screened = [_resolvent_moments(profile, w, rule) for rule in rules]
+            monkeypatch.setattr(type(profile), "chart_near", _all_near)
+            for got, rule in zip(screened, rules):
+                for g, want in zip(got, _resolvent_moments(profile, w, rule)):
+                    assert g.tobytes() == want.tobytes()
+
+    def test_one_pole_call_per_moments_call(self, monkeypatch):
+        profile = MOMENT_PROFILES["33-knot"]
+        poles, calls = type(profile).chart_poles, []
+
+        def counted(self, w):
+            calls.append(len(w))
+            return poles(self, w)
+
+        monkeypatch.setattr(type(profile), "chart_poles", counted)
+        lam = np.linspace(-0.5, 0.5, 201)
+        far = _resolvent_moments(profile, lam + 0.5j)
+        assert calls == []  # every point is far: no pole work at all
+        mixed = _resolvent_moments(profile, np.concatenate([lam + 0.5j, lam + 1e-3j]))
+        assert calls == [len(lam)]
+        for got, want in zip(mixed, far):
+            assert got[:len(lam)].tobytes() == want.tobytes()
+
+
+class TestNonFiniteLambda:
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_rejected(self, goe_profile, linear_profile, lam):
+        for profile in (goe_profile, linear_profile):
+            with pytest.raises(DomainError):
+                boundary_values(profile, 1.0, [0.0, lam])
+            for t in (0.0, 1.0):
+                with pytest.raises(DomainError):
+                    density_and_hilbert(profile, t, lam)
 
 
 class TestSemicircleClosedForms:
