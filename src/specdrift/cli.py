@@ -155,7 +155,7 @@ def cmd_predict(args, out) -> Done:
         values = laws.overlap_goe(t, lam, a_grid, profile.radius)
     elif regime == "cauchy":
         values = laws.overlap_cauchy(t, lam, a_grid,
-                                     laws.density_line_at(profile, 0.0, lam))
+                                     stieltjes.density_and_hilbert(profile, 0.0, lam))
     else:  # full; argparse admits no other regime
         line = stieltjes.density_and_hilbert(profile, t, lam)
         values = laws.overlap_full(t, lam, a_grid, line)

@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import DegenerateGapError, DomainError, OutsideSupportError
 from .profiles import SemicircleQuantileProfile
-from .stieltjes import (DensityLine, density_and_hilbert, quantile_limit,
-                        semicircle_density_line)
+from .stieltjes import DensityLine, quantile_limit
 
 
 def overlap_full(t: float, lambda_i: float, a_j, density: DensityLine):
@@ -146,10 +145,3 @@ def perturbed_quantile(profile, t: float, x: float) -> float:
         return math.sqrt((c0 + t) / c0) * float(profile.eval(x))
     return quantile_limit(profile, t, x)
 
-
-def density_line_at(profile, t: float, lam: float) -> DensityLine:
-    """Boundary data at lam: GOE closed form when available, otherwise the
-    fixed-point solver."""
-    if isinstance(profile, SemicircleQuantileProfile):
-        return semicircle_density_line(t, lam, profile.radius)
-    return density_and_hilbert(profile, t, lam)

@@ -26,7 +26,7 @@ EDGE_MARGIN = 1e-6
 #: Gauss-Legendre order of every panel of a chart rule.
 RULE_ORDER = 12
 #: Newton steps that polish a pole on a tabulated profile's cubic piece, at most.
-TABULATED_NEWTON = 8
+TABULATED_NEWTON = 24
 #: (point, piece) pairs a tabulated profile's pole screen tests at once.
 NEAR_CELLS = 1 << 13
 
@@ -67,6 +67,11 @@ def gauss_legendre(n):
     return x, w
 
 
+def _same_bits(a, b):
+    """Entrywise: do the complex arrays a and b hold the same bits?"""
+    return (a.view(np.int64) == b.view(np.int64)).reshape(*a.shape, 2).all(axis=-1)
+
+
 def semicircle_angle(x):
     """theta in [-pi/2, pi/2] with theta + sin(theta) cos(theta) = pi (x - 1/2),
     solved for e = pi/2 - |theta| (e - sin(e) cos(e) = pi min(x, 1 - x)): exact
@@ -83,13 +88,11 @@ class ChartRule:
     W(u) = rho0(S(u)) S'(u):  sum(ws * f(s)) ~= int rho0(s) f(s) ds.
 
     Row p holds the nodes of piece p, the chart interval [lo[p], hi[p]] on
-    which S and W are single analytic functions; the resolvent subtracts
-    its pole piece by piece (see SpectralProfile.chart_poles)."""
+    which S and W are single analytic functions; where it holds a pole of
+    the resolvent, SpectralProfile.pole_moments integrates it instead."""
 
-    u: np.ndarray   # (pieces, nodes per piece)
-    wt: np.ndarray  # weights in u
-    s: np.ndarray   # S(u)
-    ws: np.ndarray  # wt * W(u)
+    s: np.ndarray   # S(u), (pieces, nodes per piece)
+    ws: np.ndarray  # Gauss weights in u times W(u)
     lo: np.ndarray  # (pieces,)
     hi: np.ndarray
     edges: np.ndarray  # panel edges in u
@@ -107,13 +110,13 @@ class ChartRule:
         u = ((edges[:-1, None] + edges[1:, None]) / 2.0 + half * x).reshape(pieces, -1)
         wt = (half * w).reshape(pieces, -1)
         step = (len(edges) - 1) // pieces
-        return cls(u=u, wt=wt, s=S(u), ws=wt * W(u), lo=edges[:-1:step], hi=edges[step::step],
+        return cls(s=S(u), ws=wt * W(u), lo=edges[:-1:step], hi=edges[step::step],
                    edges=edges, S=S, W=W, U=U)
 
     def clip(self, s_lo, s_hi):
         """The rule on [U(s_lo), U(s_hi)] (s in the support): every panel
-        clipped to it, so a piece outside has zero length and chart_poles'
-        piece indices stay valid."""
+        clipped to it, so a piece outside has zero length and the piece
+        indices stay valid."""
         edges = np.clip(self.edges, self.U(s_lo), self.U(s_hi))
         return self.build(edges, self.S, self.W, self.U, len(self.lo))
 
@@ -176,25 +179,17 @@ class SpectralProfile(ABC):
             return float(out[0])
         return out
 
-    def chart_poles(self, w):
-        """Poles of W(u)/(S(u) - w) near the chart, for complex w of shape
-        (B,): the pieces that hold them, shape (B, K) (-1 for none), and on
-        each piece J roots u of S(u) = w, shape (B, K, J), with the residue c
-        of W/(S - w) and the coefficients a2, b1 of
-        W/(S - w)^2 = a2/(u - u_j)^2 + b1/(u - u_j) + regular.
-        """
-        raise NotImplementedError
+    @abstractmethod
+    def pole_moments(self, w, rule):
+        """The pieces of `rule` (the chart rule or a clip of it) that hold a
+        pole of W(u)/(S(u) - w), for complex w of shape (B,): their indices,
+        shape (B, K) (-1 for none), and per point the exact integrals of
+        W/(S - w) and of W/(S - w)^2 over them, shape (B,) each."""
 
     def chart_near(self, w):
-        """For complex w of shape (B,): False where chart_poles can return no
-        valid piece, True where it may. Here always True."""
+        """For complex w of shape (B,): False where pole_moments can return
+        no piece, True where it may. Here always True."""
         return np.ones(len(w), dtype=bool)
-
-    def chart_gap(self, piece, u, u0):
-        """S(u) - S(u0) on the given pieces, computed without cancellation
-        as u approaches any root of S(u) = S(u0) (u0 is a root from
-        chart_poles)."""
-        raise NotImplementedError
 
     def _check_x(self, x, open_interval=False):
         x_arr = np.asarray(x, dtype=float)
@@ -256,9 +251,9 @@ class SemicircleQuantileProfile(SpectralProfile):
 
     @cached_property
     def chart_rule(self):
-        # s = r sin(u) turns the sqrt edge factor into cos^2(u). With both poles subtracted
-        # the rest has no pole within pi/2 of the chart: on each of two panels of half width
-        # pi/4, 12 Gauss nodes err by about (3 + 2 sqrt 2)^-24 ~ 5e-19 (Bernstein ellipse).
+        # s = r sin(u) turns the sqrt edge factor into cos^2(u): two panels of half width
+        # pi/4 hold the smooth integrands (subspace's strips, window masses) and 1/(s - w)
+        # at |w| > 4r, where 12 Gauss nodes err by about 5^-24 (Bernstein ellipse).
         r = self.radius
         return ChartRule.build(np.linspace(-math.pi / 2.0, math.pi / 2.0, 3),
                                lambda u: r * np.sin(u),
@@ -269,21 +264,32 @@ class SemicircleQuantileProfile(SpectralProfile):
     def spec(self):
         return f"semicircle:{self.radius!r}"
 
-    def chart_poles(self, w):
-        # r sin(u) = w has the root u0 and its mirror in the other half
-        # period; near the support edges both approach the chart, so both are
-        # subtracted. With the residues written out, W/(S - w) and its square
-        # stay finite as the two roots meet at an edge.
-        r = self.radius
-        u0 = np.arcsin(np.asarray(w, dtype=complex) / r)
-        u = np.stack([u0, np.where(u0.real >= 0, math.pi, -math.pi) - u0], axis=-1)[:, None]
-        k = 2.0 / (math.pi * r * r)
-        c = r * k * np.cos(u)
-        return np.zeros(u.shape[:2], dtype=int), u, c, np.full_like(c, k), -k * np.tan(u)
-
-    def chart_gap(self, piece, u, u0):
-        # sin u - sin u0 as a product that vanishes at both roots
-        return 2.0 * self.radius * np.cos((u + u0) / 2.0) * np.sin((u - u0) / 2.0)
+    def pole_moments(self, w, rule):
+        # The one piece [a, b] holds both roots of r sin(u) = w; in closed form
+        # cos^2 u/(r sin u - w) = -sin u/r - w/r^2 + (s/r)^2/(r sin u - w),
+        # s = sqrt(r^2 - w^2), and tau = tan(u/2) makes the last term's integral
+        # Lam/s, Lam the log of the cross ratio 1 + x of tau_a, tau_b and the
+        # roots t1 = w/(r + s), 1/t1 of w tau^2 - 2 r tau + w. The w-derivative
+        # comes from d/du cos u/(r sin u - w), at the rounded tau so that it
+        # cancels with Lam as w nears +-r. Beyond |w| = 4r, where the terms
+        # cancel to (|w|/r)^2 ulps, the plain rule takes the piece, exact there.
+        r, a, b = self.radius, rule.lo[0], rule.hi[0]
+        w = np.asarray(w, dtype=complex)
+        ta, tb = math.tan(a / 2.0), math.tan(b / 2.0)
+        with np.errstate(all="ignore"):  # G0' diverges at w = +-r
+            s = np.sqrt((r - w) * (r + w))
+            t1 = w / (r + s)
+            x = 2.0 * s * (ta - tb) / ((r + s) * (ta - t1) * (tb * t1 - 1.0))
+            lam = np.where(np.abs(x) < 0.5, 2.0 * np.arctanh(x / (2.0 + x)),
+                           np.log((tb - t1) / (ta - t1)) - np.log((tb * t1 - 1.0) / (ta * t1 - 1.0)))
+            # cos u and cos u/(r sin u - w) at u = a and u = b
+            (ca, ga), (cb, gb) = (((1.0 - t * t) / (1.0 + t * t),
+                                   (1.0 - t * t) / (2.0 * r * t - w * (1.0 + t * t))) for t in (ta, tb))
+            k = 2.0 / (math.pi * r * r)
+            val = k * (r * (cb - ca) - w * (b - a) + s * lam)
+            der = k * ((a - b) - w * lam / s - r * (gb - ga))
+        near = np.abs(w) <= 4.0 * r
+        return np.where(near, 0, -1)[:, None], np.where(near, val, 0.0), np.where(near, der, 0.0)
 
 
 class _Pchip:
@@ -351,7 +357,6 @@ class TabulatedProfile(SpectralProfile):
         self._a = a
         self.spec = spec
         self._interp = _Pchip(x, a)
-        self._end_slopes = self._interp.derivative(np.array([0.0, 1.0]))
 
     @classmethod
     def from_csv(cls, path):
@@ -391,15 +396,16 @@ class TabulatedProfile(SpectralProfile):
 
     @cached_property
     def _pole_disks(self):
-        # chart_poles accepts a root u of piece k only within 2 widths h of
-        # the piece's middle, |u - mid| <= 2h, so P(u) - P(mid) is at most
-        # |P'| 2h + |P''/2| (2h)^2 + |c3| (2h)^3, P's Taylor terms at mid, and
-        # only with |P(u) - w| <= 1e-13 (1 + |w|). The slack, 1e-12 (1 + the
-        # cubic's terms at |u - x_k| = 2.5h), holds that residual and the
-        # rounding of every cubic evaluated there.
+        # pole_moments integrates piece k exactly where a root u of its cubic
+        # P = w lies within a width h of the piece's middle, so P(u) - P(mid)
+        # is at most |P'| h + |P''/2| h^2 + |c3| h^3, P's Taylor terms at mid.
+        # A farther root is two panel half widths from the piece's nearer
+        # panel, where its 12 Gauss nodes err by (3 + sqrt 8)^-24 ~ 1e-18. The
+        # slack, 1e-12 (1 + the cubic's terms at |u - x_k| = 1.5h), holds the
+        # residual of a polished root and the rounding of every cubic there.
         c3, c2, c1, c0 = self._interp.c
         h = np.diff(self._x)
-        m, r, g = h / 2.0, 2.0 * h, 2.5 * h
+        m, r, g = h / 2.0, h, 1.5 * h
         centre = ((c3 * m + c2) * m + c1) * m + c0
         radius = (np.abs((3.0 * c3 * m + 2.0 * c2) * m + c1) * r
                   + np.abs(3.0 * c3 * m + c2) * r * r + np.abs(c3) * r ** 3)
@@ -420,58 +426,80 @@ class TabulatedProfile(SpectralProfile):
 
     @cached_property
     def _complex_pieces(self):
-        # chart_poles' cubic coefficients, derivative coefficients and knots,
+        # pole_moments' cubic coefficients, derivative coefficients and knots,
         # cast once: numpy would cast them to complex at every Newton step
         return np.concatenate([self._interp.c, self._interp._dc, self._x[None, :-1]]).astype(complex)
 
-    def chart_poles(self, w):
-        # Each cubic piece continues to its own analytic function with its
-        # own root near the pole, so the root is Newton-polished on the
-        # piece that holds Re(w) and on its two neighbours, until a step
-        # leaves every root unchanged bit for bit: a fixed point of the map,
-        # on which the TABULATED_NEWTON steps would end too.
-        w = np.asarray(w, dtype=complex)[:, None]
-        x, a = self._x, self._a
-        last = len(x) - 2
-        with np.errstate(all="ignore"):  # a zero end slope starts at +-inf: rejected below
-            xr = np.interp(w.real, a, x)
-            xr = np.where(w.real > a[-1], 1.0 + (w.real - a[-1]) / self._end_slopes[1], xr)
-            xr = np.where(w.real < a[0], (w.real - a[0]) / self._end_slopes[0], xr)
-        piece = np.clip(np.searchsorted(x, xr, side="right") - 1, 0, last) + np.arange(-1, 2)
-        valid = (piece >= 0) & (piece <= last)
-        k = np.clip(piece, 0, last)
+    def pole_moments(self, w, rule):
+        # Each cubic piece continues to its own analytic function, so every
+        # piece whose disk holds w (_pole_disks) is a candidate, one (point,
+        # piece) pair each, a row of the arrays below. On each, a root of
+        # P(u) = w is Newton-polished from the root of the quadratic Taylor
+        # model at the piece's end nearer in value (it reaches the complex
+        # pair of roots by an end of slope 0), until every root stands still
+        # or swaps between two values in the last bit.
+        w = np.asarray(w, dtype=complex)
+        centre, radius = self._pole_disks
+        pt, k = np.nonzero(np.abs(w[:, None] - centre) <= radius)
+        x, a, k, wk = self._x, self._a, k[:, None], w[pt, None]
+        h = x[k + 1] - x[k]
         # d2, d1, d0 = 3 c3, 2 c2, c1; take, unlike [:, k], leaves each contiguous
         c3, c2, c1, c0, d2, d1, d0, base = np.take(self._complex_pieces, k, axis=1)
-        u = xr + 0j
-        with np.errstate(all="ignore"):
+        c0 = c0 - wk  # P - w, exact by the piece's first knot
+        with np.errstate(all="ignore"):  # a flat, straight end starts at inf: rejected below
+            end = np.where(wk.real > (a[k] + a[k + 1]) / 2.0, h, 0.0)
+            gap, slope = wk.real - np.where(end > 0, a[k + 1], a[k]), (d2 * end + d1) * end + d0
+            u = base + end + 2.0 * gap / (slope + np.sqrt(slope * slope + 4.0 * (3.0 * c3 * end + c2) * gap))
+            older = u
             for _ in range(TABULATED_NEWTON):
                 d = u - base
-                step = u - ((((c3 * d + c2) * d + c1) * d + c0) - w) / ((d2 * d + d1) * d + d0)
-                if step.tobytes() == u.tobytes():
+                step = u - (((c3 * d + c2) * d + c1) * d + c0) / ((d2 * d + d1) * d + d0)
+                cycle = _same_bits(step, older)
+                if (cycle | _same_bits(step, u)).all():
                     break
-                u = step
+                older, u = u, step
+            u = np.where(cycle, np.minimum(u, older), u)  # the same value whichever step ended it
             # roots of adjacent pieces that only rounding tells apart (w on or
             # by a knot) are made one, so their logs at the shared knot cancel
-            gap = np.abs((u - u[:, 1:2]) * ((d2 * d + d1) * d + d0))  # in s
-            u = np.where(gap <= 1e-13 * (1.0 + np.abs(w)), u[:, 1:2], u)
+            d, ad = u - base, np.abs(u - base)
+            tol = 1e-13 * (1.0 + np.abs(wk) + np.abs(c0 + wk)
+                           + ((np.abs(c3) * ad + np.abs(c2)) * ad + np.abs(c1)) * ad)
+            same = ((pt[1:] == pt[:-1])[:, None] & (k[1:] == k[:-1] + 1)
+                    & (np.abs((u[1:] - u[:-1]) * ((d2 * d + d1) * d + d0)[1:]) <= tol[1:]))
+            u[1:][same] = u[:-1][same]
             d = u - base
-            miss = np.abs(((c3 * d + c2) * d + c1) * d + c0 - w)
-            width = x[k + 1] - x[k]
-            ok = (valid & np.isfinite(u) & (miss <= 1e-13 * (1.0 + np.abs(w)))
-                  & (np.abs(d - width / 2) <= 2.0 * width))
-            c = 1.0 / ((d2 * d + d1) * d + d0)
-            b1 = -(2 * d2 * d + d1) * c ** 3
-        piece = np.where(ok, piece, -1)
-        u = np.where(ok, u, 1j)[..., None]  # off the axis: finite, and never used
-        c, b1 = (np.where(ok, v, 0.0)[..., None] for v in (c, b1))
-        return piece, u, c, c * c, b1
-
-    def chart_gap(self, piece, u, u0):
-        # exact divided difference of the cubic on each piece
-        c3, c2, c1, _ = self._interp.c[:, piece][..., None]
-        base = self._x[piece][..., None]
-        d, d0 = u - base, u0 - base
-        return (u - u0) * (c1 + c2 * (d + d0) + c3 * (d * d + d * d0 + d0 * d0))
+            ok = np.isfinite(u) & (np.abs(((c3 * d + c2) * d + c1) * d + c0) <= tol)
+            # the other two roots: deflate by d (synthetic division), the
+            # stable quadratic formula, one Newton step on P; on a quadratic
+            # piece or a line they are not finite, and drop out
+            q1 = c2 + c3 * d
+            q0 = c1 + q1 * d
+            disc = np.sqrt(q1 * q1 - 4.0 * c3 * q0)
+            q = -0.5 * np.where((q1.conjugate() * disc).real >= 0, q1 + disc, q1 - disc)
+            r = np.concatenate([d, q / c3, q0 / q], axis=1)
+            r[:, 1:] -= (((c3 * r[:, 1:] + c2) * r[:, 1:] + c1) * r[:, 1:] + c0) / (
+                (d2 * r[:, 1:] + d1) * r[:, 1:] + d0)
+            fin = np.isfinite(r)
+            ok &= (fin & (np.abs(r - h / 2.0) <= h)).any(axis=1, keepdims=True)
+            # 1/(P - w) = sum_j c_j/(d - r_j) exactly, c_j = 1/P'(r_j), and
+            # 1/(P - w)^2 = sum_j c_j^2/(d - r_j)^2 + b_j/(d - r_j)
+            c = 1.0 / ((d2 * r + d1) * r + d0)
+            b = -(2.0 * d2 * r + d1) * c ** 3
+            ru = base + r  # in u, the polished root as merged
+            ru[:, :1] = u
+            lo, hi = rule.lo[k] - ru, rule.hi[k] - ru
+            # a real w can put a root exactly on a piece end (a knot), where
+            # the real parts of the divergent logs of the two pieces cancel
+            log = np.log(np.where(hi == 0, 1.0, hi)) - np.log(np.where(lo == 0, 1.0, lo))
+            use = ok & fin
+            moments = np.zeros((2, len(w)), dtype=complex)
+            np.add.at(moments, (slice(None), pt), [np.where(use, c * log, 0.0).sum(axis=1),
+                                                   np.where(use, c * c * (1.0 / lo - 1.0 / hi) + b * log,
+                                                            0.0).sum(axis=1)])
+        slot = np.arange(len(pt)) - np.searchsorted(pt, pt)  # the pairs come ordered by point
+        piece = np.full((len(w), slot.max(initial=0) + 1), -1)
+        piece[pt, slot] = np.where(ok[:, 0], k[:, 0], -1)
+        return piece, moments[0], moments[1]
 
     @property
     def support(self):

@@ -15,10 +15,11 @@ iteration over the whole lambda grid at once.
 
 Every integral against rho0 is one fixed composite Gauss-Legendre sum in
 the profile's chart (profiles.ChartRule), clipped at the threshold of a
-truncated integral (theta's weight 1(a <= THR), the cdf's alpha). The pole
-of 1/(s - w) is subtracted in the chart variable and integrated in closed
-form: the sums stay exact as Im w -> 0 (t -> 0, lam at an edge), and at
-w = lam itself they give the principal value H_0.
+truncated integral (theta's weight 1(a <= THR), the cdf's alpha), except
+on the pieces that hold a pole of 1/(s - w): the profile integrates those
+exactly (SpectralProfile.pole_moments), so the sums stay exact as
+Im w -> 0 (t -> 0, lam at an edge), and at w = lam itself they give the
+principal value H_0.
 
 The support edges are the real roots x of t int rho0(s)/(s - x)^2 ds = 1
 beyond the initial support, at lam = x - t G0(x). Outside them rho_t is
@@ -49,7 +50,8 @@ MAX_ITER = 200
 HALVINGS = 6
 #: Points per vectorized block: bounds the (points x nodes) temporaries.
 BLOCK = 64
-#: Points near a pole whose pole pieces are summed at once (_pole_sums).
+#: Points near a pole whose pole pieces are integrated at once
+#: (SpectralProfile.pole_moments).
 POLE_BLOCK = 4 * BLOCK
 #: Edge search: grid points per end and bracketing round (both ends make one
 #: block), and the smallest distance (relative to the initial support) from
@@ -80,61 +82,35 @@ class DensityLine:
 # quadrature
 
 
-def _pole_sums(profile: SpectralProfile, rule, w):
-    """The pole pieces of the moments at every entry of w: the pieces that
-    hold a pole (profile.chart_poles, -1 for none), and per point the sum of
-    their terms in the value and in its w-derivative.
-
-    On those pieces S(u) - w is taken from profile.chart_gap, which has no
-    cancellation near the roots, and the poles are subtracted node by node,
-    in the value and in its w-derivative, and added back integrated in
-    closed form."""
-    piece, u0, c, a2, b1 = profile.chart_poles(w)
-    has = piece >= 0
-    p = np.where(has, piece, 0)
-    uu, wt = rule.u[p], rule.wt[p]
-    inv = 1.0 / profile.chart_gap(p, uu, u0[..., :1])
-    r = rule.ws[p] * inv
-    e = 1.0 / (uu[..., None, :] - u0[..., None])
-    q1 = (wt[..., None, :] * e).sum(axis=-1)
-    q2 = (wt[..., None, :] * e * e).sum(axis=-1)
-    lo, hi = rule.lo[p][..., None] - u0, rule.hi[p][..., None] - u0
-    # a real w can put a root exactly on a piece end (a tabulated knot, the
-    # semicircle's edge), where the real parts of the divergent logs cancel
-    l1 = np.log(np.where(hi == 0, 1.0, hi)) - np.log(np.where(lo == 0, 1.0, lo))
-    v = r.sum(axis=-1) + (c * (l1 - q1)).sum(axis=-1)
-    d = (r * inv).sum(axis=-1) + (a2 * (1.0 / lo - 1.0 / hi - q2) + b1 * (l1 - q1)).sum(axis=-1)
-    return piece, np.where(has, v, 0.0).sum(axis=1), np.where(has, d, 0.0).sum(axis=1)
-
-
 def _resolvent_moments(profile: SpectralProfile, w, rule=None):
     """(int rho0(s)/(s-w) ds, int rho0(s)/(s-w)^2 ds) for every entry of w,
     over the chart rule `rule` (the profile's whole rule, or a clip of it).
 
-    The pieces of the rule that hold a pole of W(u)/(S(u) - w) are summed
-    by _pole_sums, only for the points the profile's screen
-    (profile.chart_near) cannot rule out, and for all of them at once (up to
-    POLE_BLOCK points); the other points have no pole piece. Every other
-    piece is summed in one pass over its nodes, BLOCK points at a time.
+    The pieces of the rule that hold a pole of W(u)/(S(u) - w) are
+    integrated exactly by profile.pole_moments, only for the points the
+    profile's screen (profile.chart_near) cannot rule out, and for all of
+    them at once (up to POLE_BLOCK points); the other points have no pole
+    piece. Every other piece is summed in one pass over its nodes, BLOCK
+    points at a time.
+
+    At a real w inside the support the first moment is the principal value
+    (its real part) and the second the Hadamard finite part. On a knot
+    value of a tabulated profile the second diverges logarithmically and
+    is NaN; no caller asks for it there.
     """
     rule = profile.chart_rule if rule is None else rule
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     at = np.flatnonzero(profile.chart_near(w))
-    if 0 < at.size == len(w) <= POLE_BLOCK:  # every point near: nothing to gather or scatter
-        piece, pole_val, pole_der = _pole_sums(profile, rule, w)
-        rows, k = np.nonzero(piece >= 0)
-        pieces = piece[rows, k]
-    else:
-        pole_val, pole_der = np.zeros((2, len(w)), dtype=complex)
-        rows = pieces = at[:0]
-        for c in range(0, at.size, POLE_BLOCK):
-            near = at[c:c + POLE_BLOCK]
-            piece, pole_val[near], pole_der[near] = _pole_sums(profile, rule, w[near])
-            r, k = np.nonzero(piece >= 0)
-            rows, pieces = np.append(rows, near[r]), np.append(pieces, piece[r, k])
+    pole_val, pole_der = np.zeros((2, len(w)), dtype=complex)
+    rows = pieces = at[:0]
+    for c in range(0, at.size, POLE_BLOCK):
+        near = at[c:c + POLE_BLOCK]
+        piece, pole_val[near], pole_der[near] = profile.pole_moments(w[near], rule)
+        r, k = np.nonzero(piece >= 0)
+        rows, pieces = np.append(rows, near[r]), np.append(pieces, piece[r, k])
     if len(rule.lo) == 1 and rows.size == len(w):
-        # every point's one piece holds its pole (always on the semicircle):
-        # every node would be zeroed, and the plain pass would add +0
+        # every point's one piece holds its pole (the semicircle near its
+        # support): every node would be zeroed, and the plain pass would add +0
         return pole_val + 0.0, pole_der + 0.0
     val, der = np.empty((2, len(w)), dtype=complex)
     # one temporary for all blocks: a fresh one per block pays its page faults
@@ -143,9 +119,7 @@ def _resolvent_moments(profile: SpectralProfile, w, rule=None):
         wb = w[b:b + BLOCK]
         plain = buf[:len(wb)]
         np.reciprocal(np.subtract(rule.s.ravel(), wb[:, None], out=plain), out=plain)
-        # the pole pieces' nodes are zeroed by valid candidates only: _pole_sums
-        # clips invalid ones onto piece 0, a pole piece itself on a one-piece rule
-        lo, hi = np.searchsorted(rows, (b, b + BLOCK))
+        lo, hi = np.searchsorted(rows, (b, b + BLOCK))  # zero the pole pieces' nodes
         plain.reshape(len(wb), *rule.s.shape)[rows[lo:hi] - b, pieces[lo:hi]] = 0.0
         val[b:b + BLOCK] = plain @ rule.ws.ravel() + pole_val[b:b + BLOCK]
         plain *= plain

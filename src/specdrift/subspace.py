@@ -116,7 +116,7 @@ def predicted_distance(t: float, inner, outer, profile: SpectralProfile) -> floa
     selects V1) must be mapped back first, e.g. by the semicircle quantile
     bridge, edge / sqrt(1+t), for a unit GOE start; the two coordinate
     systems differ at O(t), so the predicted distances differ at O(t^2).
-    The x integral is the pole-subtracted derivative moment at w = y.
+    The x integral is the derivative moment of the window's rule at w = y.
     """
     if not outer[0] < inner[0] < inner[1] < outer[1]:
         raise DomainError(f"widened window {outer} does not hold {inner} with positive margins")

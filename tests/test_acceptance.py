@@ -23,7 +23,8 @@ from conftest import draw_sample, record_acceptance
 from scipy.integrate import quad
 
 from specdrift import (ExperimentConfig, GOEInitial, OverlapAccumulator,
-                       ProfileInitial, WindowSpec, cdf_limit, distance_from_singular_values,
+                       ProfileInitial, WindowSpec, cdf_limit, density_and_hilbert,
+                       distance_from_singular_values,
                        ldos, overlap_block, overlap_cauchy, overlap_full,
                        overlap_goe, parse_profile, predicted_distance, run_overlap_experiment,
                        run_subspace_experiment, solve_fixed_point, solve_grid,
@@ -160,9 +161,8 @@ def test_criterion_6_ldos_normalization(goe_profile, linear_profile):
             total, _ = quad(lambda al: ldos(goe_profile, t, lam, al, line),
                             -2.0, 2.0, epsabs=1e-10, epsrel=1e-10, limit=200)
             cases.append(abs(total - 1.0))
-    from specdrift.laws import density_line_at
     t, lam = 0.5, 0.5
-    line = density_line_at(linear_profile, t, lam)
+    line = density_and_hilbert(linear_profile, t, lam)
     total, _ = quad(lambda al: ldos(linear_profile, t, lam, al, line),
                     0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
     cases.append(abs(total - 1.0))

@@ -10,7 +10,6 @@ from specdrift import (DegenerateGapError, OutsideSupportError,
                        RngStream, SemicircleQuantileProfile, density_and_hilbert, ldos, overlap_cauchy, overlap_full, overlap_goe,
                        perturbation_expansion, perturbative_diag, perturbative_offdiag,
                        perturbed_quantile)
-from specdrift.laws import density_line_at
 from specdrift.matrices import sample_goe
 from specdrift.stieltjes import DensityLine, quantile_limit, semicircle_density_line
 
@@ -72,7 +71,7 @@ class TestOverlapGOE:
         line = density_and_hilbert(SemicircleQuantileProfile(4.0), t, lam)
         rel = np.abs(overlap_goe(t, lam, a, radius=4.0) / overlap_full(t, lam, a, line) - 1.0)
         assert np.max(rel) <= 1e-12
-        assert density_line_at(SemicircleQuantileProfile(4.0), t, lam).rho == pytest.approx(
+        assert semicircle_density_line(t, lam, 4.0).rho == pytest.approx(
             line.rho, abs=1e-12)
 
     def test_identity_with_full_kernel(self):
@@ -117,13 +116,13 @@ class TestLdos:
         assert total == pytest.approx(1.0, abs=1e-3)
 
     def test_linear_profile_reduces_to_kernel(self, linear_profile):
-        line = density_line_at(linear_profile, 0.5, 0.5)
+        line = density_and_hilbert(linear_profile, 0.5, 0.5)
         assert ldos(linear_profile, 0.5, 0.5, 0.3, line) == pytest.approx(
             overlap_full(0.5, 0.5, 0.3, line), rel=1e-12)
 
     def test_linear_profile_normalization(self, linear_profile):
         t, lam = 0.5, 0.5
-        line = density_line_at(linear_profile, t, lam)
+        line = density_and_hilbert(linear_profile, t, lam)
         total, _ = quad(lambda a: ldos(linear_profile, t, lam, a, line),
                         0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
         assert total == pytest.approx(1.0, abs=1e-3)

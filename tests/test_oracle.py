@@ -10,6 +10,9 @@
 * mpmath again for the chart rule clipped at a threshold: the truncated
   resolvent int_{s <= THR} rho0(s)/(s - w) ds by mpmath's quadrature in
   the same chart, at 30 digits, split at the real part of the pole.
+* The exact pole pieces, where the pole sits on or next to the chart: G0
+  and G0' of tabulated cubics by mpmath at 40 digits, graded toward every
+  root; the semicircle's against its closed form at 40 digits.
 """
 
 import math
@@ -17,11 +20,13 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import support_bounds
 from specdrift import (SemicircleQuantileProfile, TabulatedProfile, density_and_hilbert,
                        parse_profile, semicircle_density, semicircle_hilbert, solve_grid)
-from specdrift.stieltjes import _resolvent_moments, _rule_below
+from specdrift.stieltjes import _edges, _resolvent_moments, _rule_below
 
 DIGITS = 30
 TIMES = (0.001, 0.01, 0.5, 1.0, 4.0)
@@ -211,3 +216,199 @@ def _check_truncated(name, w):
         rule = profile.chart_rule
         above = rule.clip(min(max(threshold, lo), hi), hi)
         assert abs(value + _resolvent_moments(profile, w, above)[0][0] - full) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# exact pole pieces: the moments against mpmath where the pole sits on or
+# next to the chart (beyond an end of slope 0, on a Gauss node, by an edge)
+
+POLE_DIGITS = 40
+POLE_RTOL = 1e-12
+
+
+def _near_points(a, b, roots):
+    """Split points of [a, b] that grade geometrically (ratio 10) toward the
+    real foot of every complex root within the interval's length, so that no
+    subinterval holds a singularity closer than a tenth of its length."""
+    pts = {a, b}
+    for r in roots:
+        foot = min(max(mp.re(r), a), b)
+        dist = abs(r - foot)
+        if dist >= b - a:
+            continue
+        pts.add(foot)
+        step = max(dist, mp.mpf(10) ** -POLE_DIGITS)
+        while step < b - a:
+            pts.update(p for p in (foot - step, foot + step) if a < p < b)
+            step *= 10
+    return sorted(pts)
+
+
+def _tabulated_moments(tab, w):
+    """(G0, G0') of the profile's own cubics by mpmath, each knot interval
+    split near the roots of its cubic = w, and the relative error with
+    which float arithmetic places the roots that lie near a piece's last
+    knot, as seen from that knot: ulp(terms of P - w there)/(|P'(r)| |h - r|)
+    at most, over the roots r within a width of the piece's middle."""
+    with mp.workdps(POLE_DIGITS):
+        w = mp.mpc(w)
+        g0 = g1 = mp.mpc(0)
+        spread = mp.mpf(0)
+        for j in range(len(tab._x) - 1):
+            c3, c2, c1, c0 = (mp.mpf(float(v)) for v in tab._interp.c[:, j])
+            h = mp.mpf(float(tab._x[j + 1])) - mp.mpf(float(tab._x[j]))
+            coeffs = [c3, c2, c1, c0 - w]
+            while coeffs[0] == 0:  # a quadratic piece or a line
+                coeffs.pop(0)
+            roots = mp.polyroots(coeffs, maxsteps=200, extraprec=200)
+            ulp = 2.0 ** -52 * (abs(c0 - w) + abs(c1) * h + abs(c2) * h ** 2 + abs(c3) * h ** 3)
+            spread = max([spread] + [ulp / abs(((3 * c3 * r + 2 * c2) * r + c1) * (r - h))
+                                     for r in roots if abs(r / h - 0.5) <= 1])
+            pts = _near_points(mp.mpf(0), h, roots)
+            p = lambda d: ((c3 * d + c2) * d + c1) * d + c0 - w
+            g0 += mp.quad(lambda d: 1 / p(d), pts)
+            g1 += mp.quad(lambda d: 1 / p(d) ** 2, pts)
+        return complex(g0), complex(g1), float(spread)
+
+
+def _assert_moments(got, want, rtol=POLE_RTOL):
+    for g, v in zip(got, want):
+        assert abs(g - v) <= rtol * abs(v), (g, v, abs(g - v) / abs(v))
+
+
+@st.composite
+def _knots_and_w(draw):
+    """Knots in the style of test_profiles' _random_knots (2-12 knots,
+    secants over six decades, so end slopes are kept and cut to 0), and a w
+    beyond an end of the support (Im w in {1, 1e-3, 1e-9, 0} of the span) or
+    on one of the rule's Gauss nodes (Im w in {1e-9, 1e-12, 1e-15})."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 12))
+    x = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n - 2)), [1.0]])
+    a = np.cumsum(np.concatenate([[rng.normal()], rng.exponential(size=n - 1)
+                                  * 10.0 ** rng.uniform(-3.0, 3.0, n - 1)]))
+    tab = TabulatedProfile(x, a)
+    span = a[-1] - a[0]
+    if draw(st.booleans()):
+        end, side = (a[0], -1.0) if draw(st.booleans()) else (a[-1], 1.0)
+        re = end + side * span * 10.0 ** -draw(st.integers(1, 10))
+        im = draw(st.sampled_from([1.0, 1e-3, 1e-9, 0.0]))
+    else:
+        nodes = tab.chart_rule.s.ravel()
+        re = float(nodes[draw(st.integers(0, len(nodes) - 1))])
+        im = draw(st.sampled_from([1e-9, 1e-12, 1e-15]))
+    return tab, complex(re, im * span)
+
+
+_ZERO_SLOPE = TabulatedProfile([0.0, 0.5, 1.0], [0.0, 0.1, 1.0])
+_BENCH_X = np.linspace(0.0, 1.0, 33)
+_BENCH = TabulatedProfile(_BENCH_X, 2.0 * _BENCH_X - 1.0 + 0.15 * np.sin(2.0 * math.pi * _BENCH_X))
+_BENCH_NODE = float(min(_BENCH.chart_rule.s.ravel(), key=lambda s: abs(s + 0.312)))
+
+
+class TestTabulatedPoleMoments:
+    """G0 and G0' of tabulated profiles against mpmath of the same cubics,
+    and the Herglotz sign Im G0 Im w > 0.
+
+    The relative bound is 1e-12, except where a root lies g < 0.1 piece
+    widths from its piece's last knot. Each cubic is stored from its first
+    knot, whose value it holds exactly; at the last one its value carries
+    the rounding of its terms, and the knot's place in the chart is
+    rounded too. A root that near is known only to ~1e-16/g relative, a
+    pair of nearly double roots there (an end slope near 0) to ~1e-16/g^2,
+    and so are the moments' terms at that knot, which for a knot inside the
+    support cancel against the next piece's (the near-knot rounding that
+    breaks the steep 5-knot profile's odd symmetry): the bound there is
+    1e-14/g^2."""
+
+    @given(case=_knots_and_w())
+    @example(case=(_ZERO_SLOPE, complex(-1e-6, 0.0)))
+    @example(case=(_ZERO_SLOPE, complex(-1e-8, 1e-8)))
+    @example(case=(_ZERO_SLOPE, complex(-1e-10, 0.0)))
+    @example(case=(_BENCH, complex(_BENCH_NODE, 1e-12)))
+    @example(case=(_BENCH, complex(_BENCH_NODE, 1e-15)))
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_against_mpmath(self, case):
+        tab, w = case
+        got = [g[0] for g in _resolvent_moments(tab, w)]
+        *want, spread = _tabulated_moments(tab, w)
+        _assert_moments(got, want, max(POLE_RTOL, 100.0 * spread))
+        if w.imag != 0:
+            assert got[0].imag * w.imag > 0
+
+
+def _semicircle_moments(w, threshold):
+    """(G0, G0') of the unit semicircle (radius 2) clipped at threshold
+    (None: whole) at 40 digits: the whole one in closed form, the branch of
+    sqrt(w - 2) sqrt(w + 2) with its cut on [-2, 2] (at a real w inside,
+    G0 + i0: the principal value and, for G0', the Hadamard finite part in
+    the real part), and a clipped one as the whole minus mpmath's quad of
+    the other side of the threshold, or as the quad itself, whichever side
+    keeps the pole off its interval (s = 2 sin u)."""
+    with mp.workdps(POLE_DIGITS):
+        w = mp.mpc(w)
+        root = mp.sqrt(w - 2) * mp.sqrt(w + 2)
+        whole = ((root - w) / 2, (w / root - 1) / 2)
+        if threshold is None:
+            return tuple(complex(v) for v in whole)
+        cut = mp.asin(mp.mpf(threshold) / 2)
+        f = lambda u, p: 2 / mp.pi * mp.cos(u) ** 2 / (2 * mp.sin(u) - w) ** p
+        if mp.re(w) < threshold:
+            return tuple(complex(v - mp.quad(lambda u: f(u, p), [cut, mp.pi / 2]))
+                         for v, p in zip(whole, (1, 2)))
+        return tuple(complex(mp.quad(lambda u: f(u, p), [-mp.pi / 2, cut])) for p in (1, 2))
+
+
+_GOE_NODE = float(min(SemicircleQuantileProfile().chart_rule.s.ravel(), key=lambda s: abs(s + 1.5463)))
+
+
+class TestSemicirclePoleMoments:
+    """The semicircle's closed form, whole and clipped, against mpmath: on
+    the Gauss node nearest -1.5463 just above the axis, within 1e-12 of an
+    edge, beyond the support, and at real w inside it (principal value and
+    Hadamard finite part, the real parts)."""
+
+    @pytest.mark.parametrize("threshold", [None, 0.4, -1.0])
+    @pytest.mark.parametrize("w", [
+        complex(_GOE_NODE, 1e-9), complex(_GOE_NODE, 1e-11), complex(_GOE_NODE, 1e-13),
+        complex(2.0 - 1e-12, 1e-12), complex(-2.0 + 1e-12, 1e-12),
+        complex(2.0 + 1e-12, 0.0), complex(-2.0 - 1e-12, 0.0), complex(-2.7, 0.0),
+        complex(7.5, 0.3)])
+    def test_against_mpmath(self, goe_profile, threshold, w):
+        rule = None if threshold is None else _rule_below(goe_profile, threshold)
+        got = [g[0] for g in _resolvent_moments(goe_profile, w, rule)]
+        _assert_moments(got, _semicircle_moments(w, threshold))
+
+    @pytest.mark.parametrize("threshold", [None, 0.4, -1.0])
+    @pytest.mark.parametrize("lam", [-1.3, 0.1, 1.9])
+    def test_real_inside(self, goe_profile, threshold, lam):
+        rule = None if threshold is None else _rule_below(goe_profile, threshold)
+        got = [g[0].real for g in _resolvent_moments(goe_profile, complex(lam, 0.0), rule)]
+        for g, v in zip(got, _semicircle_moments(complex(lam, 0.0), threshold)):
+            assert abs(g - v.real) <= POLE_RTOL * max(1.0, abs(v.real)), (g, v)
+
+
+def _moments_mp(x):
+    # (G0, G0') of _ZERO_SLOPE at a real x below its support, in mpmath
+    g0 = g1 = mp.mpf(0)
+    for j in range(2):
+        c3, c2, c1, c0 = (mp.mpf(float(v)) for v in _ZERO_SLOPE._interp.c[:, j])
+        p = lambda d: ((c3 * d + c2) * d + c1) * d + c0 - x
+        g0 += mp.quad(lambda d: 1 / p(d), [0, mp.mpf(1) / 1000, mp.mpf(1) / 2])
+        g1 += mp.quad(lambda d: 1 / p(d) ** 2, [0, mp.mpf(1) / 1000, mp.mpf(1) / 2])
+    return g0, g1
+
+
+class TestZeroSlopeEdges:
+    """The lower support edge of a profile whose end slope is 0: x the root
+    of t G0'(x) = 1 below the support and lam = x - t G0(x), by mpmath."""
+
+    @pytest.mark.parametrize("t", [1e-6, 1e-8])
+    def test_against_mpmath(self, t):
+        x, lam = _edges(_ZERO_SLOPE, t)[0]
+        with mp.workdps(POLE_DIGITS):
+            root = mp.findroot(lambda v: t * _moments_mp(v)[1] - 1, mp.mpf(x))
+            want = root - t * _moments_mp(root)[0]
+        assert abs(x - float(root)) <= 1e-10 * abs(float(root))
+        assert abs(lam - float(want)) <= POLE_RTOL * abs(float(want))
+

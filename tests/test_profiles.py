@@ -272,8 +272,8 @@ class TestPchipAgainstScipy:
 
 
 class TestChartNear:
-    """The pole screen: wherever chart_near is False, chart_poles returns
-    no valid piece. Probed on the knot values, 1e-9 off them, on and beyond
+    """The pole screen: wherever chart_near is False, pole_moments returns
+    no piece. Probed on the knot values, 1e-9 off them, on and beyond
     both ends and across the support, each at several heights Im w."""
 
     IMAG = np.array([0.0, 1e-14, 1e-9, 1e-3, 1.0])
@@ -288,7 +288,7 @@ class TestChartNear:
                              np.linspace(a[0] - span, a[-1] + span, 101)])
         w = (re[:, None] + 1j * cls.IMAG).ravel()
         near = profile.chart_near(w)
-        found = (profile.chart_poles(w)[0] >= 0).any(axis=1)
+        found = (profile.pole_moments(w, profile.chart_rule)[0] >= 0).any(axis=1)
         assert not np.any(found & ~near)
         return w, near
 

@@ -224,13 +224,12 @@ def test_masked_pass_against_refined_rule(name):
     # One block mixes w whose pole sits on a piece (Im w = 1, 1e-3, and real
     # w inside the support) with w beyond the support, near and far, real or
     # not; a second block holds the rest. Every w must get the plain sums of
-    # exactly the pieces without its pole: on a one-piece rule the invalid
-    # neighbour candidates of the pole piece are clipped onto it too, and far
-    # from the support no candidate may be valid at all. The reference is
-    # the same rule with every panel split in six; its bound is the rounding
-    # noise the node-by-node pole subtraction leaves in G0' at real w (up to
-    # ~1e-9), where a plain sum over a pole piece is off by far more. Far
-    # from the support the plain sums of the refined rule alone are exact.
+    # exactly the pieces without its pole, and far from the support no piece
+    # may hold one. The reference is
+    # the same rule with every panel split in six, whose pole pieces are
+    # integrated exactly too: the two agree to rounding, where a plain sum
+    # over a pole piece is off by far more. Far from the support the plain
+    # sums of the refined rule alone are exact.
     profile = MOMENT_PROFILES[name]
     rule = profile.chart_rule
     e = rule.edges
@@ -245,7 +244,7 @@ def test_masked_pass_against_refined_rule(name):
     assert len(w) > BLOCK
     got = _resolvent_moments(profile, w)
     for g, want in zip(got, _resolvent_moments(profile, w, fine)):
-        assert np.max(np.abs(g - want) / np.maximum(1.0, np.abs(want))) <= 1e-8
+        assert np.max(np.abs(g - want) / np.maximum(1.0, np.abs(want))) <= 1e-13
     plain = 1.0 / (fine.s.ravel() - far[:, None])
     for g, want in zip(got, (plain @ fine.ws.ravel(), (plain * plain) @ fine.ws.ravel())):
         assert np.max(np.abs(g[-len(far):] - want) / np.abs(want)) <= 1e-13
@@ -260,8 +259,9 @@ def _all_near(self, w):
 
 
 class TestPoleScreen:
-    """The pole pieces are summed only for the points the profile's screen
-    keeps, all of them at once, and that changes no bit of the moments."""
+    """The pole pieces are integrated only for the points the profile's
+    screen keeps, all of them at once, and that changes no bit of the
+    moments."""
 
     @pytest.mark.parametrize("n", [1, 64, 65, 201, 600])
     @pytest.mark.parametrize("name", SCREEN_PROFILES)
@@ -286,13 +286,13 @@ class TestPoleScreen:
 
     def test_one_pole_call_per_moments_call(self, monkeypatch):
         profile = MOMENT_PROFILES["33-knot"]
-        poles, calls = type(profile).chart_poles, []
+        poles, calls = type(profile).pole_moments, []
 
-        def counted(self, w):
+        def counted(self, w, rule):
             calls.append(len(w))
-            return poles(self, w)
+            return poles(self, w, rule)
 
-        monkeypatch.setattr(type(profile), "chart_poles", counted)
+        monkeypatch.setattr(type(profile), "pole_moments", counted)
         lam = np.linspace(-0.5, 0.5, 201)
         far = _resolvent_moments(profile, lam + 0.5j)
         assert calls == []  # every point is far: no pole work at all
