@@ -25,9 +25,17 @@ from .profiles import SemicircleQuantileProfile
 from .stieltjes import DensityLine, quantile_limit
 
 
+def _check_t(t):
+    # below t ~ 1.5e-162 t^2 underflows to 0, and the kernel's denominator
+    # with it where a_j = lambda_i
+    if not (t > 0 and t * t > 0):
+        raise DomainError(f"the overlap kernel needs t > 0 with t^2 > 0, got t={t}")
+
+
 def overlap_full(t: float, lambda_i: float, a_j, density: DensityLine):
-    """Master overlap kernel, valid for any t given boundary data at
+    """Master overlap kernel, valid for any t > 0 given boundary data at
     lambda_i."""
+    _check_t(t)
     if not density.inside_support:
         raise OutsideSupportError(f"lambda={lambda_i} outside the time-t support")
     a = np.asarray(a_j, dtype=float)
@@ -43,6 +51,7 @@ def overlap_goe(t: float, lambda_i: float, a_j, radius: float = 2.0):
     Algebraically identical to overlap_full fed with the semicircle closed
     forms (complete the square in the denominator).
     """
+    _check_t(t)
     c = radius * radius / 4.0 + t
     edge = 2.0 * math.sqrt(c)
     if abs(lambda_i) > edge:
@@ -51,7 +60,7 @@ def overlap_goe(t: float, lambda_i: float, a_j, radius: float = 2.0):
     d = a - lambda_i
     denom = d * d + (t / c) * lambda_i * d + t * t / c
     if np.any(denom <= 0):
-        raise ArithmeticError("nonpositive overlap denominator inside the support")
+        raise DomainError("nonpositive overlap denominator inside the support")
     val = t / denom
     return float(val) if a.ndim == 0 else val
 
@@ -60,8 +69,6 @@ def overlap_cauchy(t: float, lambda_i: float, a_j, initial: DensityLine):
     """Small-t Cauchy-flight kernel: the master kernel fed with the initial
     (t = 0) boundary data at lambda_i, a Lorentzian of half width
     t pi rho_0(lambda_i) centred at lambda_i + t H_0(lambda_i)."""
-    if t <= 0:
-        raise DomainError("t must be positive")
     return overlap_full(t, lambda_i, a_j, initial)
 
 

@@ -181,15 +181,11 @@ class SpectralProfile(ABC):
 
     @abstractmethod
     def pole_moments(self, w, rule):
-        """The pieces of `rule` (the chart rule or a clip of it) that hold a
-        pole of W(u)/(S(u) - w), for complex w of shape (B,): their indices,
-        shape (B, K) (-1 for none), and per point the exact integrals of
-        W/(S - w) and of W/(S - w)^2 over them, shape (B,) each."""
-
-    def chart_near(self, w):
-        """For complex w of shape (B,): False where pole_moments can return
-        no piece, True where it may. Here always True."""
-        return np.ones(len(w), dtype=bool)
+        """For complex w of shape (B,), the (point, piece) pairs where the
+        piece of `rule` (the chart rule or a clip of it) holds a pole of
+        W(u)/(S(u) - w): their point and piece indices, two 1-d arrays
+        ordered by point; and per point the exact integrals of W/(S - w) and
+        of W/(S - w)^2 over its pieces, shape (B,) each (0 where it has none)."""
 
     def _check_x(self, x, open_interval=False):
         x_arr = np.asarray(x, dtype=float)
@@ -289,7 +285,8 @@ class SemicircleQuantileProfile(SpectralProfile):
             val = k * (r * (cb - ca) - w * (b - a) + s * lam)
             der = k * ((a - b) - w * lam / s - r * (gb - ga))
         near = np.abs(w) <= 4.0 * r
-        return np.where(near, 0, -1)[:, None], np.where(near, val, 0.0), np.where(near, der, 0.0)
+        pt = np.flatnonzero(near)
+        return pt, np.zeros_like(pt), np.where(near, val, 0.0), np.where(near, der, 0.0)
 
 
 class _Pchip:
@@ -298,8 +295,10 @@ class _Pchip:
     harmonic interior slopes; at each end the one-sided three-point slope, 0
     where it is not positive (its other guard needs data that change sign);
     the line for two knots. c[:, i] holds piece i's power-basis coefficients
-    in s = u - x[i], highest degree first. Values and derivatives sum the
-    terms in scipy.interpolate.PPoly's order: PchipInterpolator's to the bit.
+    in s = u - x[i], highest degree first, and c_last[:, i] the same cubic's
+    in s = u - x[i+1], from the Hermite data there: exact at both knots.
+    Values and derivatives sum the terms in scipy.interpolate.PPoly's order:
+    PchipInterpolator's to the bit.
     """
 
     def __init__(self, x, y):
@@ -318,6 +317,7 @@ class _Pchip:
         t = (d[:-1] + d[1:] - 2 * m) / h
         self.x = x
         self.c = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+        self.c_last = np.stack([self.c[0], self.c[1] + 3.0 * self.c[0] * h, d[1:], y[1:]])
         self._dc = self.c[:-1] * np.array([3.0, 2.0, 1.0])[:, None]
 
     def _piece(self, u):
@@ -413,62 +413,53 @@ class TabulatedProfile(SpectralProfile):
                          + np.abs(c3) * g ** 3)
         return centre, radius + slack
 
-    def chart_near(self, w):
-        # True where w lies in some piece's disk, NEAR_CELLS (point, piece)
-        # pairs at a time
-        centre, radius = self._pole_disks
-        w = np.asarray(w, dtype=complex)[:, None]
-        near = np.empty(len(w), dtype=bool)
-        step = max(1, NEAR_CELLS // len(centre))
-        for b in range(0, len(w), step):
-            np.any(np.abs(w[b:b + step] - centre) <= radius, axis=1, out=near[b:b + step])
-        return near
-
     @cached_property
     def _complex_pieces(self):
-        # pole_moments' cubic coefficients, derivative coefficients and knots,
-        # cast once: numpy would cast them to complex at every Newton step
-        return np.concatenate([self._interp.c, self._interp._dc, self._x[None, :-1]]).astype(complex)
+        # pole_moments' cubic and derivative coefficients, each piece expanded
+        # at its first knot (columns :K) and at its last (K:), cast once: numpy
+        # would cast them to complex at every Newton step
+        c = np.concatenate([self._interp.c, self._interp.c_last], axis=1)
+        return np.concatenate([c, c[:-1] * np.array([3.0, 2.0, 1.0])[:, None]]).astype(complex)
 
     def pole_moments(self, w, rule):
         # Each cubic piece continues to its own analytic function, so every
         # piece whose disk holds w (_pole_disks) is a candidate, one (point,
-        # piece) pair each, a row of the arrays below. On each, a root of
-        # P(u) = w is Newton-polished from the root of the quadratic Taylor
-        # model at the piece's end nearer in value (it reaches the complex
-        # pair of roots by an end of slope 0), until every root stands still
-        # or swaps between two values in the last bit.
+        # piece) pair each, a row of the arrays below; the disks are tested
+        # NEAR_CELLS // pieces points at a time. A pair works in d = u - knot
+        # from its piece's knot nearer in value, where the cubic holds that
+        # knot's value and slope exactly. A root of P(d) = w is Newton-polished
+        # from the root of the quadratic c0 + c1 d + c2 d^2 (it reaches the
+        # complex pair of roots by an end of slope 0), until every root stands
+        # still or swaps between two values in the last bit.
         w = np.asarray(w, dtype=complex)
         centre, radius = self._pole_disks
-        pt, k = np.nonzero(np.abs(w[:, None] - centre) <= radius)
-        x, a, k, wk = self._x, self._a, k[:, None], w[pt, None]
-        h = x[k + 1] - x[k]
-        # d2, d1, d0 = 3 c3, 2 c2, c1; take, unlike [:, k], leaves each contiguous
-        c3, c2, c1, c0, d2, d1, d0, base = np.take(self._complex_pieces, k, axis=1)
-        c0 = c0 - wk  # P - w, exact by the piece's first knot
-        with np.errstate(all="ignore"):  # a flat, straight end starts at inf: rejected below
-            end = np.where(wk.real > (a[k] + a[k + 1]) / 2.0, h, 0.0)
-            gap, slope = wk.real - np.where(end > 0, a[k + 1], a[k]), (d2 * end + d1) * end + d0
-            u = base + end + 2.0 * gap / (slope + np.sqrt(slope * slope + 4.0 * (3.0 * c3 * end + c2) * gap))
-            older = u
+        chunk = max(1, NEAR_CELLS // len(centre))
+        pt, k = np.concatenate([np.argwhere(np.abs(w[b:b + chunk, None] - centre) <= radius) + (b, 0)
+                                for b in range(0, max(len(w), 1), chunk)]).T
+        moments = np.zeros((2, len(w)), dtype=complex)
+        if not pt.size:
+            return pt, k, moments[0], moments[1]
+        x, a, wk = self._x, self._a, w[pt, None]
+        last = wk.real > (a[k] + a[k + 1])[:, None] / 2.0
+        h = (x[k + 1] - x[k])[:, None]
+        knot = np.where(last, x[k + 1, None], x[k, None])
+        # d2, d1, d0 = 3 c3, 2 c2, c1; take, unlike [:, j], leaves each contiguous
+        c3, c2, c1, c0, d2, d1, d0 = np.take(self._complex_pieces, k[:, None] + last * len(centre), axis=1)
+        c0 = c0 - wk  # P - w, exact by the knot
+        with np.errstate(all="ignore"):  # a flat, straight end starts at inf or nan: rejected below
+            d = -2.0 * c0 / (c1 + np.sqrt(c1 * c1 - 4.0 * c2 * c0))
+            older = d
             for _ in range(TABULATED_NEWTON):
-                d = u - base
-                step = u - (((c3 * d + c2) * d + c1) * d + c0) / ((d2 * d + d1) * d + d0)
-                cycle = _same_bits(step, older)
-                if (cycle | _same_bits(step, u)).all():
+                new = d - (((c3 * d + c2) * d + c1) * d + c0) / ((d2 * d + d1) * d + d0)
+                cycle = _same_bits(new, older)
+                if (cycle | _same_bits(new, d)).all():
                     break
-                older, u = u, step
-            u = np.where(cycle, np.minimum(u, older), u)  # the same value whichever step ended it
-            # roots of adjacent pieces that only rounding tells apart (w on or
-            # by a knot) are made one, so their logs at the shared knot cancel
-            d, ad = u - base, np.abs(u - base)
+                older, d = d, new
+            d = np.where(cycle, np.minimum(d, older), d)  # the same value whichever step ended it
+            ad = np.abs(d)
             tol = 1e-13 * (1.0 + np.abs(wk) + np.abs(c0 + wk)
                            + ((np.abs(c3) * ad + np.abs(c2)) * ad + np.abs(c1)) * ad)
-            same = ((pt[1:] == pt[:-1])[:, None] & (k[1:] == k[:-1] + 1)
-                    & (np.abs((u[1:] - u[:-1]) * ((d2 * d + d1) * d + d0)[1:]) <= tol[1:]))
-            u[1:][same] = u[:-1][same]
-            d = u - base
-            ok = np.isfinite(u) & (np.abs(((c3 * d + c2) * d + c1) * d + c0) <= tol)
+            ok = np.isfinite(d) & (np.abs(((c3 * d + c2) * d + c1) * d + c0) <= tol)
             # the other two roots: deflate by d (synthetic division), the
             # stable quadratic formula, one Newton step on P; on a quadratic
             # piece or a line they are not finite, and drop out
@@ -480,26 +471,21 @@ class TabulatedProfile(SpectralProfile):
             r[:, 1:] -= (((c3 * r[:, 1:] + c2) * r[:, 1:] + c1) * r[:, 1:] + c0) / (
                 (d2 * r[:, 1:] + d1) * r[:, 1:] + d0)
             fin = np.isfinite(r)
-            ok &= (fin & (np.abs(r - h / 2.0) <= h)).any(axis=1, keepdims=True)
+            ok &= (fin & (np.abs(r - np.where(last, -h, h) / 2.0) <= h)).any(axis=1, keepdims=True)
             # 1/(P - w) = sum_j c_j/(d - r_j) exactly, c_j = 1/P'(r_j), and
             # 1/(P - w)^2 = sum_j c_j^2/(d - r_j)^2 + b_j/(d - r_j)
             c = 1.0 / ((d2 * r + d1) * r + d0)
             b = -(2.0 * d2 * r + d1) * c ** 3
-            ru = base + r  # in u, the polished root as merged
-            ru[:, :1] = u
-            lo, hi = rule.lo[k] - ru, rule.hi[k] - ru
+            lo, hi = rule.lo[k, None] - knot - r, rule.hi[k, None] - knot - r
             # a real w can put a root exactly on a piece end (a knot), where
             # the real parts of the divergent logs of the two pieces cancel
             log = np.log(np.where(hi == 0, 1.0, hi)) - np.log(np.where(lo == 0, 1.0, lo))
             use = ok & fin
-            moments = np.zeros((2, len(w)), dtype=complex)
             np.add.at(moments, (slice(None), pt), [np.where(use, c * log, 0.0).sum(axis=1),
                                                    np.where(use, c * c * (1.0 / lo - 1.0 / hi) + b * log,
                                                             0.0).sum(axis=1)])
-        slot = np.arange(len(pt)) - np.searchsorted(pt, pt)  # the pairs come ordered by point
-        piece = np.full((len(w), slot.max(initial=0) + 1), -1)
-        piece[pt, slot] = np.where(ok[:, 0], k[:, 0], -1)
-        return piece, moments[0], moments[1]
+        ok = ok[:, 0]
+        return pt[ok], k[ok], moments[0], moments[1]
 
     @property
     def support(self):

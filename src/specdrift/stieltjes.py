@@ -17,9 +17,9 @@ Every integral against rho0 is one fixed composite Gauss-Legendre sum in
 the profile's chart (profiles.ChartRule), clipped at the threshold of a
 truncated integral (theta's weight 1(a <= THR), the cdf's alpha), except
 on the pieces that hold a pole of 1/(s - w): the profile integrates those
-exactly (SpectralProfile.pole_moments), so the sums stay exact as
-Im w -> 0 (t -> 0, lam at an edge), and at w = lam itself they give the
-principal value H_0.
+exactly, in one SpectralProfile.pole_moments call per sum that names them
+as (point, piece) pairs, so the sums stay exact as Im w -> 0 (t -> 0, lam
+at an edge), and at w = lam itself they give the principal value H_0.
 
 The support edges are the real roots x of t int rho0(s)/(s - x)^2 ds = 1
 beyond the initial support, at lam = x - t G0(x). Outside them rho_t is
@@ -50,9 +50,6 @@ MAX_ITER = 200
 HALVINGS = 6
 #: Points per vectorized block: bounds the (points x nodes) temporaries.
 BLOCK = 64
-#: Points near a pole whose pole pieces are integrated at once
-#: (SpectralProfile.pole_moments).
-POLE_BLOCK = 4 * BLOCK
 #: Edge search: grid points per end and bracketing round (both ends make one
 #: block), and the smallest distance (relative to the initial support) from
 #: the initial edge it considers.
@@ -87,11 +84,9 @@ def _resolvent_moments(profile: SpectralProfile, w, rule=None):
     over the chart rule `rule` (the profile's whole rule, or a clip of it).
 
     The pieces of the rule that hold a pole of W(u)/(S(u) - w) are
-    integrated exactly by profile.pole_moments, only for the points the
-    profile's screen (profile.chart_near) cannot rule out, and for all of
-    them at once (up to POLE_BLOCK points); the other points have no pole
-    piece. Every other piece is summed in one pass over its nodes, BLOCK
-    points at a time.
+    integrated exactly by one profile.pole_moments call for all of w, which
+    returns them as (point, piece) pairs. Every other piece is summed in one
+    pass over its nodes, BLOCK points at a time.
 
     At a real w inside the support the first moment is the principal value
     (its real part) and the second the Hadamard finite part. On a knot
@@ -100,14 +95,7 @@ def _resolvent_moments(profile: SpectralProfile, w, rule=None):
     """
     rule = profile.chart_rule if rule is None else rule
     w = np.atleast_1d(np.asarray(w, dtype=complex))
-    at = np.flatnonzero(profile.chart_near(w))
-    pole_val, pole_der = np.zeros((2, len(w)), dtype=complex)
-    rows = pieces = at[:0]
-    for c in range(0, at.size, POLE_BLOCK):
-        near = at[c:c + POLE_BLOCK]
-        piece, pole_val[near], pole_der[near] = profile.pole_moments(w[near], rule)
-        r, k = np.nonzero(piece >= 0)
-        rows, pieces = np.append(rows, near[r]), np.append(pieces, piece[r, k])
+    rows, pieces, pole_val, pole_der = profile.pole_moments(w, rule)
     if len(rule.lo) == 1 and rows.size == len(w):
         # every point's one piece holds its pole (the semicircle near its
         # support): every node would be zeroed, and the plain pass would add +0
@@ -211,8 +199,10 @@ def _edges(profile: SpectralProfile, t: float):
     t/(x - end)^2, so the root of t G0'(x) = 1 lies within sqrt(t) of the
     end. It is bracketed on a log grid and the bracket zoomed to rounding,
     at both ends at once: one moments call per round. lam = x - t G0(x) is
-    stationary in x there.
+    stationary in x there. A t that is not positive is a DomainError.
     """
+    if not t > 0:
+        raise DomainError(f"the time-t support needs t > 0, got t={t}")
     lo0, hi0 = profile.support
     ends, sides = np.array([lo0, hi0]), np.array([-1.0, 1.0])
     delta = np.array([np.geomspace(EDGE_MIN * max(1.0, abs(end), hi0 - lo0), math.sqrt(t),
@@ -272,8 +262,8 @@ def _outside(profile, t, lams, x_edge, upper, tol):
 
 def boundary_values(profile: SpectralProfile, t: float, lams, tol: float = DEFAULT_TOL):
     """Boundary values m = G_t(lam + i0) = H_t + i pi rho_t at every lam
-    (t > 0), and the residuals of the solve. A non-finite lam is a
-    DomainError."""
+    (t > 0), and the residuals of the solve. A t that is not positive
+    (_edges) or a non-finite lam is a DomainError."""
     lams = np.asarray(lams, dtype=float)
     if not np.isfinite(lams).all():
         raise DomainError("lambda must be finite")

@@ -5,6 +5,7 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -65,3 +66,14 @@ def support_bounds(profile, t):
         return profile.support
     (_, lower), (_, upper) = _edges(profile, t)
     return lower, upper
+
+
+def hermite_piece(profile, k):
+    """Piece k of a tabulated profile as the Hermite cubic of its knot data
+    (a_k, a_{k+1}, d_k, d_{k+1}, h), in mpmath at the working precision:
+    power-basis coefficients in s = u - x_k, highest degree first, and h."""
+    (a0, a1), (x0, x1) = (map(mp.mpf, v[k:k + 2]) for v in (profile._a, profile._x))
+    d0, d1 = mp.mpf(profile._interp.c[2, k]), mp.mpf(profile._interp.c_last[2, k])
+    h = x1 - x0
+    m = (a1 - a0) / h
+    return [(d0 + d1 - 2 * m) / h ** 2, (3 * m - 2 * d0 - d1) / h, d0, a0], h

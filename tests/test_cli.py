@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -380,6 +381,39 @@ class TestMalformedInput:
                    "--eta=-0.01,-0.005", "--out-dir", str(tmp_path)])
         assert rc == EXIT_DOMAIN
         assert not (tmp_path / "stieltjes.csv").exists()
+
+
+def _csv_numbers(path):
+    """Every field of a CSV below its header that reads as a number."""
+    for row in list(csv.reader(path.open()))[1:]:
+        for field in row:
+            try:
+                yield float(field)
+            except ValueError:
+                pass
+
+
+# the predict grid holds a_j = lambda, where the kernel's denominator is smallest
+EDGE_T_ARGV = {f"predict-{regime}-t={t}": ["predict", "--t", t, "--lambda", "0", "--regime", regime,
+                                           "--grid=-0.5:0.5:0.25"]
+               for regime in ("goe", "full", "cauchy") for t in ("0", "1e-300", "-1")}
+EDGE_T_ARGV["stieltjes-t=-1"] = ["stieltjes", "--t", "-1", "--grid=-3:3:0.5"]
+
+
+class TestEdgeTimes:
+    """t = 0, a t whose square underflows to 0, and a negative t end in a
+    success or a typed error's exit code: no exception escapes main, and
+    every number in every CSV written is finite. (The goe regime at t = 0
+    and 1e-300 used to raise ArithmeticError, the full one to write a
+    non-finite kernel, and t = -1 to fail in math.sqrt.)"""
+
+    @pytest.mark.parametrize("profile", ["goe", "linear:-1,1"])
+    @pytest.mark.parametrize("case", EDGE_T_ARGV)
+    def test_exit_code_and_finite_csv(self, tmp_path, case, profile):
+        rc = main([*EDGE_T_ARGV[case], "--profile", profile, "--out-dir", str(tmp_path)])
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN)
+        for path in tmp_path.glob("*.csv"):
+            assert all(math.isfinite(v) for v in _csv_numbers(path)), path
 
 
 class TestGOEScale:

@@ -11,8 +11,9 @@
   resolvent int_{s <= THR} rho0(s)/(s - w) ds by mpmath's quadrature in
   the same chart, at 30 digits, split at the real part of the pole.
 * The exact pole pieces, where the pole sits on or next to the chart: G0
-  and G0' of tabulated cubics by mpmath at 40 digits, graded toward every
-  root; the semicircle's against its closed form at 40 digits.
+  and G0' of tabulated profiles by mpmath at 40 digits, of the Hermite
+  cubics of their knot data, graded toward every root; the semicircle's
+  against its closed form at 40 digits.
 """
 
 import math
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import support_bounds
+from conftest import hermite_piece, support_bounds
 from specdrift import (SemicircleQuantileProfile, TabulatedProfile, density_and_hilbert,
                        parse_profile, semicircle_density, semicircle_hilbert, solve_grid)
 from specdrift.stieltjes import _edges, _resolvent_moments, _rule_below
@@ -245,30 +246,24 @@ def _near_points(a, b, roots):
 
 
 def _tabulated_moments(tab, w):
-    """(G0, G0') of the profile's own cubics by mpmath, each knot interval
-    split near the roots of its cubic = w, and the relative error with
-    which float arithmetic places the roots that lie near a piece's last
-    knot, as seen from that knot: ulp(terms of P - w there)/(|P'(r)| |h - r|)
-    at most, over the roots r within a width of the piece's middle."""
+    """(G0, G0') of the profile's pieces, each the Hermite cubic of its knot
+    data built in mpmath (conftest.hermite_piece), by mpmath's quadrature,
+    each knot interval split near the roots of its cubic = w."""
     with mp.workdps(POLE_DIGITS):
         w = mp.mpc(w)
         g0 = g1 = mp.mpc(0)
-        spread = mp.mpf(0)
         for j in range(len(tab._x) - 1):
-            c3, c2, c1, c0 = (mp.mpf(float(v)) for v in tab._interp.c[:, j])
-            h = mp.mpf(float(tab._x[j + 1])) - mp.mpf(float(tab._x[j]))
-            coeffs = [c3, c2, c1, c0 - w]
+            coeffs, h = hermite_piece(tab, j)
+            coeffs[-1] -= w
+            c3, c2, c1, c0 = coeffs
             while coeffs[0] == 0:  # a quadratic piece or a line
                 coeffs.pop(0)
             roots = mp.polyroots(coeffs, maxsteps=200, extraprec=200)
-            ulp = 2.0 ** -52 * (abs(c0 - w) + abs(c1) * h + abs(c2) * h ** 2 + abs(c3) * h ** 3)
-            spread = max([spread] + [ulp / abs(((3 * c3 * r + 2 * c2) * r + c1) * (r - h))
-                                     for r in roots if abs(r / h - 0.5) <= 1])
             pts = _near_points(mp.mpf(0), h, roots)
-            p = lambda d: ((c3 * d + c2) * d + c1) * d + c0 - w
+            p = lambda d: ((c3 * d + c2) * d + c1) * d + c0
             g0 += mp.quad(lambda d: 1 / p(d), pts)
             g1 += mp.quad(lambda d: 1 / p(d) ** 2, pts)
-        return complex(g0), complex(g1), float(spread)
+        return complex(g0), complex(g1)
 
 
 def _assert_moments(got, want, rtol=POLE_RTOL):
@@ -301,25 +296,20 @@ def _knots_and_w(draw):
 
 
 _ZERO_SLOPE = TabulatedProfile([0.0, 0.5, 1.0], [0.0, 0.1, 1.0])
+_UPPER_FLAT = TabulatedProfile([0.0, 0.5, 1.0], [0.0, 0.9, 1.0])  # its mirror: slope 0 at the top
+_NARROW_LINE = parse_profile("linear:0.31428722912918317,0.31661910435385526")
 _BENCH_X = np.linspace(0.0, 1.0, 33)
 _BENCH = TabulatedProfile(_BENCH_X, 2.0 * _BENCH_X - 1.0 + 0.15 * np.sin(2.0 * math.pi * _BENCH_X))
 _BENCH_NODE = float(min(_BENCH.chart_rule.s.ravel(), key=lambda s: abs(s + 0.312)))
 
 
 class TestTabulatedPoleMoments:
-    """G0 and G0' of tabulated profiles against mpmath of the same cubics,
-    and the Herglotz sign Im G0 Im w > 0.
-
-    The relative bound is 1e-12, except where a root lies g < 0.1 piece
-    widths from its piece's last knot. Each cubic is stored from its first
-    knot, whose value it holds exactly; at the last one its value carries
-    the rounding of its terms, and the knot's place in the chart is
-    rounded too. A root that near is known only to ~1e-16/g relative, a
-    pair of nearly double roots there (an end slope near 0) to ~1e-16/g^2,
-    and so are the moments' terms at that knot, which for a knot inside the
-    support cancel against the next piece's (the near-knot rounding that
-    breaks the steep 5-knot profile's odd symmetry): the bound there is
-    1e-14/g^2."""
+    """G0 and G0' of tabulated profiles against mpmath of the Hermite
+    cubics of their knot data, to 1e-12 relative, and the Herglotz sign
+    Im G0 Im w > 0. Each root is placed from its piece's knot nearer in
+    value, where the stored cubic holds the knot's value and slope exactly,
+    so the bound holds by either knot: beyond the upper end of slope 0 of
+    (0, .5, 1) -> (0, .9, 1) as well as below the lower one of its mirror."""
 
     @given(case=_knots_and_w())
     @example(case=(_ZERO_SLOPE, complex(-1e-6, 0.0)))
@@ -327,12 +317,14 @@ class TestTabulatedPoleMoments:
     @example(case=(_ZERO_SLOPE, complex(-1e-10, 0.0)))
     @example(case=(_BENCH, complex(_BENCH_NODE, 1e-12)))
     @example(case=(_BENCH, complex(_BENCH_NODE, 1e-15)))
+    @example(case=(_UPPER_FLAT, complex(1.0 + 1e-8, 0.0)))
+    @example(case=(_UPPER_FLAT, complex(1.0 + 1e-10, 1e-10)))
+    @example(case=(_NARROW_LINE, complex(0.3166191043561871, 0.0)))  # 1e-9 widths above
     @settings(max_examples=12, deadline=None, derandomize=True)
     def test_against_mpmath(self, case):
         tab, w = case
         got = [g[0] for g in _resolvent_moments(tab, w)]
-        *want, spread = _tabulated_moments(tab, w)
-        _assert_moments(got, want, max(POLE_RTOL, 100.0 * spread))
+        _assert_moments(got, _tabulated_moments(tab, w))
         if w.imag != 0:
             assert got[0].imag * w.imag > 0
 

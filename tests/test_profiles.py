@@ -11,6 +11,8 @@ from specdrift import (ConfigError, DomainError, EdgeError, InvalidProfileError,
                        SemicircleQuantileProfile, TabulatedProfile, parse_profile)
 from specdrift.profiles import gauss_legendre
 
+from conftest import hermite_piece
+
 
 def assert_valid_profile(p):
     """Strictly increasing, inverse round trip within 1e-9 and derivative
@@ -272,45 +274,60 @@ class TestPchipAgainstScipy:
 
 
 class TestChartNear:
-    """The pole screen: wherever chart_near is False, pole_moments returns
-    no piece. Probed on the knot values, 1e-9 off them, on and beyond
-    both ends and across the support, each at several heights Im w."""
+    """Which points are near which chart piece: every mpmath root of
+    P_k(u) = w within one width of piece k's middle (P_k the Hermite cubic
+    of the knot data) has w inside piece k's disk, and pole_moments returns
+    the pair (point, k). The w are P_k at points u inside that circle of
+    one width (0.4 and 0.999 of the way out, at eight angles) and
+    at the knots, so that roots sit where the promise is tightest."""
 
-    IMAG = np.array([0.0, 1e-14, 1e-9, 1e-3, 1.0])
+    RING = [mp.mpf(rho) * mp.expjpi(mp.mpf(j) / 4) for rho in ("0.4", "0.999") for j in range(8)]
 
     @classmethod
-    def _screen(cls, x, a):
-        profile = TabulatedProfile(x, a)
-        a = np.asarray(a, dtype=float)
-        span = a[-1] - a[0]
-        beyond = span * np.geomspace(1e-12, 1.0, 13)
-        re = np.concatenate([a, a - 1e-9, a + 1e-9, a[0] - beyond, a[-1] + beyond,
-                             np.linspace(a[0] - span, a[-1] + span, 101)])
-        w = (re[:, None] + 1j * cls.IMAG).ravel()
-        near = profile.chart_near(w)
-        found = (profile.pole_moments(w, profile.chart_rule)[0] >= 0).any(axis=1)
-        assert not np.any(found & ~near)
-        return w, near
+    def _check(cls, profile, pieces):
+        centre, radius = profile._pole_disks
+        for k in pieces:
+            coeffs, h = hermite_piece(profile, k)
+            # a knot of slope 0 is a double root, on the chart: no pair there
+            us = [s for s, d in ((0, coeffs[2]), (h, profile._interp.c_last[2, k])) if d != 0]
+            us += [h / 2 + h * z for z in cls.RING]
+            w = np.array([complex(mp.polyval(coeffs, u)) for u in us])
+            pt, pk, *_ = profile.pole_moments(w, profile.chart_rule)
+            pairs = set(zip(pt.tolist(), pk.tolist()))
+            while coeffs[0] == 0:  # a line
+                coeffs = coeffs[1:]
+            for i, wi in enumerate(w):
+                roots = mp.polyroots(coeffs[:-1] + [coeffs[-1] - wi], maxsteps=100, extraprec=60)
+                if any(abs(r - h / 2) <= h for r in roots):
+                    assert abs(wi - centre[k]) <= radius[k], (k, wi)
+                    assert (i, k) in pairs, (k, wi)
 
     def test_random_knot_sets(self):
         rng = np.random.default_rng(20260823)
-        for _ in range(400):
-            self._screen(*_random_knots(rng))
+        for _ in range(60):
+            profile = TabulatedProfile(*_random_knots(rng))
+            self._check(profile, rng.choice(len(profile._x) - 1, 2))
 
     @_NAMED_KNOT_SETS
     def test_named_knot_sets(self, x, a):
-        self._screen(np.asarray(x, dtype=float), np.asarray(a, dtype=float))
+        profile = TabulatedProfile(x, a)
+        self._check(profile, range(len(profile._x) - 1))
 
     def test_rules_out_far_points(self):
         # every piece's disk on the 33-knot profile has a radius below 0.2:
-        # a point one unit above the axis holds no pole, one on the support may
-        w, near = self._screen(*_benchmark_knots())
-        assert not near[w.imag == 1.0].any()
-        assert near[(w.imag == 0.0) & (np.abs(w.real) < 0.9)].all()
+        # a point one unit above the axis holds no pole, one on the support does
+        profile = TabulatedProfile(*_benchmark_knots())
+        re = np.linspace(-2.0, 2.0, 101)
+        pt, _, val, der = profile.pole_moments(np.concatenate([re + 1j, re]), profile.chart_rule)
+        assert not val[:len(re)].any() and not der[:len(re)].any()
+        assert set(pt.tolist()) >= set(np.flatnonzero(np.abs(re) < 0.9) + len(re))
+        assert (pt >= len(re)).all()
 
-    def test_semicircle_always_near(self, goe_profile):
-        w = np.array([0.0, 2.0, 5.0 + 3.0j, -40.0 + 1e-9j])
-        assert goe_profile.chart_near(w).all()
+    def test_semicircle_pairs_within_four_radii(self, goe_profile):
+        w = np.array([0.0, 2.0, 5.0 + 3.0j, 8.0, -8.0, 8.0 + 1e-3j, 6.0 + 6.0j, -40.0 + 1e-9j, 9.0j])
+        pt, k, val, der = goe_profile.pole_moments(w, goe_profile.chart_rule)
+        assert pt.tolist() == [0, 1, 2, 3, 4] and not k.any()
+        assert not val[5:].any() and not der[5:].any()
 
 
 class TestNormalization:

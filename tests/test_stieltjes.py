@@ -13,7 +13,7 @@ from specdrift import (ConvergenceError, DomainError, EdgeError, SemicircleQuant
                        semicircle_density,
                        semicircle_hilbert, semicircle_stieltjes, solve_fixed_point,
                        solve_grid, theta_limit)
-from specdrift import stieltjes
+from specdrift import profiles, stieltjes
 from specdrift.profiles import ChartRule
 from specdrift.stieltjes import (BLOCK, DEFAULT_TOL, EDGE_MIN, _initial_line,
                                  _resolvent_moments, boundary_values)
@@ -250,18 +250,29 @@ def test_masked_pass_against_refined_rule(name):
         assert np.max(np.abs(g[-len(far):] - want) / np.abs(want)) <= 1e-13
 
 
+@pytest.mark.parametrize("im", [0.0, 1e-9])
+@pytest.mark.parametrize("k", [1, 3])
+def test_odd_symmetry_by_a_knot(k, im):
+    # a = sinh(5(2x - 1)) is odd about x = 1/2, so rho0 is even and H0(-lam) =
+    # -H0(lam). Both pieces at knot k place their roots from that knot, where
+    # each holds the knot's value and slope exactly, so the symmetry holds to
+    # rounding from 1e-12 to 1e-3 off the knot value.
+    profile = MOMENT_PROFILES["steep-5-knot"]
+    delta = np.geomspace(1e-12, 1e-3, 28)
+    lam = np.concatenate([profile._a[k] - delta, profile._a[k] + delta])
+    h_plus, h_minus = (_resolvent_moments(profile, v + 1j * im)[0].real for v in (lam, -lam))
+    assert np.max(np.abs(h_plus + h_minus) / np.abs(h_plus)) <= 1e-14
+
+
 SCREEN_PROFILES = {**MOMENT_PROFILES,
                    "zero-end-slope": TabulatedProfile([0.0, 0.5, 1.0], [0.0, 0.1, 1.0])}
 
 
-def _all_near(self, w):
-    return np.ones(len(w), dtype=bool)
-
-
 class TestPoleScreen:
-    """The pole pieces are integrated only for the points the profile's
-    screen keeps, all of them at once, and that changes no bit of the
-    moments."""
+    """The pole screen, the disk test in a tabulated profile's
+    pole_moments, runs NEAR_CELLS // pieces points at a time: chunked to one
+    point or unchunked, the moments are the same bits. _resolvent_moments
+    makes one pole_moments call per call."""
 
     @pytest.mark.parametrize("n", [1, 64, 65, 201, 600])
     @pytest.mark.parametrize("name", SCREEN_PROFILES)
@@ -275,31 +286,44 @@ class TestPoleScreen:
         w[:4] = [lo, hi, 0.5 * (lo + hi), hi + 1e-9][:n]
         rules = (None, stieltjes._rule_below(profile, lo + 0.4 * span))
         if isinstance(profile, TabulatedProfile) and n >= 64:
-            near = profile.chart_near(w)
-            assert near.any() and not near.all()
+            near = np.unique(profile.pole_moments(w, profile.chart_rule)[0])
+            assert 0 < len(near) < n
+        got = []
         with np.errstate(all="ignore"):  # G0' on a knot value (w = lo, hi) is not finite
-            screened = [_resolvent_moments(profile, w, rule) for rule in rules]
-            monkeypatch.setattr(type(profile), "chart_near", _all_near)
-            for got, rule in zip(screened, rules):
-                for g, want in zip(got, _resolvent_moments(profile, w, rule)):
-                    assert g.tobytes() == want.tobytes()
+            for cells in (1, 1 << 30):
+                monkeypatch.setattr(profiles, "NEAR_CELLS", cells)
+                got.append([_resolvent_moments(profile, w, rule) for rule in rules])
+        for chunked, whole in zip(*got):
+            for g, want in zip(chunked, whole):
+                assert g.tobytes() == want.tobytes()
 
     def test_one_pole_call_per_moments_call(self, monkeypatch):
         profile = MOMENT_PROFILES["33-knot"]
-        poles, calls = type(profile).pole_moments, []
+        poles, moments, calls, pairs = type(profile).pole_moments, stieltjes._resolvent_moments, [], []
 
         def counted(self, w, rule):
+            out = poles(self, w, rule)
             calls.append(len(w))
-            return poles(self, w, rule)
+            pairs.append(len(out[0]))
+            return out
 
         monkeypatch.setattr(type(profile), "pole_moments", counted)
         lam = np.linspace(-0.5, 0.5, 201)
         far = _resolvent_moments(profile, lam + 0.5j)
-        assert calls == []  # every point is far: no pole work at all
+        assert calls == [len(lam)] and pairs == [0]  # every point is far: no pair
+        pt, k, val, der = poles(profile, lam + 0.5j, profile.chart_rule)
+        assert pt.size == k.size == 0 and not val.any() and not der.any()
         mixed = _resolvent_moments(profile, np.concatenate([lam + 0.5j, lam + 1e-3j]))
-        assert calls == [len(lam)]
+        assert calls[1:] == [2 * len(lam)] and pairs[1] > 0
         for got, want in zip(mixed, far):
             assert got[:len(lam)].tobytes() == want.tobytes()
+        # through a whole solve: one pole_moments call per moments call
+        counts = []
+        monkeypatch.setattr(stieltjes, "_resolvent_moments",
+                            lambda *a: counts.append(1) or moments(*a))
+        del calls[:]
+        solve_grid(profile, 0.5, np.linspace(-1.5, 1.5, 31))
+        assert len(calls) == len(counts) > 0
 
 
 class TestNonFiniteLambda:
