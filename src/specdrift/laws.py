@@ -39,8 +39,9 @@ def overlap_full(t: float, lambda_i: float, a_j, density: DensityLine):
     if not density.inside_support:
         raise OutsideSupportError(f"lambda={lambda_i} outside the time-t support")
     a = np.asarray(a_j, dtype=float)
-    val = t / ((a - lambda_i - t * density.hilbert) ** 2
-               + (t * math.pi * density.rho) ** 2)
+    d, b = a - lambda_i - t * density.hilbert, t * math.pi * density.rho
+    with np.errstate(over="ignore"):  # a huge t: the kernel falls to 0
+        val = t / (d * d + b * b)
     return float(val) if a.ndim == 0 else val
 
 

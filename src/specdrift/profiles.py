@@ -174,7 +174,7 @@ class SpectralProfile(ABC):
         out = np.zeros_like(alpha_arr)
         if np.any(inside):
             x = np.asarray(self.inverse(alpha_arr[inside]))
-            out[inside] = 1.0 / self.derivative(np.clip(x, EDGE_MARGIN, 1.0 - EDGE_MARGIN))
+            out[inside] = 1.0 / self.derivative(x)
         if np.ndim(alpha) == 0:
             return float(out[0])
         return out

@@ -51,10 +51,8 @@ HALVINGS = 6
 #: Points per vectorized block: bounds the (points x nodes) temporaries.
 BLOCK = 64
 #: Edge search: grid points per end and bracketing round (both ends make one
-#: block), and the smallest distance (relative to the initial support) from
-#: the initial edge it considers.
+#: block).
 EDGE_GRID = BLOCK // 2
-EDGE_MIN = 1e-14
 
 #: cdf_limit: spacing of the outer xi Gauss rule. quantile_limit: nodes of
 #: the rule that integrates rho_t (with the point it solves at, one block).
@@ -125,9 +123,10 @@ def _rule_below(profile: SpectralProfile, threshold: float):
 # fixed point
 
 
-def _solve(profile, t, z, m, tol, max_iter):
+def _solve(profile, t, z, m, tol):
     """Newton on G0(z + t m) = m for every point of z at once; returns
-    (m, residual). `m` is the start, or None for G0(z + i sqrt(t)).
+    (m, residual). `m` is the start, or None for G0(z + i sqrt(t)). At
+    t = 0, F(m) = G0(z) does not depend on m, and the first step lands on it.
 
     The Newton step is halved until it stays in the half plane of z and
     cuts the residual (Armijo); after HALVINGS halvings the point takes the
@@ -142,7 +141,7 @@ def _solve(profile, t, z, m, tol, max_iter):
     g = F - m
     res = np.abs(g)
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             act = np.flatnonzero(~(res <= tol))
             if act.size == 0:
                 # one more Newton step, kept where it lowers the residual
@@ -169,20 +168,17 @@ def _solve(profile, t, z, m, tol, max_iter):
     worst = int(np.nanargmax(np.where(np.isfinite(res), res, np.inf)))
     raise ConvergenceError(
         f"fixed point not converged at z={z[worst]} (residual {res[worst]:.3e})",
-        residual=float(res[worst]), iterations=max_iter)
+        residual=float(res[worst]), iterations=MAX_ITER)
 
 
-def solve_fixed_point(profile: SpectralProfile, t: float, z: complex,
-                      tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> complex:
-    """G_{mu_t}(z) with self-consistency residual <= tol."""
+def solve_fixed_point(profile: SpectralProfile, t: float, z: complex) -> complex:
+    """G_{mu_t}(z) with self-consistency residual <= DEFAULT_TOL."""
     z = complex(z)
     if z.imag == 0:
         raise DomainError("z must have nonzero imaginary part")
     if t < 0:
         raise DomainError("t must be nonnegative")
-    if t == 0:
-        return complex(_resolvent_moments(profile, z)[0][0])
-    m, _ = _solve(profile, t, np.array([z]), None, tol, max_iter)
+    m, _ = _solve(profile, t, np.array([z]), None, DEFAULT_TOL)
     return complex(m[0])
 
 
@@ -205,15 +201,17 @@ def _edges(profile: SpectralProfile, t: float):
         raise DomainError(f"the time-t support needs t > 0, got t={t}")
     lo0, hi0 = profile.support
     ends, sides = np.array([lo0, hi0]), np.array([-1.0, 1.0])
-    delta = np.array([np.geomspace(EDGE_MIN * max(1.0, abs(end), hi0 - lo0), math.sqrt(t),
-                                   EDGE_GRID) for end in ends])
+    delta = np.array([np.geomspace(np.spacing(max(1.0, abs(end))), math.sqrt(t), EDGE_GRID)
+                      for end in ends])
     bracket = np.empty((2, 2))
     active = [0, 1]
     for _ in range(MAX_ITER):
         if not active:
             break
         w = ends[active, None] + sides[active, None] * delta[active]
-        excess = t * _resolvent_moments(profile, w.ravel())[1].real.reshape(w.shape) - 1.0
+        g1 = _resolvent_moments(profile, w.ravel())[1].real.reshape(w.shape)
+        with np.errstate(over="ignore"):  # t G0' = inf > 1 at a huge t: the edge is further out
+            excess = t * g1 - 1.0
         zoom = []
         for i, ex in zip(active, excess):
             k = int(np.argmax(~(ex > 0)))
@@ -262,11 +260,23 @@ def _outside(profile, t, lams, x_edge, upper, tol):
 
 def boundary_values(profile: SpectralProfile, t: float, lams, tol: float = DEFAULT_TOL):
     """Boundary values m = G_t(lam + i0) = H_t + i pi rho_t at every lam
-    (t > 0), and the residuals of the solve. A t that is not positive
-    (_edges) or a non-finite lam is a DomainError."""
+    (t >= 0), and the residuals of the solve. A t that is neither 0 nor
+    positive (_edges) or a non-finite lam is a DomainError.
+
+    At t = 0 the line is exact, with zero residuals: rho_0 from the profile,
+    H_0 (off the support the real G_0) the real part of the moments at
+    w = lam, a principal value. On an edge H_0 is finite where rho_0
+    vanishes (semicircle) and diverges where it jumps (EdgeError)."""
     lams = np.asarray(lams, dtype=float)
     if not np.isfinite(lams).all():
         raise DomainError("lambda must be finite")
+    if t == 0:
+        if not profile.edge_singular and np.isin(lams, profile.support).any():
+            raise EdgeError("H_0 diverges on a support edge where rho_0 jumps")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = _resolvent_moments(profile, lams + 0j)[0]
+        m.imag = math.pi * profile.density(lams)
+        return m, np.zeros(len(lams))
     (x_lo, lam_lo), (x_hi, lam_hi) = _edges(profile, t)
     inside = (lams > lam_lo) & (lams < lam_hi)
     upper = lams >= lam_hi
@@ -274,7 +284,7 @@ def boundary_values(profile: SpectralProfile, t: float, lams, tol: float = DEFAU
     m = np.empty(len(lams), dtype=complex)
     res = np.zeros(len(lams))
     if inside.any():
-        m[inside], res[inside] = _solve(profile, t, lams[inside] + 0j, None, tol, MAX_ITER)
+        m[inside], res[inside] = _solve(profile, t, lams[inside] + 0j, None, tol)
     if outside.any():
         upper = upper[outside]
         m[outside], res[outside] = _outside(profile, t, lams[outside],
@@ -282,32 +292,13 @@ def boundary_values(profile: SpectralProfile, t: float, lams, tol: float = DEFAU
     return m, res
 
 
-def _initial_line(profile: SpectralProfile, lams):
-    """Exact t = 0 line (rho_0, H_0) at every lam: rho_0 from the profile,
-    H_0 (off the support the real G_0) the real part of the moments at
-    w = lam, a principal value. On an edge H_0 is finite where rho_0
-    vanishes (semicircle) and diverges where it jumps (EdgeError)."""
-    lams = np.asarray(lams, dtype=float)
-    if not np.isfinite(lams).all():
-        raise DomainError("lambda must be finite")
-    if not profile.edge_singular and np.isin(lams, profile.support).any():
-        raise EdgeError("H_0 diverges on a support edge where rho_0 jumps")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hilbert = _resolvent_moments(profile, lams + 0j)[0].real
-    return np.asarray(profile.density(lams), dtype=float), hilbert
-
-
-def density_and_hilbert(profile: SpectralProfile, t: float, lam: float,
-                        tol: float = DEFAULT_TOL) -> DensityLine:
+def density_and_hilbert(profile: SpectralProfile, t: float, lam: float) -> DensityLine:
     """Boundary density rho_t(lam) and Hilbert transform H_{rho_t}(lam).
 
     Outside the support the line comes back with rho = 0 and the real limit
-    in `hilbert`. At t = 0 the line is exact (see _initial_line).
+    in `hilbert`. At t = 0 the line is exact (see boundary_values).
     """
-    if t == 0:
-        rho, hilbert = _initial_line(profile, [lam])
-        return DensityLine(lam=lam, rho=float(rho[0]), hilbert=float(hilbert[0]))
-    m, _ = boundary_values(profile, t, [lam], tol)
+    m, _ = boundary_values(profile, t, [lam])
     return DensityLine(lam=lam, rho=m[0].imag / math.pi, hilbert=m[0].real)
 
 
@@ -315,8 +306,6 @@ def density_and_hilbert(profile: SpectralProfile, t: float, lam: float,
 class StieltjesSolution:
     """Solved transform on a (lambda, eta) grid plus the boundary values."""
 
-    profile: SpectralProfile
-    t: float
     lambdas: np.ndarray
     eta_schedule: tuple
     values: np.ndarray  # shape (n_eta, n_lambda), etas descending
@@ -350,18 +339,12 @@ def solve_grid(profile: SpectralProfile, t: float, lambdas,
         raise DomainError("eta schedule must be positive")
     values = np.empty((len(etas), len(lambdas)), dtype=complex)
     residual = np.zeros((len(etas) + 1, len(lambdas)))
-    if t == 0:
-        for i, eta in enumerate(etas):
-            values[i] = _resolvent_moments(profile, lambdas + 1j * eta)[0]
-        rho, hilbert = _initial_line(profile, lambdas)
-    else:
-        m, residual[-1] = boundary_values(profile, t, lambdas, tol)
-        rho, hilbert = m.imag / math.pi, m.real
-        for i in reversed(range(len(etas))):
-            values[i], residual[i] = _solve(profile, t, lambdas + 1j * etas[i], m, tol, MAX_ITER)
-            m = values[i]
-    return StieltjesSolution(profile=profile, t=t, lambdas=lambdas,
-                             eta_schedule=tuple(etas), values=values,
+    m, residual[-1] = boundary_values(profile, t, lambdas, tol)
+    rho, hilbert = m.imag / math.pi, m.real
+    for i in reversed(range(len(etas))):
+        values[i], residual[i] = _solve(profile, t, lambdas + 1j * etas[i], m, tol)
+        m = values[i]
+    return StieltjesSolution(lambdas=lambdas, eta_schedule=tuple(etas), values=values,
                              rho=rho, hilbert=hilbert, residual=residual)
 
 

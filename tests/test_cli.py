@@ -11,7 +11,7 @@ import pytest
 
 from specdrift import overlap_cauchy, overlap_goe, semicircle_density
 from specdrift.cli import (COMMANDS, EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK,
-                           default_workers, finite_float, main, parse_grid)
+                           EXIT_SOLVER, default_workers, finite_float, main, parse_grid)
 from specdrift.errors import ConfigError
 from specdrift.profiles import parse_profile
 from specdrift.stieltjes import semicircle_density_line, semicircle_hilbert
@@ -396,22 +396,109 @@ def _csv_numbers(path):
 # the predict grid holds a_j = lambda, where the kernel's denominator is smallest
 EDGE_T_ARGV = {f"predict-{regime}-t={t}": ["predict", "--t", t, "--lambda", "0", "--regime", regime,
                                            "--grid=-0.5:0.5:0.25"]
-               for regime in ("goe", "full", "cauchy") for t in ("0", "1e-300", "-1")}
+               for regime in ("goe", "full", "cauchy") for t in ("0", "1e-300", "-1", "1e300")}
 EDGE_T_ARGV["stieltjes-t=-1"] = ["stieltjes", "--t", "-1", "--grid=-3:3:0.5"]
 
 
 class TestEdgeTimes:
-    """t = 0, a t whose square underflows to 0, and a negative t end in a
-    success or a typed error's exit code: no exception escapes main, and
-    every number in every CSV written is finite. (The goe regime at t = 0
-    and 1e-300 used to raise ArithmeticError, the full one to write a
-    non-finite kernel, and t = -1 to fail in math.sqrt.)"""
+    """t = 0, a t whose square underflows to 0, a negative t and a t whose
+    kernel terms overflow end in a success or a typed error's exit code: no
+    exception escapes main, and every number in every CSV written is
+    finite. (The goe regime at t = 0 and 1e-300 used to raise
+    ArithmeticError, the full one to write a non-finite kernel, t = -1 to
+    fail in math.sqrt, and the cauchy one at 1e300 to raise OverflowError.)"""
 
     @pytest.mark.parametrize("profile", ["goe", "linear:-1,1"])
     @pytest.mark.parametrize("case", EDGE_T_ARGV)
     def test_exit_code_and_finite_csv(self, tmp_path, case, profile):
         rc = main([*EDGE_T_ARGV[case], "--profile", profile, "--out-dir", str(tmp_path)])
         assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN)
+        for path in tmp_path.glob("*.csv"):
+            assert all(math.isfinite(v) for v in _csv_numbers(path)), path
+
+
+def _off(value, delta):
+    return repr(value + delta)
+
+
+# the time-t support edges of goe at t = 1 and of linear:-1,1 at t = 0.5
+# (x = sqrt(1 + t) solves t G0'(x) = 1 on the uniform density)
+_GOE_EDGE = 2.0 * math.sqrt(2.0)
+_LIN_EDGE = math.sqrt(1.5) + 0.25 * math.log((math.sqrt(1.5) + 1.0) / (math.sqrt(1.5) - 1.0))
+_LIN = ["--profile", "linear:-1,1"]
+_MC = ["--n", "20", "--samples", "2"]
+EDGE_INPUT_ARGV = {
+    # lambda on and within 1e-9 of a time-t edge, or of the initial one (cauchy)
+    **{f"predict-goe-{where}": ["predict", "--t", "1", "--lambda", _off(_GOE_EDGE, d)]
+       for where, d in (("on", 0.0), ("past", 1e-9), ("inside", -1e-9))},
+    **{f"predict-full-goe-{where}": ["predict", "--t", "1", "--lambda", _off(_GOE_EDGE, d),
+                                     "--regime", "full"]
+       for where, d in (("on", 0.0), ("inside", -1e-9))},
+    **{f"predict-full-linear-{where}": ["predict", *_LIN, "--t", "0.5",
+                                        "--lambda", _off(_LIN_EDGE, d)]
+       for where, d in (("on", 0.0), ("past", 1e-9), ("inside", -1e-9))},
+    **{f"predict-cauchy-{name}-{where}": ["predict", *prof, "--t", "1e-3", "--regime", "cauchy",
+                                          "--lambda", _off(edge, d)]
+       for name, prof, edge in (("goe", [], 2.0), ("linear", _LIN, 1.0))
+       for where, d in (("on", 0.0), ("past", 1e-9), ("inside", -1e-9))},
+    "stieltjes-goe-t0-edges": ["stieltjes", "--t", "0", "--grid=-2:2:1"],
+    "stieltjes-linear-t0-edges": ["stieltjes", *_LIN, "--t", "0", "--grid=-1:1:1"],
+    "stieltjes-goe-near-edge": ["stieltjes", "--t", "1",
+                                f"--grid={_off(_GOE_EDGE, -1e-9)}:{_off(_GOE_EDGE, 1e-9)}:1e-9"],
+    "stieltjes-linear-near-edge": ["stieltjes", *_LIN, "--t", "0.5",
+                                   f"--grid={_off(_LIN_EDGE, -1e-9)}:{_off(_LIN_EDGE, 1e-9)}:1e-9"],
+    "cdf-on-edge": ["cdf", *_MC, "--t", "1", "--lambda", repr(_GOE_EDGE), "--alpha", "2"],
+    "cdf-inside-edge": ["cdf", *_MC, "--t", "1", "--lambda", _off(_GOE_EDGE, -1e-9),
+                        "--alpha", _off(-2.0, 1e-9)],
+    "cdf-profile-on-edge": ["cdf", *_MC, "--t", "0.5", "--lambda", repr(_LIN_EDGE), "--alpha", "1",
+                            "--initial", "profile", *_LIN],
+    # n = 2 and samples = 1
+    "simulate-n2": ["simulate", "--n", "2", "--samples", "1", "--t", "1", "--index", "1", "2"],
+    "simulate-n2-profile": ["simulate", "--n", "2", "--samples", "1", "--t", "0.5", "--index", "2",
+                            "--initial", "profile", *_LIN],
+    "simulate-samples1": ["simulate", "--n", "20", "--samples", "1", "--t", "1", "--index", "10"],
+    "theta-n2": ["theta", "--n", "2", "--samples", "1", "--t", "1", "--z", "0", "1"],
+    "theta-n2-indicator": ["theta", "--n", "2", "--samples", "1", "--t", "1", "--z", "0.5", "0.1",
+                           "--g", "indicator:0"],
+    "cdf-n2": ["cdf", "--n", "2", "--samples", "1", "--t", "1", "--lambda", "0", "--alpha", "0"],
+    "subspace-n2": ["subspace", "--n", "2", "--samples", "1", "--t", "0.02", "--gamma", "-1", "1",
+                    "--delta", "0.2"],
+    "predict-n2-index": ["predict", "--n", "2", "--index", "1", "--t", "1"],
+    "predict-n2-last-index": ["predict", *_LIN, "--n", "2", "--index", "2", "--t", "0.5"],
+    # empty windows and a margin of 1e-300
+    "subspace-empty-window": ["subspace", *_MC, "--t", "0.02", "--gamma", "5", "6", "--delta", "0.2"],
+    "subspace-narrow-window": ["subspace", *_MC, "--t", "0.02", "--gamma", "0.1", "0.1000001",
+                               "--delta", "0.2"],
+    "subspace-delta-1e-300": ["subspace", *_MC, "--t", "0.02", "--gamma", "-1", "1",
+                              "--delta", "1e-300"],
+    # even binning windows, up to the whole spectrum
+    **{f"simulate-binning-{w}": ["simulate", *_MC, "--t", "1", "--index", "1", "20",
+                                 "--binning", w] for w in ("0", "2", "20")},
+    # one-point grids
+    "stieltjes-one-point": ["stieltjes", "--t", "1", "--grid=0:0:1"],
+    "stieltjes-one-point-t0": ["stieltjes", *_LIN, "--t", "0", "--grid=0.5:0.5:1"],
+    **{f"predict-one-point-{regime}": ["predict", "--t", "1", "--lambda", "0", "--grid=0:0:1",
+                                       "--regime", regime] for regime in ("goe", "full", "cauchy")},
+    # an eta of 1e-300 and a tol of 0
+    **{f"stieltjes-{name}-{flag[2:]}": ["stieltjes", *prof, "--t", t, "--grid=-3:3:0.5", flag, value]
+       for name, prof, t in (("goe", [], "1"), ("goe-t0", [], "0"), ("linear", _LIN, "0.5"))
+       for flag, value in (("--eta", "1e-300"), ("--tol", "0"))},
+    "theta-z-1e-300": ["theta", *_MC, "--t", "1", "--z", "0", "1e-300"],
+}
+
+
+class TestEdgeInputs:
+    """The edge inputs beyond t: lambda on and by the support edges, n = 2,
+    one sample, empty and narrow windows, a vanishing margin, even binning
+    windows, one-point grids, eta 1e-300 and tol 0. Each ends in a success
+    or a typed error's exit code with no exception out of main (a numpy
+    RuntimeWarning is one here), and every number in every CSV is finite;
+    the JSON writers refuse a non-finite number themselves."""
+
+    @pytest.mark.parametrize("case", EDGE_INPUT_ARGV)
+    def test_exit_code_and_finite_csv(self, tmp_path, case):
+        rc = main([*EDGE_INPUT_ARGV[case], "--out-dir", str(tmp_path)])
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_ACCEPTANCE, EXIT_SOLVER)
         for path in tmp_path.glob("*.csv"):
             assert all(math.isfinite(v) for v in _csv_numbers(path)), path
 

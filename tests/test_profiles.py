@@ -200,6 +200,17 @@ class TestTabulatedProfile:
         assert p.support == pytest.approx((-1.0, 1.0))
         assert p.eval(0.25) == pytest.approx(-0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("x", [1e-9, 1e-7])
+    @pytest.mark.parametrize("profile", [
+        TabulatedProfile([0.0, 0.5, 1.0], [0.0, 0.1, 1.0]),
+        TabulatedProfile(np.linspace(0, 1, 33), np.sinh(5.0 * (2.0 * np.linspace(0, 1, 33) - 1.0))),
+    ], ids=["zero-end-slope", "sinh-33"])
+    def test_density_near_the_end(self, profile, x):
+        # rho_0 = 1/a'(x) right by the end, uncapped where a' -> 0 there; the
+        # bisection that inverts a holds x to 2^-65, 3e-11 of x = 1e-9
+        alpha = float(profile.eval(x))
+        assert profile.density(alpha) == pytest.approx(1.0 / profile.derivative(x), rel=1e-9)
+
     def test_nonmonotone_rejected(self):
         with pytest.raises(InvalidProfileError):
             TabulatedProfile([0.0, 0.5, 1.0], [0.0, 1.0, 0.5])

@@ -15,8 +15,7 @@ from specdrift import (ConvergenceError, DomainError, EdgeError, SemicircleQuant
                        solve_grid, theta_limit)
 from specdrift import profiles, stieltjes
 from specdrift.profiles import ChartRule
-from specdrift.stieltjes import (BLOCK, DEFAULT_TOL, EDGE_MIN, _initial_line,
-                                 _resolvent_moments, boundary_values)
+from specdrift.stieltjes import BLOCK, DEFAULT_TOL, _resolvent_moments, boundary_values
 
 
 def fixed_point_residual(profile, t, z, m):
@@ -70,9 +69,10 @@ class TestSolveFixedPoint:
         with pytest.raises(DomainError):
             solve_fixed_point(goe_profile, 1.0, 2.0 + 0j)
 
-    def test_iterations_reported(self, goe_profile):
+    def test_iterations_reported(self, goe_profile, monkeypatch):
+        monkeypatch.setattr(stieltjes, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as info:
-            solve_fixed_point(goe_profile, 1.0, 0.3 + 0.01j, max_iter=1)
+            solve_fixed_point(goe_profile, 1.0, 0.3 + 0.01j)
         assert info.value.iterations == 1
         assert info.value.residual > DEFAULT_TOL
 
@@ -205,7 +205,8 @@ class TestDensityAndHilbert:
         inner = np.linspace(-0.9, 0.9, 7)
         want = (np.full_like(inner, 1.0 / (hi - lo)),
                 np.log((hi - inner) / (inner - lo)) / (hi - lo))
-        for got, exact in zip(_initial_line(tab, inner), want):
+        m = boundary_values(tab, 0.0, inner)[0]
+        for got, exact in zip((m.imag / math.pi, m.real), want):
             assert np.max(np.abs(got - exact)) <= 1e-14
 
 
@@ -335,6 +336,73 @@ class TestNonFiniteLambda:
             for t in (0.0, 1.0):
                 with pytest.raises(DomainError):
                     density_and_hilbert(profile, t, lam)
+
+
+T0_PROFILES = {
+    "goe": SemicircleQuantileProfile(),
+    "linear": parse_profile("linear:-1,1"),
+    "tabulated-semicircle": TabulatedProfile(_X33, SemicircleQuantileProfile().eval(_X33)),
+    "zero-end-slope": TabulatedProfile([0.0, 0.5, 1.0], [0.0, 0.1, 1.0]),
+}
+
+
+class TestInitialLine:
+    """t = 0 takes the same path as every t > 0: boundary_values returns the
+    exact line, and every off-axis solve lands on G0(z) itself, since
+    F(m) = G0(z) does not depend on m."""
+
+    @staticmethod
+    def _grid(profile):
+        # beyond both ends and across the support, no point on an edge
+        lo, hi = profile.support
+        return lo + (hi - lo) * np.linspace(-0.25, 1.25, 41)
+
+    @pytest.mark.parametrize("name", T0_PROFILES)
+    def test_off_axis_rows_are_g0(self, name):
+        profile = T0_PROFILES[name]
+        grid = self._grid(profile)
+        sol = solve_grid(profile, 0.0, grid)
+        for eta, row in zip(sol.eta_schedule, sol.values):
+            assert row.tobytes() == _resolvent_moments(profile, grid + 1j * eta)[0].tobytes()
+        assert not sol.residual.any()
+
+    @pytest.mark.parametrize("name", T0_PROFILES)
+    def test_fixed_point_is_g0(self, name):
+        profile = T0_PROFILES[name]
+        lo, hi = profile.support
+        for z in (0.5 * (lo + hi) + 1j, lo + 0.3 * (hi - lo) + 1e-3j, hi + 0.1 - 1e-2j, 5.0 + 2j):
+            want = complex(_resolvent_moments(profile, z)[0][0])
+            assert solve_fixed_point(profile, 0.0, z) == want
+
+    @pytest.mark.parametrize("name", T0_PROFILES)
+    def test_exact_line(self, name):
+        # H_0 the principal value at w = lam, rho_0 the profile's density up
+        # to the pi round trip, zero residuals; density_and_hilbert reads the
+        # one-point line
+        profile = T0_PROFILES[name]
+        grid = self._grid(profile)
+        m, res = boundary_values(profile, 0.0, grid)
+        assert not res.any()
+        assert m.real.tobytes() == _resolvent_moments(profile, grid + 0j)[0].real.tobytes()
+        rho0 = profile.density(grid)
+        assert np.all(np.abs(m.imag / math.pi - rho0) <= np.spacing(rho0))
+        for j in (0, 7, 20, 33, 40):
+            line = density_and_hilbert(profile, 0.0, grid[j])
+            one = boundary_values(profile, 0.0, grid[j:j + 1])[0][0]
+            assert (line.rho, line.hilbert) == (one.imag / math.pi, one.real)
+
+    @pytest.mark.parametrize("name", T0_PROFILES)
+    def test_typed_errors(self, name):
+        profile = T0_PROFILES[name]
+        if not profile.edge_singular:
+            for lam in profile.support:
+                with pytest.raises(EdgeError):
+                    boundary_values(profile, 0.0, [0.0, lam])
+        with pytest.raises(DomainError):
+            boundary_values(profile, 0.0, [0.0, math.nan])
+        for t in (-1.0, -1e-300):
+            with pytest.raises(DomainError):
+                boundary_values(profile, t, [0.0])
 
 
 class TestSemicircleClosedForms:
@@ -484,17 +552,15 @@ class TestSupportBounds:
             assert 0 < len(sizes) <= 13, t
             assert max(sizes) <= BLOCK and sizes[-1] == 2
 
-    @pytest.mark.parametrize("t,floor", [(1e-8, 4.0 * EDGE_MIN), (1e-4, 0.0), (0.5, 0.0),
-                                         (4.0, 0.0)])
-    def test_semicircle_edges(self, goe_profile, t, floor):
+    @pytest.mark.parametrize("t", [1e-10, 1e-8, 1e-4, 0.5, 4.0])
+    def test_semicircle_edges(self, goe_profile, t):
         # t G0'(x) = 1 at x = (2 + t)/sqrt(1 + t), where lam = 2 sqrt(1 + t).
-        # At t = 1e-8, x - 2 = t^2/4 is nearer the initial edge than the
-        # search's first point, EDGE_MIN times the support width 4: the edge
-        # is taken there, and lam (slope below 1 in x) is off by at most that
+        # At t <= 1e-8, x - 2 = t^2/4 is below an ulp of 2, where the
+        # search's first point sits: x and lam are still off by a few ulps
         (x_lo, lam_lo), (x_hi, lam_hi) = stieltjes._edges(goe_profile, t)
         x, lam = (2.0 + t) / math.sqrt(1.0 + t), 2.0 * math.sqrt(1.0 + t)
         for got, want in ((x_hi, x), (-x_lo, x), (lam_hi, lam), (-lam_lo, lam)):
-            assert abs(got - want) <= floor + 1e-14 * want
+            assert abs(got - want) <= 3.0 * np.spacing(want)
 
     @pytest.mark.parametrize("profile", [
         parse_profile("linear:-1,1"), SemicircleQuantileProfile(),
