@@ -33,21 +33,23 @@ def ensure_symmetric(m: np.ndarray) -> np.ndarray:
         raise DomainError("matrix must be square")
     if m.shape[0] < 2:
         raise DomainError("dimension must be at least 2")
-    if np.max(np.abs(m - m.T)) > 0.0:
+    if not np.max(np.abs(m - m.T)) <= 0.0:  # NaN fails too
         raise DomainError("matrix is not symmetric")
     return m
 
 
-def sample_goe(n: int, variance_scale: float, rng: RngStream | np.random.Generator) -> np.ndarray:
+def sample_goe(n: int, variance_scale: float, rng: RngStream | np.random.Generator,
+               out: np.ndarray | None = None) -> np.ndarray:
     """GOE draw: off-diagonal variance variance_scale/n, diagonal
     2*variance_scale/n. With variance_scale = t this is the Brownian noise
-    H_t accumulated up to time t."""
+    H_t accumulated up to time t. Drawn into `out`, an n x n C-contiguous
+    float array, when one is given."""
     if variance_scale <= 0:
         raise DomainError("variance_scale must be positive")
     if n < 2:
         raise DomainError("dimension must be at least 2")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    x = gen.standard_normal((n, n))
+    x = gen.standard_normal((n, n), out=out)
     x += x.T  # numpy buffers the overlapping transpose: x stays exactly symmetric
     x *= np.sqrt(variance_scale / (2.0 * n))
     return x

@@ -47,8 +47,16 @@ class GOEInitial:
         """The limiting initial spectrum: semicircle of radius 2 sqrt(scale)."""
         return SemicircleQuantileProfile(2.0 * math.sqrt(self.scale))
 
-    def eigenvalues(self, n: int, gen: np.random.Generator) -> np.ndarray:
-        return np.linalg.eigvalsh(sample_goe(n, self.scale, gen))
+    def draw(self, gen: np.random.Generator, out: np.ndarray):
+        """Draw the initial matrix into out."""
+        sample_goe(len(out), self.scale, gen, out=out)
+
+    @staticmethod
+    def eigenvalues(drawn: np.ndarray) -> list:
+        """The eigenvalues of each drawn initial matrix of the stack drawn,
+        from one stacked eigvalsh: equal to per-matrix calls bit for bit, and
+        it releases the GIL once the group has more than 500 eigenvalues."""
+        return list(np.linalg.eigvalsh(drawn))
 
     def describe(self):
         return {"kind": "goe", "scale": self.scale}
@@ -66,14 +74,19 @@ class ProfileInitial:
     profile: SpectralProfile
     _by_n: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def eigenvalues(self, n: int, gen: np.random.Generator) -> np.ndarray:
+    def draw(self, gen: np.random.Generator, out: np.ndarray):
+        """A profile start draws nothing."""
+
+    def eigenvalues(self, drawn: np.ndarray) -> list:
+        """a((i - 1/2)/n), the same array for every sample of the group."""
+        n = drawn.shape[-1]
         a = self._by_n.get(n)
         if a is None:
             x = (np.arange(1, n + 1) - 0.5) / n
             a = np.array(self.profile.eval(x), dtype=float)
             a.setflags(write=False)
             self._by_n[n] = a
-        return a
+        return [a] * len(drawn)
 
     def describe(self):
         return {"kind": "profile", "profile": self.profile.spec}
@@ -109,39 +122,89 @@ class ExperimentConfig:
                 "master_seed": self.master_seed, "binning": self.binning}
 
 
-def _draw(config: ExperimentConfig, k: int):
-    """Eigenvalues a of the initial matrix and M_t = diag(a) + H_t in the
-    initial eigenbasis, for substream k; M_t is None at t = 0. Shares no
-    state between calls but ProfileInitial's per-n cache, whose entries do
-    not depend on who writes them, so helper threads can draw ahead."""
+def _draw(config: ExperimentConfig, k: int, out: np.ndarray):
+    """Substream k's generator, once it has drawn the initial matrix into the
+    n x n array out (a profile start draws nothing); its next draw is the
+    noise H_t. Shares no state between calls but ProfileInitial's per-n
+    cache, whose entries do not depend on who writes them, so helper threads
+    can draw ahead."""
     gen = RngStream(config.master_seed, k).generator()
-    a = config.initial.eigenvalues(config.n, gen)
-    if config.t == 0:
-        return a, None
-    m = sample_goe(config.n, config.t, gen)
-    m[np.diag_indices(config.n)] += a
-    return a, m
+    config.initial.draw(gen, out)
+    return gen
 
 
 def _draw_group(config: ExperimentConfig, ks):
-    """The initial eigenvalues of substreams ks and their M_t stacked into one
-    (len(ks), n, n) array (None at t = 0): one draw-ahead task."""
-    a, ms = zip(*(_draw(config, k) for k in ks))
+    """The initial eigenvalues a_k of substreams ks and M_t = diag(a_k) + H_t
+    in the initial eigenbasis, stacked into one (len(ks), n, n) array (None
+    at t = 0): one draw-ahead task. The array first holds the GOE starts, so
+    the group's only other n x n arrays are sample_goe's and eigvalsh's
+    transient ones."""
+    m = np.empty((len(ks), config.n, config.n))
+    gens = [_draw(config, k, mk) for k, mk in zip(ks, m)]
+    a = config.initial.eigenvalues(m)
     if config.t == 0:
         return a, None
-    return a, ms[0][np.newaxis] if len(ms) == 1 else np.stack(ms)  # a view: no copy for one
+    for mk, ak, gen in zip(m, a, gens):
+        sample_goe(config.n, config.t, gen, out=mk)
+        mk[np.diag_indices(config.n)] += ak
+    return a, m
 
 
-def _decompose(a, m, vectors: bool) -> list:
+def _decompose(a, m, vectors: bool, column: int | None = None) -> list:
     """[(a_k, lam_k, V_k)] for a drawn group: the initial eigenvalues, the
     eigenvalues of M_t and its eigenvectors in the initial eigenbasis,
-    V_k[j, i] = <psi_i(t)|phi_j>; V_k is None without vectors. Eigenvectors come from one eigh per sample, eigenvalues alone from one
-    stacked eigvalsh, which equals per-matrix calls bit for bit."""
+    V_k[j, i] = <psi_i(t)|phi_j>; V_k is None without vectors, and only
+    column `column` of it, an (n, 1) array, when a column is given.
+
+    All eigenvectors come from one eigh per sample. Eigenvalues alone, or
+    with one column, come from one stacked eigvalsh, which equals per-matrix
+    calls bit for bit; the column then from `_inverse_iteration`, or from
+    eigh for the whole group when one of its guards trips."""
     if m is None:
-        return [(ak, ak.copy(), np.eye(len(ak)) if vectors else None) for ak in a]
-    if vectors:
+        eye = np.eye(len(a[0]))
+        v = eye if column is None else eye[:, [column]]
+        return [(ak, ak.copy(), v if vectors else None) for ak in a]
+    if vectors and column is None:
         return [(ak, *np.linalg.eigh(mk)) for ak, mk in zip(a, m)]
-    return [(ak, lam, None) for ak, lam in zip(a, np.linalg.eigvalsh(m))]
+    lam = np.linalg.eigvalsh(m)
+    if not vectors:
+        return [(ak, lk, None) for ak, lk in zip(a, lam)]
+    v = _inverse_iteration(m, lam, column)
+    if v is None:
+        v = [np.linalg.eigh(mk)[1][:, [column]] for mk in m]
+    return list(zip(a, lam, v))
+
+
+def _inverse_iteration(m, lam, column: int):
+    """Eigenvector `column` of each matrix of the stack m, as a (G, n, 1)
+    array, from two steps of inverse iteration shifted at its eigenvalue
+    lam[:, column] (Ipsen, SIAM Review 39:254, 1997): a stacked solve with
+    M - lam_i I, then a normalization, from a constant start. None when a
+    guard trips: an exactly singular shift, a non-finite vector, or a
+    residual |(M - lam_i I) v|_inf above n eps max|lam|.
+
+    m is shifted in place and its diagonal restored on return, so no n x n
+    copy is made; a group of more than 500 values releases the GIL in the
+    solve as in eigvalsh."""
+    g, n, _ = m.shape
+    diagonal = np.arange(n)
+    saved = m[:, diagonal, diagonal]
+    m[:, diagonal, diagonal] -= lam[:, [column]]
+    try:
+        v = np.ones((g, n, 1))
+        for _ in range(2):
+            v = np.linalg.solve(m, v)
+            norm = np.linalg.norm(v, axis=1, keepdims=True)
+            if not np.isfinite(norm).all():
+                return None
+            v /= norm
+        residual = np.max(np.abs(m @ v), axis=(1, 2))
+    except np.linalg.LinAlgError:  # a zero pivot
+        return None
+    finally:
+        m[:, diagonal, diagonal] = saved
+    bound = n * np.finfo(float).eps * np.max(np.abs(lam), axis=1)
+    return v if np.all(residual <= bound) else None
 
 
 # numpy.linalg keeps the GIL through a call whose output has at most this
@@ -150,8 +213,8 @@ GIL_HELD_OUTPUT = 500
 
 
 def _group_size(n: int) -> int:
-    """Samples per values-only decomposition: the smallest G with G n > 500,
-    so that one stacked eigvalsh releases the GIL."""
+    """Samples per stacked decomposition: the smallest G with G n > 500, so
+    that one stacked eigvalsh or one-column solve releases the GIL."""
     return GIL_HELD_OUTPUT // n + 1
 
 
@@ -164,24 +227,25 @@ def _now(fn, *args) -> Future:
 
 
 def _map_samples(config: ExperimentConfig, worker, workers: int = 1, *,
-                 vectors: bool = True, reduce=None) -> list:
+                 vectors: bool = True, column: int | None = None, reduce=None) -> list:
     """[reduce(worker(k, a_k, lam_k, V_k)) for k in range(config.samples)],
-    V_k None unless `vectors`, reduce the identity when None.
+    V_k None unless `vectors`, only its (n, 1) column `column` (0-based) when
+    that is given, reduce the identity when None.
 
     Every decomposition and every worker call runs on the calling thread in
     ascending k. workers - 1 helper threads draw groups of samples, up to
     workers - 1 groups ahead, and run `reduce`, with at most workers - 1
     reductions pending; while the next group's draw is unfinished, the
-    calling thread reduces instead. A group is one sample when eigenvectors
-    are wanted and `_group_size(n)` samples when only eigenvalues are: numpy
-    keeps the GIL through a small eigvalsh, which would stall the drawing
-    thread. Only one eigh's working set is alive at a time, and every drawn
-    sample is bit-identical to a serial draw. workers = 1 runs all stages
-    inline.
+    calling thread reduces instead. A group is one sample when all
+    eigenvectors are wanted and `_group_size(n)` samples when only
+    eigenvalues or one column are: numpy keeps the GIL through a small
+    eigvalsh or solve, which would stall the other thread. Only one group's
+    decomposition is alive at a time, and every drawn sample is
+    bit-identical to a serial draw. workers = 1 runs all stages inline.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    size = 1 if vectors else _group_size(config.n)
+    size = 1 if vectors and column is None else _group_size(config.n)
     indices = range(config.samples)
     groups = [indices[s:s + size] for s in indices[::size]]
     helpers = workers - 1
@@ -196,7 +260,8 @@ def _map_samples(config: ExperimentConfig, worker, workers: int = 1, *,
             # one expression, so that no name keeps M_t or V alive into the
             # next group's draw and decomposition
             parts = [worker(k, *sample)
-                     for k, sample in zip(ks, _decompose(*ahead.popleft().result(), vectors))]
+                     for k, sample in zip(ks, _decompose(*ahead.popleft().result(),
+                                                         vectors, column))]
             if reduce is None:
                 results += parts
                 continue
@@ -235,7 +300,7 @@ class OverlapAccumulator:
         if k in self._parts:
             raise ConfigError(f"substream {k} accumulated twice")
         row_sums = sq_rows.sum(axis=1)
-        if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOL:
+        if not np.max(np.abs(row_sums - 1.0)) <= ROW_SUM_TOL:  # NaN fails too
             raise DomainError("overlap row not normalized; eigenbasis corrupt")
         self._parts[k] = (a, sq_rows)
 
@@ -295,13 +360,15 @@ def accumulate_overlaps(config: ExperimentConfig, workers: int = 1) -> OverlapAc
     if not config.target_indices:
         raise ConfigError("no target indices configured")
     targets = [i - 1 for i in config.target_indices]
+    # one target: that column alone, not all n eigenvectors
+    column = targets[0] if len(targets) == 1 else None
 
     def worker(k, a, _lam, vecs):
-        sq = vecs[:, targets].T ** 2  # rows: targets, columns: j
+        sq = (vecs if column is not None else vecs[:, targets]).T ** 2  # rows: targets
         return k, a, sq
 
     acc = OverlapAccumulator(config.n, config.target_indices)
-    for k, a, sq in _map_samples(config, worker, workers):
+    for k, a, sq in _map_samples(config, worker, workers, column=column):
         acc.add_sample(k, a, sq)
     return acc
 

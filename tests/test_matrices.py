@@ -72,6 +72,13 @@ class TestEnsureSymmetric:
         with pytest.raises(DomainError):
             ensure_symmetric(np.eye(3)[:2])
 
+    def test_rejects_nan(self):
+        # |m - m.T| is NaN there, and NaN compares false against any bound
+        m = np.eye(3)
+        m[1, 2] = m[2, 1] = np.nan
+        with pytest.raises(DomainError):
+            ensure_symmetric(m)
+
 
 class TestBuildDiagonal:
     """The Monte Carlo keeps the initial matrix diagonal in its own

@@ -13,7 +13,7 @@ from specdrift import (ConfigError, DomainError, ExperimentConfig, GOEInitial,
                        empirical_cdf, estimate_theta, resolvent_diagonal,
                        WindowSpec, parse_profile, run_overlap_experiment,
                        run_subspace_experiment, solve_fixed_point)
-from specdrift import montecarlo
+from specdrift import cli, montecarlo
 from specdrift.montecarlo import (OverlapCurve, _band_smoother, _map_samples,
                                   accumulate_overlaps,
                                   curves_from_accumulator, theta_sample,
@@ -114,50 +114,57 @@ class TestMapSamples:
         assert ahead.values[19] == config.n and np.count_nonzero(ahead.values) == 1
 
     def test_workers_on_calling_thread_drawing_ahead(self, monkeypatch, linear_profile):
-        # decompositions and worker calls run on the calling thread in
+        # decompositions, solves and worker calls run on the calling thread in
         # ascending k; helpers draw at most workers - 1 groups ahead; a
         # reduction runs on a helper, or on the calling thread while the next
         # draw is unfinished, with at most workers - 1 pending. A group is one
-        # sample with eigenvectors, _group_size(n) samples without.
+        # sample with all eigenvectors, _group_size(n) samples with none or
+        # with one column, which takes one eigvalsh and two solves per group.
         main = threading.get_ident()
-        draw, started, decomposed, reduced = montecarlo._draw, [], [], []
+        draw, started, decomposed, solved, reduced = montecarlo._draw, [], [], [], []
 
-        def counted(config, k):
+        def counted(config, k, out):
             started.append(threading.get_ident())
-            return draw(config, k)
+            return draw(config, k, out)
 
-        def on_thread(fn):
+        def on_thread(log, fn):
             def call(*args, **kwargs):
-                decomposed.append(threading.get_ident())
+                log.append(threading.get_ident())
                 return fn(*args, **kwargs)
             return call
 
         monkeypatch.setattr(montecarlo, "_draw", counted)
-        monkeypatch.setattr(np.linalg, "eigh", on_thread(np.linalg.eigh))
-        monkeypatch.setattr(np.linalg, "eigvalsh", on_thread(np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "eigh", on_thread(decomposed, np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", on_thread(decomposed, np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "solve", on_thread(solved, np.linalg.solve))
         # a profile start draws no eigvalsh; at n = 200 groups are 3, 3 and 2
         config = small_config(n=200, samples=8, initial=ProfileInitial(linear_profile))
-        for vectors in (True, False):
-            size = 1 if vectors else montecarlo._group_size(config.n)
-            assert size == (1 if vectors else 3)
+        for vectors, column in ((True, None), (False, None), (True, 19)):
+            size = 1 if vectors and column is None else montecarlo._group_size(config.n)
+            assert size == (1 if column is None and vectors else 3)
+            groups = -(-config.samples // size)
             for workers in (1, 2, 3):
-                for log in (started, decomposed, reduced):
+                for log in (started, decomposed, solved, reduced):
                     log.clear()
 
                 def worker(k, a, lam, vecs):
                     assert len(started) <= min((k // size + workers) * size, config.samples)
                     assert len(reduced) >= k - k % size - (workers - 1)
                     assert (vecs is not None) == vectors
+                    if column is not None:
+                        assert vecs.shape == (config.n, 1)
                     return k, threading.get_ident()
 
                 def reduce(part):
                     reduced.append((part[0], threading.get_ident()))
                     return part
 
-                rows = _map_samples(config, worker, workers, vectors=vectors, reduce=reduce)
+                rows = _map_samples(config, worker, workers, vectors=vectors, column=column,
+                                    reduce=reduce)
                 assert rows == [(k, main) for k in range(config.samples)]
                 assert len(started) == len(reduced) == config.samples
-                assert decomposed == [main] * -(-config.samples // size)
+                assert decomposed == [main] * groups
+                assert solved == [main] * (2 * groups if column is not None else 0)
                 # with nothing left to draw, the last reduction goes to a helper
                 last = dict(reduced)[config.samples - 1]
                 if workers == 1:
@@ -189,10 +196,10 @@ class TestMapSamples:
     def test_draw_error_reaches_caller(self, monkeypatch):
         draw = montecarlo._draw
 
-        def failing(config, k):
+        def failing(config, k, out):
             if k == 3:
                 raise KeyError(k)
-            return draw(config, k)
+            return draw(config, k, out)
 
         monkeypatch.setattr(montecarlo, "_draw", failing)
         before = threading.active_count()
@@ -225,8 +232,8 @@ class TestValuesOnlyGroups:
         z = 0.3 + 0.2j
 
         def per_matrix(k):
-            a, m = montecarlo._draw(config, k)
-            lam = a.copy() if m is None else np.linalg.eigvalsh(m)
+            (a,), m = montecarlo._draw_group(config, [k])
+            lam = a.copy() if m is None else np.linalg.eigvalsh(m[0])
             return complex(np.sum(1.0 / (lam - z)) / n)
 
         want = montecarlo._scalar_estimate([per_matrix(k) for k in range(samples)])
@@ -235,6 +242,71 @@ class TestValuesOnlyGroups:
             assert got.samples == samples
             assert (np.array([got.value, got.stderr_re, got.stderr_im]).tobytes()
                     == np.array([want.value, want.stderr_re, want.stderr_im]).tobytes())
+
+
+class TestSingleColumn:
+    """One target: per group of _group_size(n) samples, one stacked eigvalsh
+    and two inverse-iteration solves instead of one eigh per sample."""
+
+    @pytest.mark.parametrize("n, t, samples", [(260, 0.5, 1), (260, 0.5, 7), (260, 0.5, 20),
+                                               (260, 0.0, 7), (2, 0.5, 9), (2, 0.0, 3)])
+    def test_workers_byte_identical_and_eigh_agree(self, n, t, samples):
+        # groups of 2 at n = 260 (odd counts end in a group of one), of
+        # 251 > samples at n = 2; t = 0 has no M_t and keeps the identity
+        config = small_config(n=n, t=t, samples=samples, target_indices=(n // 2,))
+        parts = [accumulate_overlaps(config, workers)._parts for workers in (1, 2, 3)]
+        for other in parts[1:]:
+            assert list(other) == list(parts[0])
+            for (a1, sq1), (a2, sq2) in zip(parts[0].values(), other.values()):
+                assert a1.tobytes() == a2.tobytes() and sq1.tobytes() == sq2.tobytes()
+        for k, (a, sq) in parts[0].items():
+            a_ref, _lam, vecs = draw_sample(config, k)
+            assert a.tobytes() == a_ref.tobytes()
+            assert sq.shape == (1, n)
+            assert np.max(np.abs(sq[0] - vecs[:, n // 2 - 1] ** 2)) <= 1e-12
+
+    @pytest.mark.parametrize("initial, t", [
+        (GOEInitial(1.0), 1.0), (GOEInitial(1.0), 0.01),
+        (ProfileInitial(parse_profile("linear:-1,1")), 1e-4),
+        (ProfileInitial(parse_profile("linear:-1,1")), 1.0)])
+    def test_inverse_iteration_matches_eigh(self, initial, t):
+        # no guard trips here; the shifted diagonal is restored bit for bit
+        config = small_config(n=400, t=t, samples=4, initial=initial)
+        for ks in ([0, 1], [2, 3]):
+            _a, m = montecarlo._draw_group(config, ks)
+            before = m.copy()
+            lam = np.linalg.eigvalsh(m)
+            for column in (0, 199, 399):
+                v = montecarlo._inverse_iteration(m, lam, column)
+                assert v is not None and v.shape == (2, 400, 1)
+                assert m.tobytes() == before.tobytes()
+                for vk, mk in zip(v, m):
+                    want = np.linalg.eigh(mk)[1][:, column] ** 2
+                    assert np.max(np.abs(vk[:, 0] ** 2 - want)) <= 1e-12
+
+    def test_residual_guard(self):
+        # a shift midway between two eigenvalues is no eigenvalue: the
+        # residual stays far above n eps max|lam|
+        _a, m = montecarlo._draw_group(small_config(), [0, 1])
+        lam = np.linalg.eigvalsh(m)
+        lam[:, 19] = (lam[:, 19] + lam[:, 20]) / 2
+        assert montecarlo._inverse_iteration(m, lam, 19) is None
+
+    def test_singular_shift_takes_eigh(self):
+        # substream 301 of fig1 at the default seed: M - lam_200 I is exactly
+        # singular for numpy's LU, so the solve raises and the group takes
+        # eigh's column
+        params = cli.FIGURE_PARAMS["fig1"]
+        config = ExperimentConfig(n=params["n"], t=params["t"], samples=params["samples"],
+                                  initial=GOEInitial(1.0), target_indices=(params["index"],),
+                                  master_seed=cli.DEFAULT_SEED)
+        column = params["index"] - 1
+        a, m = montecarlo._draw_group(config, [301])
+        want = np.linalg.eigh(m[0])[1][:, column] ** 2
+        lam = np.linalg.eigvalsh(m)
+        assert montecarlo._inverse_iteration(m, lam, column) is None
+        (_a, _lam, v), = montecarlo._decompose(a, m, True, column)
+        assert np.max(np.abs(v[:, 0] ** 2 - want)) <= 1e-13
 
 
 class TestAccumulator:
@@ -267,6 +339,15 @@ class TestAccumulator:
         acc = OverlapAccumulator(4, (1,))
         with pytest.raises(Exception):
             acc.add_sample(0, np.zeros(4), np.full((1, 4), 0.3))
+
+    def test_nan_row_rejected(self):
+        # the row-sum error is NaN, and NaN compares false against the bound
+        acc = OverlapAccumulator(4, (1, 2))
+        rows = np.full((2, 4), 0.25)
+        rows[1, 0] = np.nan
+        with pytest.raises(DomainError):
+            acc.add_sample(0, np.zeros(4), rows)
+        assert acc.count == 0
 
 
 class TestOverlapExperiment:
