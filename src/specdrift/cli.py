@@ -126,6 +126,8 @@ def cmd_predict(args, out) -> Done:
     profile = parse_profile(args.profile)
     t = args.t
     if args.index is not None:
+        if args.lam is not None:
+            raise ConfigError("give --lambda or --index/--n, not both")
         if args.n is None:
             raise ConfigError("--index needs --n")
         if not 1 <= args.index <= args.n:
@@ -143,8 +145,7 @@ def cmd_predict(args, out) -> Done:
     if args.grid:
         a_grid = parse_grid(args.grid)
     elif args.n is not None:
-        x = (np.arange(1, args.n + 1) - 0.5) / args.n
-        a_grid = np.asarray(profile.eval(x))
+        a_grid = profile.quantiles(args.n)
     else:
         lo, hi = profile.support
         a_grid = np.linspace(lo + 1e-9, hi - 1e-9, 401)
@@ -168,7 +169,8 @@ def cmd_predict(args, out) -> Done:
 
 def _experiment_config(args):
     """The ExperimentConfig of simulate, theta and cdf. An explicit --profile
-    must match a GOE start's own semicircle; a profile start defaults to goe."""
+    must match a GOE start's own semicircle; a profile start defaults to goe
+    and takes no --scale."""
     from .montecarlo import ExperimentConfig, GOEInitial, ProfileInitial
     if args.initial == "goe":
         initial = GOEInitial(args.scale)
@@ -176,6 +178,9 @@ def _experiment_config(args):
                 and parse_profile(args.profile).spec != initial.profile.spec):
             raise ConfigError(f"--profile {args.profile} conflicts with the GOE start "
                               f"(semicircle of radius {initial.profile.radius:g})")
+    elif args.scale != 1.0:
+        raise ConfigError("--scale sets the GOE start; a profile start takes its "
+                          "scale from --profile")
     else:
         initial = ProfileInitial(parse_profile(args.profile or "goe"))
     return ExperimentConfig(n=args.n, t=args.t, samples=args.samples,
@@ -256,8 +261,7 @@ def cmd_reproduce(args, out) -> Done:
     emp_path = out / f"{args.figure}_empirical.csv"
     curve.to_csv(emp_path)
     pred_path = out / f"{args.figure}_prediction.csv"
-    x = (np.arange(1, params["n"] + 1) - 0.5) / params["n"]
-    a_grid = np.asarray(config.initial.profile.eval(x))
+    a_grid = config.initial.profile.quantiles(params["n"])
     _write_prediction_csv(pred_path, a_grid,
                           laws.overlap_goe(params["t"], report["lambda_used"], a_grid),
                           "goe-closed-form")

@@ -33,7 +33,9 @@ def ensure_symmetric(m: np.ndarray) -> np.ndarray:
         raise DomainError("matrix must be square")
     if m.shape[0] < 2:
         raise DomainError("dimension must be at least 2")
-    if not np.max(np.abs(m - m.T)) <= 0.0:  # NaN fails too
+    if not np.isfinite(m).all():
+        raise DomainError("matrix entries must be finite")
+    if not np.array_equal(m, m.T):
         raise DomainError("matrix is not symmetric")
     return m
 

@@ -82,8 +82,7 @@ class ProfileInitial:
         n = drawn.shape[-1]
         a = self._by_n.get(n)
         if a is None:
-            x = (np.arange(1, n + 1) - 0.5) / n
-            a = np.array(self.profile.eval(x), dtype=float)
+            a = self.profile.quantiles(n)
             a.setflags(write=False)
             self._by_n[n] = a
         return [a] * len(drawn)
@@ -150,28 +149,36 @@ def _draw_group(config: ExperimentConfig, ks):
     return a, m
 
 
-def _decompose(a, m, vectors: bool, column: int | None = None) -> list:
-    """[(a_k, lam_k, V_k)] for a drawn group: the initial eigenvalues, the
-    eigenvalues of M_t and its eigenvectors in the initial eigenbasis,
-    V_k[j, i] = <psi_i(t)|phi_j>; V_k is None without vectors, and only
-    column `column` of it, an (n, 1) array, when a column is given.
+#: The eigenvector request for every column.
+ALL = slice(None)
 
-    All eigenvectors come from one eigh per sample. Eigenvalues alone, or
-    with one column, come from one stacked eigvalsh, which equals per-matrix
-    calls bit for bit; the column then from `_inverse_iteration`, or from
-    eigh for the whole group when one of its guards trips."""
+
+def _stacked(columns) -> bool:
+    """Whether a request asks for at most one eigenvector column: then a
+    group of `_group_size(n)` samples takes one stacked eigvalsh, not one
+    eigh per sample."""
+    return columns != ALL and len(columns) <= 1
+
+
+def _decompose(a, m, columns=ALL) -> list:
+    """[(a_k, lam_k, V_k)] for a drawn group: the initial eigenvalues, the
+    eigenvalues of M_t and the eigenvector columns `columns` of M_t in the
+    initial eigenbasis, V_k[j, c] = <psi_i(t)|phi_j> for i = columns[c]: an
+    n x n array for ALL, n x k for k columns, n x 0 for none.
+
+    A `_stacked` request, no column or one, takes one stacked eigvalsh,
+    which equals per-matrix calls bit for bit; the column then comes from
+    `_inverse_iteration`, or from eigh for the whole group when one of its
+    guards trips. Any other request takes one eigh per sample."""
     if m is None:
-        eye = np.eye(len(a[0]))
-        v = eye if column is None else eye[:, [column]]
-        return [(ak, ak.copy(), v if vectors else None) for ak in a]
-    if vectors and column is None:
-        return [(ak, *np.linalg.eigh(mk)) for ak, mk in zip(a, m)]
+        v = np.eye(len(a[0]))[:, columns]
+        return [(ak, ak.copy(), v) for ak in a]
+    if not _stacked(columns):
+        return [(ak, lk, vk[:, columns]) for ak, (lk, vk) in zip(a, map(np.linalg.eigh, m))]
     lam = np.linalg.eigvalsh(m)
-    if not vectors:
-        return [(ak, lk, None) for ak, lk in zip(a, lam)]
-    v = _inverse_iteration(m, lam, column)
+    v = _inverse_iteration(m, lam, *columns) if columns else np.empty(m.shape[:2] + (0,))
     if v is None:
-        v = [np.linalg.eigh(mk)[1][:, [column]] for mk in m]
+        v = [np.linalg.eigh(mk)[1][:, columns] for mk in m]
     return list(zip(a, lam, v))
 
 
@@ -227,25 +234,25 @@ def _now(fn, *args) -> Future:
 
 
 def _map_samples(config: ExperimentConfig, worker, workers: int = 1, *,
-                 vectors: bool = True, column: int | None = None, reduce=None) -> list:
+                 columns=ALL, reduce=None) -> list:
     """[reduce(worker(k, a_k, lam_k, V_k)) for k in range(config.samples)],
-    V_k None unless `vectors`, only its (n, 1) column `column` (0-based) when
-    that is given, reduce the identity when None.
+    V_k the eigenvector columns `columns` (0-based: ALL, or a tuple, maybe
+    empty) as `_decompose` gives them, reduce the identity when None.
 
     Every decomposition and every worker call runs on the calling thread in
     ascending k. workers - 1 helper threads draw groups of samples, up to
     workers - 1 groups ahead, and run `reduce`, with at most workers - 1
     reductions pending; while the next group's draw is unfinished, the
-    calling thread reduces instead. A group is one sample when all
-    eigenvectors are wanted and `_group_size(n)` samples when only
-    eigenvalues or one column are: numpy keeps the GIL through a small
-    eigvalsh or solve, which would stall the other thread. Only one group's
-    decomposition is alive at a time, and every drawn sample is
-    bit-identical to a serial draw. workers = 1 runs all stages inline.
+    calling thread reduces instead. A group is `_group_size(n)` samples
+    when at most one column is requested (`_stacked`) and one sample
+    otherwise: numpy keeps the GIL through a small eigvalsh or solve, which
+    would stall the other thread. Only one group's decomposition is alive
+    at a time, and every drawn sample is bit-identical to a serial draw.
+    workers = 1 runs all stages inline.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    size = 1 if vectors and column is None else _group_size(config.n)
+    size = _group_size(config.n) if _stacked(columns) else 1
     indices = range(config.samples)
     groups = [indices[s:s + size] for s in indices[::size]]
     helpers = workers - 1
@@ -261,7 +268,7 @@ def _map_samples(config: ExperimentConfig, worker, workers: int = 1, *,
             # next group's draw and decomposition
             parts = [worker(k, *sample)
                      for k, sample in zip(ks, _decompose(*ahead.popleft().result(),
-                                                         vectors, column))]
+                                                         columns))]
             if reduce is None:
                 results += parts
                 continue
@@ -359,16 +366,13 @@ class OverlapCurve:
 def accumulate_overlaps(config: ExperimentConfig, workers: int = 1) -> OverlapAccumulator:
     if not config.target_indices:
         raise ConfigError("no target indices configured")
-    targets = [i - 1 for i in config.target_indices]
-    # one target: that column alone, not all n eigenvectors
-    column = targets[0] if len(targets) == 1 else None
+    targets = tuple(i - 1 for i in config.target_indices)
 
     def worker(k, a, _lam, vecs):
-        sq = (vecs if column is not None else vecs[:, targets]).T ** 2  # rows: targets
-        return k, a, sq
+        return k, a, vecs.T ** 2  # rows: targets
 
     acc = OverlapAccumulator(config.n, config.target_indices)
-    for k, a, sq in _map_samples(config, worker, workers, column=column):
+    for k, a, sq in _map_samples(config, worker, workers, columns=targets):
         acc.add_sample(k, a, sq)
     return acc
 
@@ -485,14 +489,14 @@ def estimate_theta(config: ExperimentConfig, z: complex, threshold: float,
     z = complex(z)
     if z.imag == 0:
         raise DomainError("z must have nonzero imaginary part")
-    vectors = threshold != math.inf
+    columns = () if threshold == math.inf else ALL
 
     def worker(k, a, lam, vecs):
-        if not vectors:
+        if not columns:
             return complex(np.sum(1.0 / (lam - z)) / len(lam))
         return theta_sample(a, lam, vecs, z, threshold)
 
-    return _scalar_estimate(_map_samples(config, worker, workers, vectors=vectors))
+    return _scalar_estimate(_map_samples(config, worker, workers, columns=columns))
 
 
 def empirical_cdf(config: ExperimentConfig, lam: float, alpha: float,
@@ -501,11 +505,7 @@ def empirical_cdf(config: ExperimentConfig, lam: float, alpha: float,
     lambda_i <= lambda and a_j <= alpha."""
 
     def worker(k, a, lams, vecs):
-        cols = lams <= lam
-        rows = a <= alpha
-        if not cols.any() or not rows.any():
-            return 0.0
-        return float(np.sum(vecs[np.ix_(rows, cols)] ** 2) / config.n)
+        return float(np.sum(vecs[np.ix_(a <= alpha, lams <= lam)] ** 2) / config.n)
 
     return _scalar_estimate(_map_samples(config, worker, workers))
 

@@ -147,6 +147,11 @@ class SpectralProfile(ABC):
     def support(self) -> tuple[float, float]:
         """(a(0), a(1)), the support of the induced density."""
 
+    def quantiles(self, n: int) -> np.ndarray:
+        """a((i - 1/2)/n) for i = 1..n: the n eigenvalues the profile
+        allocates to a matrix of size n."""
+        return self.eval((np.arange(1, n + 1) - 0.5) / n)
+
     def inverse(self, alpha):
         """x such that a(x) = alpha, for alpha in [a(0), a(1)], by bisection."""
         lo, hi = self.support

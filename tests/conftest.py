@@ -51,7 +51,7 @@ def draw_sample(config, k):
     eigenvector matrix V of M_t in the initial eigenbasis (V[j, i] =
     <psi_i(t)|phi_j>) of substream k, drawn and decomposed as the pipeline
     does."""
-    return _decompose(*_draw_group(config, [k]), vectors=True)[0]
+    return _decompose(*_draw_group(config, [k]))[0]
 
 
 def assert_close(a, b, tol, msg=""):

@@ -502,6 +502,16 @@ class TestEdgeInputs:
         for path in tmp_path.glob("*.csv"):
             assert all(math.isfinite(v) for v in _csv_numbers(path)), path
 
+    @pytest.mark.parametrize("argv", [
+        # --scale would be echoed in the manifest but change nothing
+        [*PROFILE_COMMANDS["theta"], "--scale", "4"],
+        # --index would override --lambda
+        ["predict", "--t", "1", "--index", "200", "--n", "400", "--lambda", "1.5",
+         "--grid=0:0:1"]], ids=["scale-with-profile-start", "predict-index-and-lambda"])
+    def test_refused_combination_exit2(self, tmp_path, argv):
+        assert main([*argv, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+        assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.json"))
+
 
 class TestGOEScale:
     """A GOE start of scale s has the semicircle of radius 2 sqrt(s) as its

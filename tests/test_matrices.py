@@ -73,11 +73,13 @@ class TestEnsureSymmetric:
             ensure_symmetric(np.eye(3)[:2])
 
     def test_rejects_nan(self):
-        # |m - m.T| is NaN there, and NaN compares false against any bound
-        m = np.eye(3)
-        m[1, 2] = m[2, 1] = np.nan
-        with pytest.raises(DomainError):
-            ensure_symmetric(m)
+        # a NaN compares false against anything, and a symmetric infinite
+        # entry would make inf - inf in m - m.T
+        for value in (np.nan, np.inf):
+            m = np.eye(3)
+            m[1, 2] = m[2, 1] = value
+            with pytest.raises(DomainError, match="finite"):
+                ensure_symmetric(m)
 
 
 class TestBuildDiagonal:

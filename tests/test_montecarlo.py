@@ -113,64 +113,73 @@ class TestMapSamples:
         # at t = 0 the target eigenvector is the initial one
         assert ahead.values[19] == config.n and np.count_nonzero(ahead.values) == 1
 
-    def test_workers_on_calling_thread_drawing_ahead(self, monkeypatch, linear_profile):
+    # columns -> (V's columns, samples per group at n = 200, eigh, eigvalsh
+    # and solve calls per group)
+    REQUESTS = {"all": (montecarlo.ALL, 200, 1, 1, 0, 0), "none": ((), 0, 3, 0, 1, 0),
+                "one": ((19,), 1, 3, 0, 1, 2), "two": ((19, 39), 2, 1, 1, 0, 0)}
+
+    @pytest.mark.parametrize("request_name", REQUESTS)
+    def test_workers_on_calling_thread_drawing_ahead(self, monkeypatch, linear_profile,
+                                                     request_name):
         # decompositions, solves and worker calls run on the calling thread in
         # ascending k; helpers draw at most workers - 1 groups ahead; a
         # reduction runs on a helper, or on the calling thread while the next
-        # draw is unfinished, with at most workers - 1 pending. A group is one
-        # sample with all eigenvectors, _group_size(n) samples with none or
-        # with one column, which takes one eigvalsh and two solves per group.
+        # draw is unfinished, with at most workers - 1 pending. A group is
+        # _group_size(n) samples with no column or one, which take one
+        # eigvalsh per group and one column two solves, and one sample with
+        # any other request, which takes one eigh.
+        columns, width, size, eighs, eigvalshs, solves = self.REQUESTS[request_name]
         main = threading.get_ident()
-        draw, started, decomposed, solved, reduced = montecarlo._draw, [], [], [], []
+        draw, started, eighed, eigvalshed, solved, reduced = montecarlo._draw, [], [], [], [], []
 
         def counted(config, k, out):
             started.append(threading.get_ident())
             return draw(config, k, out)
 
         def on_thread(log, fn):
-            def call(*args, **kwargs):
-                log.append(threading.get_ident())
-                return fn(*args, **kwargs)
+            # the calling thread and the stack shape of the matrix argument
+            def call(m, *args, **kwargs):
+                log.append((threading.get_ident(), m.shape[:-2]))
+                return fn(m, *args, **kwargs)
             return call
 
         monkeypatch.setattr(montecarlo, "_draw", counted)
-        monkeypatch.setattr(np.linalg, "eigh", on_thread(decomposed, np.linalg.eigh))
-        monkeypatch.setattr(np.linalg, "eigvalsh", on_thread(decomposed, np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "eigh", on_thread(eighed, np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", on_thread(eigvalshed, np.linalg.eigvalsh))
         monkeypatch.setattr(np.linalg, "solve", on_thread(solved, np.linalg.solve))
         # a profile start draws no eigvalsh; at n = 200 groups are 3, 3 and 2
         config = small_config(n=200, samples=8, initial=ProfileInitial(linear_profile))
-        for vectors, column in ((True, None), (False, None), (True, 19)):
-            size = 1 if vectors and column is None else montecarlo._group_size(config.n)
-            assert size == (1 if column is None and vectors else 3)
-            groups = -(-config.samples // size)
-            for workers in (1, 2, 3):
-                for log in (started, decomposed, solved, reduced):
-                    log.clear()
+        sizes = [min(size, config.samples - s) for s in range(0, config.samples, size)]
 
-                def worker(k, a, lam, vecs):
-                    assert len(started) <= min((k // size + workers) * size, config.samples)
-                    assert len(reduced) >= k - k % size - (workers - 1)
-                    assert (vecs is not None) == vectors
-                    if column is not None:
-                        assert vecs.shape == (config.n, 1)
-                    return k, threading.get_ident()
+        def per_group(calls):
+            return [(main, () if size == 1 else (g,)) for g in sizes for _ in range(calls)]
 
-                def reduce(part):
-                    reduced.append((part[0], threading.get_ident()))
-                    return part
+        for workers in (1, 2, 3):
+            for log in (started, eighed, eigvalshed, solved, reduced):
+                log.clear()
 
-                rows = _map_samples(config, worker, workers, vectors=vectors, column=column,
-                                    reduce=reduce)
-                assert rows == [(k, main) for k in range(config.samples)]
-                assert len(started) == len(reduced) == config.samples
-                assert decomposed == [main] * groups
-                assert solved == [main] * (2 * groups if column is not None else 0)
-                # with nothing left to draw, the last reduction goes to a helper
-                last = dict(reduced)[config.samples - 1]
-                if workers == 1:
-                    assert set(started) == {last} == {t for _, t in reduced} == {main}
-                else:
-                    assert main not in started and last != main
+            def worker(k, a, lam, vecs):
+                assert len(started) <= min((k // size + workers) * size, config.samples)
+                assert len(reduced) >= k - k % size - (workers - 1)
+                assert vecs.shape == (config.n, width)
+                return k, threading.get_ident()
+
+            def reduce(part):
+                reduced.append((part[0], threading.get_ident()))
+                return part
+
+            rows = _map_samples(config, worker, workers, columns=columns, reduce=reduce)
+            assert rows == [(k, main) for k in range(config.samples)]
+            assert len(started) == len(reduced) == config.samples
+            assert eighed == per_group(eighs)
+            assert eigvalshed == per_group(eigvalshs)
+            assert solved == per_group(solves)
+            # with nothing left to draw, the last reduction goes to a helper
+            last = dict(reduced)[config.samples - 1]
+            if workers == 1:
+                assert set(started) == {last} == {t for _, t in reduced} == {main}
+            else:
+                assert main not in started and last != main
 
     def test_stress_more_helpers_than_cores(self, linear_profile):
         # helpers share the config and a ProfileInitial's per-n cache; with a
@@ -180,7 +189,7 @@ class TestMapSamples:
             config = small_config(samples=24, initial=ProfileInitial(linear_profile))
             return (_map_samples(config, lambda k, *sample: sample, workers)
                     + _map_samples(config, lambda k, a, lam, _v: (a, lam), workers,
-                                   vectors=False, reduce=lambda part: part))
+                                   columns=(), reduce=lambda part: part))
 
         serial = run(1)
         interval = sys.getswitchinterval()
@@ -305,7 +314,7 @@ class TestSingleColumn:
         want = np.linalg.eigh(m[0])[1][:, column] ** 2
         lam = np.linalg.eigvalsh(m)
         assert montecarlo._inverse_iteration(m, lam, column) is None
-        (_a, _lam, v), = montecarlo._decompose(a, m, True, column)
+        (_a, _lam, v), = montecarlo._decompose(a, m, (column,))
         assert np.max(np.abs(v[:, 0] ** 2 - want)) <= 1e-13
 
 
@@ -328,6 +337,16 @@ class TestAccumulator:
             assert np.array_equal(x, y)
         for x, y in zip(rl, ref):
             assert np.array_equal(x, y)
+
+    def test_two_targets_are_eigh_columns(self):
+        # two targets take one eigh per sample and keep its two columns
+        config = small_config(samples=5, target_indices=(20, 40))
+        for workers in (1, 2, 3):
+            parts = accumulate_overlaps(config, workers)._parts
+            assert list(parts) == list(range(config.samples))
+            for k, (_a, sq) in parts.items():
+                _a, _lam, vecs = draw_sample(config, k)
+                assert sq.tobytes() == (vecs[:, [19, 39]].T ** 2).tobytes()
 
     def test_duplicate_substream_rejected(self):
         config = small_config()
