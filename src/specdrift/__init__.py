@@ -18,9 +18,9 @@ _EXPORTS = {
     "errors": ("ConfigError", "ConvergenceError", "DegenerateGapError", "DomainError",
                "EdgeError", "EmptyWindowError", "InvalidProfileError",
                "OutsideSupportError", "RankDeficientError", "SpecdriftError"),
-    "laws": ("PerturbationExpansion", "ldos", "overlap_cauchy", "overlap_full",
-             "overlap_goe", "perturbation_expansion", "perturbative_diag",
-             "perturbative_offdiag", "perturbed_quantile"),
+    "laws": ("PerturbationExpansion", "ldos", "overlap_full", "overlap_goe",
+             "perturbation_expansion", "perturbative_diag", "perturbative_offdiag",
+             "perturbed_quantile"),
     "matrices": ("RngStream", "sample_goe"),
     "montecarlo": ("ExperimentConfig", "GOEInitial", "OverlapAccumulator",
                    "OverlapCurve", "ProfileInitial", "bin_overlap_curve",
@@ -28,8 +28,7 @@ _EXPORTS = {
                    "run_overlap_experiment"),
     "profiles": ("SemicircleQuantileProfile", "SpectralProfile", "TabulatedProfile",
                  "parse_profile"),
-    "stieltjes": ("DensityLine", "StieltjesSolution", "cdf_limit", "density_and_hilbert",
-                  "semicircle_density", "semicircle_hilbert", "semicircle_stieltjes",
+    "stieltjes": ("StieltjesSolution", "cdf_limit", "semicircle_stieltjes",
                   "solve_fixed_point", "solve_grid", "theta_limit"),
     "subspace": ("WindowSpec", "distance_from_singular_values", "gram_entry_predictions",
                  "overlap_block", "predicted_distance", "run_subspace_experiment"),

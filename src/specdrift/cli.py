@@ -58,6 +58,7 @@ FIGURE_PEAK_TOL = 0.10
 FIGURE_RANGE = (-1.8, 1.8)
 FIGURE_BIN_WINDOW = 5
 FIGURE_MIN_SAMPLES = 200
+MAX_GRID_POINTS = 10 ** 6
 
 
 def finite_float(text: str) -> float:
@@ -76,6 +77,8 @@ def parse_grid(spec: str) -> np.ndarray:
         raise ConfigError(f"grid must be lo:hi:step of finite numbers, got {spec!r}") from exc
     if step <= 0 or hi < lo:
         raise ConfigError("grid needs hi >= lo and step > 0")
+    if (hi - lo) / step + 1 > MAX_GRID_POINTS:  # counted before any is allocated
+        raise ConfigError(f"grid {spec!r} has more than {MAX_GRID_POINTS:.0e} points")
     return np.arange(lo, hi + step / 2, step)
 
 
@@ -140,7 +143,7 @@ def cmd_predict(args, out) -> Done:
 
     regime = args.regime
     if regime == "auto":
-        regime = "goe" if args.profile == "goe" else "full"
+        regime = "goe" if isinstance(profile, SemicircleQuantileProfile) else "full"
 
     if args.grid:
         a_grid = parse_grid(args.grid)
@@ -154,12 +157,9 @@ def cmd_predict(args, out) -> Done:
         if not isinstance(profile, SemicircleQuantileProfile):
             raise ConfigError("--regime goe needs a semicircle profile (goe or semicircle:R)")
         values = laws.overlap_goe(t, lam, a_grid, profile.radius)
-    elif regime == "cauchy":
-        values = laws.overlap_cauchy(t, lam, a_grid,
-                                     stieltjes.density_and_hilbert(profile, 0.0, lam))
-    else:  # full; argparse admits no other regime
-        line = stieltjes.density_and_hilbert(profile, t, lam)
-        values = laws.overlap_full(t, lam, a_grid, line)
+    else:  # full, or cauchy: the kernel on the initial (t = 0) boundary value
+        m = stieltjes.boundary_values(profile, 0.0 if regime == "cauchy" else t, [lam])[0][0]
+        values = laws.overlap_full(t, lam, a_grid, m)
 
     path = out / "prediction.csv"
     _write_prediction_csv(path, a_grid, values, regime)
@@ -224,7 +224,7 @@ def compare_figure(curve, figure: str):
     n, t = params["n"], params["t"]
     binned = montecarlo.bin_overlap_curve(curve, FIGURE_BIN_WINDOW)
     lam = laws.perturbed_quantile(SemicircleQuantileProfile(), t, params["index"] / n)
-    expected = lam + t * stieltjes.semicircle_hilbert(t, lam)
+    expected = lam + t * stieltjes.semicircle_stieltjes(t, lam).real
     lo, hi = FIGURE_RANGE
     sel = (binned.a >= lo) & (binned.a <= hi)
     predicted = laws.overlap_goe(t, lam, binned.a[sel])
@@ -249,7 +249,7 @@ def cmd_reproduce(args, out) -> Done:
     from . import laws, montecarlo
     from .montecarlo import ExperimentConfig, GOEInitial
     params = FIGURE_PARAMS[args.figure]
-    samples = args.samples or params["samples"]
+    samples = params["samples"] if args.samples is None else args.samples
     config = ExperimentConfig(n=params["n"], t=params["t"], samples=samples,
                               initial=GOEInitial(1.0),
                               target_indices=(params["index"],),

@@ -3,14 +3,16 @@
 The master kernel for the rescaled mean squared overlap between a perturbed
 eigenvector at location lambda and an initial eigenvector at location a is
 
-    N E[<psi|phi>^2] -> t / ((a - lambda - t H)^2 + t^2 pi^2 rho^2),
+    N E[<psi|phi>^2] -> t / ((a - lambda - t H)^2 + t^2 pi^2 rho^2)
+                      = t / |a - lambda - t m|^2,
 
-with rho, H the boundary density / Hilbert transform of the time-t spectrum
-at lambda. Specializations: the GOE closed form, the small-t Cauchy flight
-(the kernel on the initial t = 0 boundary data) and the two perturbative
-formulas, plus the second-order eigenvalue / first-order eigenvector
-expansion coefficients. Closed forms only: the boundary data and the
-quantiles of a general profile come from the solver in stieltjes.
+with m = H + i pi rho the boundary value G(lambda + i0) of the Stieltjes
+transform of the time-t spectrum (stieltjes.boundary_values). The small-t
+Cauchy flight is the same kernel on the initial (t = 0) m. Specializations:
+the GOE closed form and the two perturbative formulas, plus the
+second-order eigenvalue / first-order eigenvector expansion coefficients.
+Closed forms only: m and the quantiles of a general profile come from the
+solver in stieltjes.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateGapError, DomainError, OutsideSupportError
 from .profiles import SemicircleQuantileProfile
-from .stieltjes import DensityLine, quantile_limit
+from .stieltjes import quantile_limit
 
 
 def _check_t(t):
@@ -32,14 +34,14 @@ def _check_t(t):
         raise DomainError(f"the overlap kernel needs t > 0 with t^2 > 0, got t={t}")
 
 
-def overlap_full(t: float, lambda_i: float, a_j, density: DensityLine):
-    """Master overlap kernel, valid for any t > 0 given boundary data at
-    lambda_i."""
+def overlap_full(t: float, lambda_i: float, a_j, m: complex):
+    """Master overlap kernel, valid for any t > 0 given the boundary value
+    m = H + i pi rho at lambda_i (at t = 0 for the Cauchy flight)."""
     _check_t(t)
-    if not density.inside_support:
-        raise OutsideSupportError(f"lambda={lambda_i} outside the time-t support")
+    if not m.imag > 0:  # a NaN fails too
+        raise OutsideSupportError(f"lambda={lambda_i} outside the support (m={m})")
     a = np.asarray(a_j, dtype=float)
-    d, b = a - lambda_i - t * density.hilbert, t * math.pi * density.rho
+    d, b = a - lambda_i - t * m.real, t * m.imag
     with np.errstate(over="ignore"):  # a huge t: the kernel falls to 0
         val = t / (d * d + b * b)
     return float(val) if a.ndim == 0 else val
@@ -50,7 +52,7 @@ def overlap_goe(t: float, lambda_i: float, a_j, radius: float = 2.0):
     with c = radius^2/4 + t (c = 1 + t for the unit GOE).
 
     Algebraically identical to overlap_full fed with the semicircle closed
-    forms (complete the square in the denominator).
+    form m (complete the square in the denominator).
     """
     _check_t(t)
     c = radius * radius / 4.0 + t
@@ -66,18 +68,11 @@ def overlap_goe(t: float, lambda_i: float, a_j, radius: float = 2.0):
     return float(val) if a.ndim == 0 else val
 
 
-def overlap_cauchy(t: float, lambda_i: float, a_j, initial: DensityLine):
-    """Small-t Cauchy-flight kernel: the master kernel fed with the initial
-    (t = 0) boundary data at lambda_i, a Lorentzian of half width
-    t pi rho_0(lambda_i) centred at lambda_i + t H_0(lambda_i)."""
-    return overlap_full(t, lambda_i, a_j, initial)
-
-
-def ldos(profile, t: float, lambda_i: float, alpha, density: DensityLine):
+def ldos(profile, t: float, lambda_i: float, alpha, m: complex):
     """Mean local density of states of the perturbed vector in the initial
     eigenvalue space: induced density times the overlap kernel."""
     rho0 = profile.induced_density(alpha)
-    return rho0 * overlap_full(t, lambda_i, alpha, density)
+    return rho0 * overlap_full(t, lambda_i, alpha, m)
 
 
 def perturbative_offdiag(t: float, n: int, a_i: float, a_j: float) -> float:

@@ -60,19 +60,6 @@ CDF_XI_SPACING = 0.02
 QUANTILE_NODES = BLOCK - 1
 
 
-@dataclass
-class DensityLine:
-    """Boundary values of the Stieltjes transform at one real point."""
-
-    lam: float
-    rho: float
-    hilbert: float
-
-    @property
-    def inside_support(self) -> bool:
-        return self.rho > 0
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 
@@ -292,16 +279,6 @@ def boundary_values(profile: SpectralProfile, t: float, lams, tol: float = DEFAU
     return m, res
 
 
-def density_and_hilbert(profile: SpectralProfile, t: float, lam: float) -> DensityLine:
-    """Boundary density rho_t(lam) and Hilbert transform H_{rho_t}(lam).
-
-    Outside the support the line comes back with rho = 0 and the real limit
-    in `hilbert`. At t = 0 the line is exact (see boundary_values).
-    """
-    m, _ = boundary_values(profile, t, [lam])
-    return DensityLine(lam=lam, rho=m[0].imag / math.pi, hilbert=m[0].real)
-
-
 @dataclass
 class StieltjesSolution:
     """Solved transform on a (lambda, eta) grid plus the boundary values."""
@@ -416,44 +393,20 @@ def quantile_limit(profile: SpectralProfile, t: float, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# GOE closed forms
+# GOE closed form
 #
 # A semicircle of radius r at time t is the semicircle of variance
-# c = r^2/4 + t (radius 2 sqrt(c)); at the default r = 2, c = 1 + t exactly.
-
-
-def semicircle_density(t: float, lam: float, radius: float = 2.0) -> float:
-    """rho_t for a semicircle start of the given radius."""
-    c = radius * radius / 4.0 + t
-    disc = 4.0 * c - lam * lam
-    if disc <= 0:
-        return 0.0
-    return math.sqrt(disc) / (2.0 * math.pi * c)
-
-
-def semicircle_hilbert(t: float, lam: float, radius: float = 2.0) -> float:
-    """Real boundary value of the semicircle Stieltjes transform; -lam/(2c)
-    inside the support, the real branch outside."""
-    c = radius * radius / 4.0 + t
-    if lam * lam <= 4.0 * c:
-        return -lam / (2.0 * c)
-    s = math.sqrt(lam * lam - 4.0 * c)
-    return (-lam + math.copysign(s, lam)) / (2.0 * c)
+# c = r^2/4 + t (radius e = 2 sqrt(c)); at the default r = 2, c = 1 + t exactly.
 
 
 def semicircle_stieltjes(t: float, z: complex, radius: float = 2.0) -> complex:
-    """G(z) = (-z + sqrt(z^2 - 4c))/(2c), branch with Im G > 0 in the upper
-    half plane."""
-    z = complex(z)
-    if z.imag == 0:
-        raise DomainError("z must have nonzero imaginary part")
+    """G(z) = (-z + sqrt(z - e) sqrt(z + e))/(2c): the branch with Im G > 0
+    above the axis and G -> 0 at infinity. At a real z it is the upper
+    boundary value H_t + i pi rho_t, with H_t = -z/(2c) inside the support
+    and rho_t = 0 beyond it."""
     c = radius * radius / 4.0 + t
-    s = cmath.sqrt(z * z - 4.0 * c)
-    if s.imag * z.imag < 0:
-        s = -s
-    return (-z + s) / (2.0 * c)
-
-
-def semicircle_density_line(t: float, lam: float, radius: float = 2.0) -> DensityLine:
-    return DensityLine(lam=lam, rho=semicircle_density(t, lam, radius),
-                       hilbert=semicircle_hilbert(t, lam, radius))
+    if not 0 < c < math.inf:
+        raise DomainError(f"the semicircle variance r^2/4 + t must be positive and finite, "
+                          f"got {c}")
+    z, e = complex(z), 2.0 * math.sqrt(c)
+    return (-z + cmath.sqrt(z - e) * cmath.sqrt(z + e)) / (2.0 * c)

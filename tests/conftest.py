@@ -11,7 +11,7 @@ import pytest
 
 from specdrift import RngStream, SemicircleQuantileProfile, parse_profile
 from specdrift.montecarlo import _decompose, _draw_group
-from specdrift.stieltjes import _edges
+from specdrift.stieltjes import _edges, boundary_values
 
 #: one line per acceptance criterion, echoed in the terminal summary
 ACCEPTANCE_LINES = []
@@ -57,6 +57,11 @@ def draw_sample(config, k):
 def assert_close(a, b, tol, msg=""):
     err = np.max(np.abs(np.asarray(a) - np.asarray(b)))
     assert err <= tol, f"{msg} max abs error {err:.3e} > {tol:.1e}"
+
+
+def boundary_value(profile, t, lam):
+    """The solver's boundary value m = H_t + i pi rho_t at one lambda."""
+    return boundary_values(profile, t, [lam])[0][0]
 
 
 def support_bounds(profile, t):

@@ -4,9 +4,10 @@
 Notes on two criteria:
 
 * Criterion 5a: the small-t Cauchy kernel is the master kernel fed with the
-  initial (t = 0) boundary data at lambda, a Lorentzian of half width
-  t pi rho_0(lambda) centred at lambda + t H_0(lambda). Against the exact
-  GOE kernel it deviates by at most t/(1+t) on the stated grid.
+  initial (t = 0) boundary value m = H_0 + i pi rho_0 at lambda, a
+  Lorentzian of half width t pi rho_0(lambda) centred at
+  lambda + t H_0(lambda). Against the exact GOE kernel it deviates by at
+  most t/(1+t) on the stated grid.
 * Criterion 8: the prediction integrates over initial eigenvalue
   positions, while V1 is selected by perturbed eigenvalues in the widened
   window. The widened window is therefore mapped back to initial
@@ -19,20 +20,16 @@ import math
 
 import numpy as np
 import pytest
-from conftest import draw_sample, record_acceptance
+from conftest import boundary_value, draw_sample, record_acceptance
 from scipy.integrate import quad
 
 from specdrift import (ExperimentConfig, GOEInitial, OverlapAccumulator,
-                       ProfileInitial, WindowSpec, cdf_limit, density_and_hilbert,
-                       distance_from_singular_values,
-                       ldos, overlap_block, overlap_cauchy, overlap_full,
-                       overlap_goe, parse_profile, predicted_distance, run_overlap_experiment,
-                       run_subspace_experiment, solve_fixed_point, solve_grid,
-                       theta_limit)
+                       ProfileInitial, WindowSpec, cdf_limit, distance_from_singular_values,
+                       ldos, overlap_block, overlap_full, overlap_goe, parse_profile,
+                       predicted_distance, run_overlap_experiment, run_subspace_experiment,
+                       semicircle_stieltjes, solve_fixed_point, solve_grid, theta_limit)
 from specdrift.cli import FIGURE_PARAMS, compare_figure
 from specdrift.montecarlo import _map_samples, accumulate_overlaps, theta_sample
-from specdrift.stieltjes import (semicircle_density, semicircle_density_line,
-                                 semicircle_hilbert)
 from specdrift.subspace import determinant_distance
 
 FIGURE_SEED = 20260823
@@ -94,8 +91,9 @@ def test_criterion_3_solver_vs_closed_form(goe_profile):
         grid = np.linspace(-0.95 * edge, 0.95 * edge, 200)
         sol = solve_grid(goe_profile, t, grid)
         for j, lam in enumerate(grid):
-            worst_rho = max(worst_rho, abs(sol.rho[j] - semicircle_density(t, lam)))
-            worst_h = max(worst_h, abs(sol.hilbert[j] - semicircle_hilbert(t, lam)))
+            m = semicircle_stieltjes(t, lam)
+            worst_rho = max(worst_rho, abs(sol.rho[j] - m.imag / math.pi))
+            worst_h = max(worst_h, abs(sol.hilbert[j] - m.real))
     ok = worst_rho <= 1e-6 and worst_h <= 1e-6
     record_acceptance("criterion 3 (solver vs closed form)", ok,
                       f"max |d rho| {worst_rho:.2e}, max |d H| {worst_h:.2e} (tol 1e-6)")
@@ -109,8 +107,7 @@ def test_criterion_4_algebraic_identity():
     a = np.linspace(-1.99, 1.99, 100)
     worst = 0.0
     for lam in lams:
-        line = semicircle_density_line(t, lam)
-        full = overlap_full(t, lam, a, line)
+        full = overlap_full(t, lam, a, semicircle_stieltjes(t, lam))
         closed = overlap_goe(t, lam, a)
         worst = max(worst, float(np.max(np.abs(full / closed - 1.0))))
     ok = worst <= 1e-12
@@ -124,8 +121,8 @@ def test_criterion_5a_cauchy_limit():
     worst = 0.0
     for lam in np.linspace(-1.0, 1.0, 21):
         a = lam + np.linspace(-1.0, 1.0, 201)
-        initial = semicircle_density_line(0.0, lam)
-        rel = np.abs(overlap_cauchy(t, lam, a, initial) / overlap_goe(t, lam, a) - 1.0)
+        m0 = semicircle_stieltjes(0.0, lam)  # the Cauchy flight: the kernel on the initial m
+        rel = np.abs(overlap_full(t, lam, a, m0) / overlap_goe(t, lam, a) - 1.0)
         worst = max(worst, float(np.max(rel)))
     ok = worst <= 0.05
     record_acceptance("criterion 5a (Cauchy vs closed form, 5%)", ok,
@@ -157,13 +154,13 @@ def test_criterion_6_ldos_normalization(goe_profile, linear_profile):
     cases = []
     for t in (0.5, 1.0, 2.0):
         for lam in (0.0, 1.0, -1.0):
-            line = semicircle_density_line(t, lam)
-            total, _ = quad(lambda al: ldos(goe_profile, t, lam, al, line),
+            m = semicircle_stieltjes(t, lam)
+            total, _ = quad(lambda al: ldos(goe_profile, t, lam, al, m),
                             -2.0, 2.0, epsabs=1e-10, epsrel=1e-10, limit=200)
             cases.append(abs(total - 1.0))
     t, lam = 0.5, 0.5
-    line = density_and_hilbert(linear_profile, t, lam)
-    total, _ = quad(lambda al: ldos(linear_profile, t, lam, al, line),
+    m = boundary_value(linear_profile, t, lam)
+    total, _ = quad(lambda al: ldos(linear_profile, t, lam, al, m),
                     0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
     cases.append(abs(total - 1.0))
     worst = max(cases)

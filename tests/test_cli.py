@@ -9,12 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specdrift import overlap_cauchy, overlap_goe, semicircle_density
+from specdrift import overlap_full, overlap_goe, semicircle_stieltjes
 from specdrift.cli import (COMMANDS, EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK,
                            EXIT_SOLVER, default_workers, finite_float, main, parse_grid)
 from specdrift.errors import ConfigError
 from specdrift.profiles import parse_profile
-from specdrift.stieltjes import semicircle_density_line, semicircle_hilbert
 
 
 def read_csv(path):
@@ -58,7 +57,7 @@ class TestPredict:
         assert rc == EXIT_OK
         _, data = read_csv(tmp_path / "prediction.csv")
         # CSV carries 12 significant digits
-        expected = overlap_cauchy(0.05, 0.0, data[:, 0], semicircle_density_line(0.0, 0.0))
+        expected = overlap_full(0.05, 0.0, data[:, 0], semicircle_stieltjes(0.0, 0.0))
         assert np.max(np.abs(data[:, 1] - expected)) <= 1e-9
 
     def test_goe_regime_follows_radius(self, tmp_path):
@@ -104,6 +103,16 @@ class TestPredict:
                    "--n", "400", "--grid=0:0:1", "--out-dir", str(tmp_path)])
         assert rc == EXIT_OK
         assert once > 0 and sum(real_calls) == once
+
+    def test_auto_regime_follows_the_parsed_profile(self, tmp_path):
+        # every spelling of the unit semicircle takes the goe closed form
+        written = set()
+        for spec in ("goe", "GOE", "semicircle", "semicircle:2"):
+            rc = main(["predict", "--profile", spec, "--t", "1", "--lambda", "0.5",
+                       "--grid=-1:1:0.25", "--out-dir", str(tmp_path / spec)])
+            assert rc == EXIT_OK
+            written.add((tmp_path / spec / "prediction.csv").read_text())
+        assert len(written) == 1 and written.pop().endswith(",goe\n")
 
     def test_out_of_support_exit3(self, tmp_path, capsys):
         rc = main(["predict", "--t", "1", "--lambda", "5", "--out-dir", str(tmp_path)])
@@ -171,14 +180,21 @@ class TestReproduce:
         assert (tmp_path / "fig1_empirical.csv").exists()
         assert (tmp_path / "fig1_prediction.csv").exists()
 
+    def test_zero_samples_exit2(self, tmp_path):
+        # 0 is refused like any count below one, not read as "the default"
+        for samples in ("0", "-1"):
+            rc = main(["reproduce", "fig1", "--samples", samples, "--out-dir", str(tmp_path)])
+            assert rc == EXIT_CONFIG
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_expected_peak_from_kernel(self, tmp_path):
         # the kernel of eigenvalue 320 at t = 1 peaks at lambda + t H_1(lambda)
         rc = main(["reproduce", "fig2", "--samples", "2", "--out-dir", str(tmp_path)])
         assert rc == EXIT_OK
         report = json.loads((tmp_path / "fig2_report.json").read_text())
         lam = report["lambda_used"]
-        assert report["peak_expected"] == pytest.approx(lam + semicircle_hilbert(1.0, lam),
-                                                        rel=1e-15)
+        assert report["peak_expected"] == pytest.approx(
+            lam + semicircle_stieltjes(1.0, lam).real, rel=1e-15)
         assert report["peak_expected"] == pytest.approx(1.0434, abs=1e-4)
 
 
@@ -191,7 +207,8 @@ class TestStieltjes:
                 (tmp_path / "stieltjes.csv").read_text().splitlines()[1:]]
         for r in rows:
             lam, rho = float(r[0]), float(r[4])
-            assert rho == pytest.approx(semicircle_density(1.0, lam), abs=1e-6)
+            assert rho == pytest.approx(semicircle_stieltjes(1.0, lam).imag / math.pi,
+                                        abs=1e-6)
 
     def test_far_field(self, tmp_path):
         rc = main(["stieltjes", "--profile", "goe", "--t", "1",
@@ -501,6 +518,24 @@ class TestEdgeInputs:
         assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_ACCEPTANCE, EXIT_SOLVER)
         for path in tmp_path.glob("*.csv"):
             assert all(math.isfinite(v) for v in _csv_numbers(path)), path
+
+    @pytest.mark.parametrize("step", ["1e-300", "1e-7"])
+    @pytest.mark.parametrize("command", ["predict", "stieltjes"])
+    def test_oversized_grid_exit2_unallocated(self, tmp_path, monkeypatch, command, step):
+        # more than a million points is refused before any is allocated
+        arange = np.arange
+
+        def guarded(*args, **kwargs):
+            if len(args) == 3:  # a lo:hi:step grid
+                start, stop, step = args
+                assert (stop - start) / step <= 1e6, "grid allocated"
+            return arange(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", guarded)
+        where = ["--lambda", "0"] if command == "predict" else []
+        rc = main([command, "--t", "1", *where, f"--grid=-3:3:{step}",
+                   "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
 
     @pytest.mark.parametrize("argv", [
         # --scale would be echoed in the manifest but change nothing

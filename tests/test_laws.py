@@ -2,41 +2,43 @@ import math
 
 import numpy as np
 import pytest
+from conftest import boundary_value
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from specdrift import (DegenerateGapError, OutsideSupportError,
-                       RngStream, SemicircleQuantileProfile, density_and_hilbert, ldos, overlap_cauchy, overlap_full, overlap_goe,
+                       RngStream, SemicircleQuantileProfile, ldos, overlap_full, overlap_goe,
                        perturbation_expansion, perturbative_diag, perturbative_offdiag,
-                       perturbed_quantile)
+                       perturbed_quantile, semicircle_stieltjes)
 from specdrift.matrices import sample_goe
-from specdrift.stieltjes import DensityLine, quantile_limit, semicircle_density_line
+from specdrift.stieltjes import quantile_limit
 
 
 class TestOverlapFull:
     def test_peak_value(self):
-        line = DensityLine(lam=0.3, rho=0.2, hilbert=-0.1)
-        t = 0.7
-        peak = overlap_full(t, 0.3, 0.3 + t * line.hilbert, line)
-        assert peak == pytest.approx(1.0 / (t * math.pi ** 2 * line.rho ** 2), rel=1e-12)
+        rho, t = 0.2, 0.7
+        m = complex(-0.1, math.pi * rho)
+        peak = overlap_full(t, 0.3, 0.3 + t * m.real, m)
+        assert peak == pytest.approx(1.0 / (t * math.pi ** 2 * rho ** 2), rel=1e-12)
 
     def test_goe_center_value(self):
-        line = semicircle_density_line(1.0, 0.0)
-        assert overlap_full(1.0, 0.0, 0.0, line) == pytest.approx(2.0, rel=1e-12)
+        m = semicircle_stieltjes(1.0, 0.0)
+        assert overlap_full(1.0, 0.0, 0.0, m) == pytest.approx(2.0, rel=1e-12)
 
     def test_tail_matches_perturbative(self):
-        line = semicircle_density_line(0.01, 0.0)
+        m = semicircle_stieltjes(0.01, 0.0)
         n = 1000
         for gap in (5.0, 10.0):
-            full = overlap_full(0.01, 0.0, gap, line)
+            full = overlap_full(0.01, 0.0, gap, m)
             pert = n * perturbative_offdiag(0.01, n, 0.0, gap)
             assert full == pytest.approx(pert, rel=1e-3)
 
     def test_outside_support_rejected(self):
-        line = DensityLine(lam=5.0, rho=0.0, hilbert=-0.2)
-        with pytest.raises(OutsideSupportError):
-            overlap_full(1.0, 5.0, 0.0, line)
+        # rho = 0 (the real m beyond the support), and a NaN
+        for m in (complex(-0.2, 0.0), complex(-0.2, math.nan)):
+            with pytest.raises(OutsideSupportError):
+                overlap_full(1.0, 5.0, 0.0, m)
 
 
 class TestOverlapGOE:
@@ -66,13 +68,13 @@ class TestOverlapGOE:
 
     @pytest.mark.parametrize("t,lam", [(0.05, 0.3), (1.0, -3.1), (4.0, 2.5)])
     def test_radius_4_matches_solver(self, t, lam):
-        # the closed form at radius 4 against the kernel on the solver's line
+        # the closed form at radius 4 against the kernel on the solver's m
         a = np.linspace(-3.9, 3.9, 25)
-        line = density_and_hilbert(SemicircleQuantileProfile(4.0), t, lam)
-        rel = np.abs(overlap_goe(t, lam, a, radius=4.0) / overlap_full(t, lam, a, line) - 1.0)
+        m = boundary_value(SemicircleQuantileProfile(4.0), t, lam)
+        rel = np.abs(overlap_goe(t, lam, a, radius=4.0) / overlap_full(t, lam, a, m) - 1.0)
         assert np.max(rel) <= 1e-12
-        assert semicircle_density_line(t, lam, 4.0).rho == pytest.approx(
-            line.rho, abs=1e-12)
+        assert semicircle_stieltjes(t, lam, 4.0).imag / math.pi == pytest.approx(
+            m.imag / math.pi, abs=1e-12)
 
     def test_identity_with_full_kernel(self):
         lams = np.linspace(-2.5, 2.5, 25)
@@ -80,29 +82,31 @@ class TestOverlapGOE:
         for t in (0.5, 1.0, 2.0):
             edge = 2.0 * math.sqrt(1.0 + t)
             for lam in lams[np.abs(lams) < edge - 0.05]:
-                line = semicircle_density_line(t, lam)
-                lhs = overlap_full(t, lam, a, line)
+                m = semicircle_stieltjes(t, lam)
+                lhs = overlap_full(t, lam, a, m)
                 rhs = overlap_goe(t, lam, a)
                 assert np.max(np.abs(lhs / rhs - 1.0)) <= 1e-12
 
 
 class TestOverlapCauchy:
     def test_peak_and_half_width(self):
-        # Lorentzian centred at lam + t H_0 with half width t pi rho_0
+        # the kernel on the initial m: a Lorentzian centred at lam + t H_0
+        # with half width t pi rho_0
         t, lam = 0.3, 0.1
-        line = semicircle_density_line(0.0, lam)
-        centre, half = lam + t * line.hilbert, t * math.pi * line.rho
-        peak = 1.0 / (t * math.pi ** 2 * line.rho ** 2)
-        assert overlap_cauchy(t, lam, centre, line) == pytest.approx(peak, rel=1e-14)
+        m0 = semicircle_stieltjes(0.0, lam)
+        rho0 = m0.imag / math.pi
+        centre, half = lam + t * m0.real, t * math.pi * rho0
+        peak = 1.0 / (t * math.pi ** 2 * rho0 ** 2)
+        assert overlap_full(t, lam, centre, m0) == pytest.approx(peak, rel=1e-14)
         for a in (centre - half, centre + half):
-            assert overlap_cauchy(t, lam, a, line) == pytest.approx(peak / 2, rel=1e-14)
+            assert overlap_full(t, lam, a, m0) == pytest.approx(peak / 2, rel=1e-14)
 
     def test_small_t_matches_goe_near_center(self):
         # the limit chain bound: rel error <= 2t for |a - lam| <= 1, lam = 0
         t = 0.01
         a = np.linspace(-1.0, 1.0, 41)
-        line = semicircle_density_line(0.0, 0.0)
-        rel = np.abs(overlap_cauchy(t, 0.0, a, line) / overlap_goe(t, 0.0, a) - 1.0)
+        m0 = semicircle_stieltjes(0.0, 0.0)
+        rel = np.abs(overlap_full(t, 0.0, a, m0) / overlap_goe(t, 0.0, a) - 1.0)
         assert np.max(rel) <= 2 * t
 
 
@@ -110,20 +114,20 @@ class TestLdos:
     @pytest.mark.parametrize("t,lam", [(0.5, 0.0), (1.0, 0.0), (1.0, 1.0),
                                        (1.0, -1.0), (2.0, 1.0)])
     def test_goe_normalization(self, goe_profile, t, lam):
-        line = semicircle_density_line(t, lam)
-        total, _ = quad(lambda a: ldos(goe_profile, t, lam, a, line),
+        m = semicircle_stieltjes(t, lam)
+        total, _ = quad(lambda a: ldos(goe_profile, t, lam, a, m),
                         -2.0, 2.0, epsabs=1e-10, epsrel=1e-10, limit=200)
         assert total == pytest.approx(1.0, abs=1e-3)
 
     def test_linear_profile_reduces_to_kernel(self, linear_profile):
-        line = density_and_hilbert(linear_profile, 0.5, 0.5)
-        assert ldos(linear_profile, 0.5, 0.5, 0.3, line) == pytest.approx(
-            overlap_full(0.5, 0.5, 0.3, line), rel=1e-12)
+        m = boundary_value(linear_profile, 0.5, 0.5)
+        assert ldos(linear_profile, 0.5, 0.5, 0.3, m) == pytest.approx(
+            overlap_full(0.5, 0.5, 0.3, m), rel=1e-12)
 
     def test_linear_profile_normalization(self, linear_profile):
         t, lam = 0.5, 0.5
-        line = density_and_hilbert(linear_profile, t, lam)
-        total, _ = quad(lambda a: ldos(linear_profile, t, lam, a, line),
+        m = boundary_value(linear_profile, t, lam)
+        total, _ = quad(lambda a: ldos(linear_profile, t, lam, a, m),
                         0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
         assert total == pytest.approx(1.0, abs=1e-3)
 
@@ -265,10 +269,10 @@ class TestProperties:
            a=st.floats(min_value=-2, max_value=2))
     @settings(max_examples=50, deadline=None)
     def test_cauchy_positive_and_bounded(self, t, lam, a):
-        line = semicircle_density_line(0.0, lam)
-        if not line.inside_support:
+        m0 = semicircle_stieltjes(0.0, lam)
+        if not m0.imag > 0:
             with pytest.raises(OutsideSupportError):
-                overlap_cauchy(t, lam, a, line)
+                overlap_full(t, lam, a, m0)
             return
-        v = overlap_cauchy(t, lam, a, line)
-        assert 0 < v <= (1.0 + 1e-12) / (t * math.pi ** 2 * line.rho ** 2)
+        v = overlap_full(t, lam, a, m0)
+        assert 0 < v <= (1.0 + 1e-12) / (t * math.pi ** 2 * (m0.imag / math.pi) ** 2)

@@ -24,9 +24,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import hermite_piece, support_bounds
-from specdrift import (SemicircleQuantileProfile, TabulatedProfile, density_and_hilbert,
-                       parse_profile, semicircle_density, semicircle_hilbert, solve_grid)
+from conftest import boundary_value, hermite_piece, support_bounds
+from specdrift import (SemicircleQuantileProfile, TabulatedProfile, parse_profile,
+                       semicircle_stieltjes, solve_grid)
 from specdrift.stieltjes import _edges, _resolvent_moments, _rule_below
 
 DIGITS = 30
@@ -86,10 +86,10 @@ def test_mpmath_line(name, t):
     e = edge(t)
     for lam, inside in ((0.3 * e, True), (e - 1e-3, True), (e + 0.1, False)):
         rho, hilbert = _oracle(g0, t, lam, inside)
-        line = density_and_hilbert(profile, t, lam)
-        assert (rho > 0) == inside and (line.rho > 0) == inside
-        assert abs(line.rho - rho) <= 1e-10, (lam, line.rho, rho)
-        assert abs(line.hilbert - hilbert) <= 1e-10, (lam, line.hilbert, hilbert)
+        m = boundary_value(profile, t, lam)
+        assert (rho > 0) == inside and (m.imag > 0) == inside
+        assert abs(m.imag / math.pi - rho) <= 1e-10, (lam, m, rho)
+        assert abs(m.real - hilbert) <= 1e-10, (lam, m, hilbert)
 
 
 class TestTabulatedSemicircle:
@@ -110,8 +110,9 @@ class TestTabulatedSemicircle:
         t = 1.0
         grid = np.linspace(-0.8, 0.8, 201) * 2.0 * math.sqrt(1.0 + t)
         sol = solve_grid(tab, t, grid)
-        err_rho = max(abs(r - semicircle_density(t, lam)) for r, lam in zip(sol.rho, grid))
-        err_h = max(abs(h - semicircle_hilbert(t, lam)) for h, lam in zip(sol.hilbert, grid))
+        closed = [semicircle_stieltjes(t, lam) for lam in grid]
+        err_rho = max(abs(r - m.imag / math.pi) for r, m in zip(sol.rho, closed))
+        err_h = max(abs(h - m.real) for h, m in zip(sol.hilbert, closed))
         assert 0 < interp_err < 0.01
         assert err_rho <= interp_err and err_h <= interp_err
 

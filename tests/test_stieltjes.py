@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import support_bounds
+from conftest import boundary_value, support_bounds
 from specdrift import (ConvergenceError, DomainError, EdgeError, SemicircleQuantileProfile,
-                       TabulatedProfile, cdf_limit, density_and_hilbert, parse_profile,
-                       semicircle_density,
-                       semicircle_hilbert, semicircle_stieltjes, solve_fixed_point,
-                       solve_grid, theta_limit)
+                       TabulatedProfile, cdf_limit, parse_profile, semicircle_stieltjes,
+                       solve_fixed_point, solve_grid, theta_limit)
 from specdrift import profiles, stieltjes
 from specdrift.profiles import ChartRule
 from specdrift.stieltjes import BLOCK, DEFAULT_TOL, _resolvent_moments, boundary_values
@@ -90,49 +88,48 @@ class TestSolveFixedPoint:
 class TestDensityAndHilbert:
     @pytest.mark.parametrize("t,lam", [(1.0, 0.0), (1.0, 1.0), (0.5, -0.7), (4.0, 2.0)])
     def test_goe_closed_forms(self, goe_profile, t, lam):
-        line = density_and_hilbert(goe_profile, t, lam)
-        assert line.rho == pytest.approx(semicircle_density(t, lam), abs=1e-8)
-        assert line.hilbert == pytest.approx(semicircle_hilbert(t, lam), abs=1e-8)
+        m, want = boundary_value(goe_profile, t, lam), semicircle_stieltjes(t, lam)
+        assert m.imag / math.pi == pytest.approx(want.imag / math.pi, abs=1e-8)
+        assert m.real == pytest.approx(want.real, abs=1e-8)
 
     def test_goe_t1_hilbert_quarter(self, goe_profile):
-        line = density_and_hilbert(goe_profile, 1.0, 1.0)
-        assert line.hilbert == pytest.approx(-0.25, abs=1e-8)
+        m = boundary_value(goe_profile, 1.0, 1.0)
+        assert m.real == pytest.approx(-0.25, abs=1e-8)
 
     def test_outside_support(self, goe_profile):
-        line = density_and_hilbert(goe_profile, 1.0, 5.0)
-        assert line.rho == 0.0
-        assert not line.inside_support
-        assert line.hilbert == pytest.approx(semicircle_hilbert(1.0, 5.0), abs=1e-6)
+        m = boundary_value(goe_profile, 1.0, 5.0)
+        assert m.imag == 0.0
+        assert m.real == pytest.approx(semicircle_stieltjes(1.0, 5.0).real, abs=1e-6)
 
     def test_t0_shortcut(self, linear_profile):
-        line = density_and_hilbert(linear_profile, 0.0, 0.5)
-        assert line.rho == pytest.approx(1.0, abs=1e-8)
+        m = boundary_value(linear_profile, 0.0, 0.5)
+        assert m.imag / math.pi == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("profile,lam,rho,hilbert", [
         (parse_profile("linear:0,1"), 0.2, 1.0, math.log(4.0)),
-        (SemicircleQuantileProfile(), 1.9, semicircle_density(0.0, 1.9),
-         semicircle_hilbert(0.0, 1.9)),
+        (SemicircleQuantileProfile(), 1.9, semicircle_stieltjes(0.0, 1.9).imag / math.pi,
+         semicircle_stieltjes(0.0, 1.9).real),
     ], ids=["linear", "goe"])
     def test_t0_exact_line(self, profile, lam, rho, hilbert):
         # rho_0 straight from the profile, H_0 as one principal-value integral
-        line = density_and_hilbert(profile, 0.0, lam)
-        assert abs(line.rho - rho) <= 1e-12
-        assert abs(line.hilbert - hilbert) <= 1e-12
+        m = boundary_value(profile, 0.0, lam)
+        assert abs(m.imag / math.pi - rho) <= 1e-12
+        assert abs(m.real - hilbert) <= 1e-12
 
     def test_t0_real_g0_off_support(self):
         # just below linear:0,1 the real G0(lam) = log((1 - lam)/(-lam))
-        line = density_and_hilbert(parse_profile("linear:0,1"), 0.0, -1e-12)
-        assert line.rho == 0.0
-        assert abs(line.hilbert - math.log1p(1e12)) <= 1e-12 * math.log1p(1e12)
+        m = boundary_value(parse_profile("linear:0,1"), 0.0, -1e-12)
+        assert m.imag == 0.0
+        assert abs(m.real - math.log1p(1e12)) <= 1e-12 * math.log1p(1e12)
 
     @pytest.mark.parametrize("radius", [2.0, 4.0])
     def test_t0_semicircle_edge_finite(self, radius):
         # rho_0 vanishes at the edge, so H_0 = -/+ 2/r is finite there
         profile = SemicircleQuantileProfile(radius)
         for lam in (radius, -radius):
-            line = density_and_hilbert(profile, 0.0, lam)
-            assert line.rho == 0.0
-            assert abs(line.hilbert + 2.0 / lam) <= 1e-15
+            m = boundary_value(profile, 0.0, lam)
+            assert m.imag == 0.0
+            assert abs(m.real + 2.0 / lam) <= 1e-15
 
     @pytest.mark.parametrize("which", ["linear", "tabulated"])
     def test_t0_jump_edge_rejected(self, which):
@@ -142,7 +139,7 @@ class TestDensityAndHilbert:
                    else TabulatedProfile(x, SemicircleQuantileProfile().eval(x)))
         for lam in profile.support:
             with pytest.raises(EdgeError):
-                density_and_hilbert(profile, 0.0, lam)
+                boundary_value(profile, 0.0, lam)
             with pytest.raises(EdgeError):
                 solve_grid(profile, 0.0, [lam])
 
@@ -155,13 +152,13 @@ class TestDensityAndHilbert:
         tab = TabulatedProfile(x, SemicircleQuantileProfile().eval(x))
         for k in (16, 20):
             lam = float(tab.eval(x[k]))
-            h = [density_and_hilbert(tab, 0.0, lam + d).hilbert for d in (-1e-9, 0.0, 1e-9)]
+            h = [boundary_value(tab, 0.0, lam + d).real for d in (-1e-9, 0.0, 1e-9)]
             assert math.isfinite(h[1]) and abs(h[1] - (h[0] + h[2]) / 2.0) <= 1e-12
         x = np.linspace(0.0, 1.0, 5)
         steep = TabulatedProfile(x, np.sinh(5.0 * (2.0 * x - 1.0)))
         for d in (0.0, 1e-12, 1e-9, -1e-9):
-            h1 = density_and_hilbert(steep, 0.0, float(steep.eval(x[1])) + d).hilbert
-            h3 = density_and_hilbert(steep, 0.0, float(steep.eval(x[3])) - d).hilbert
+            h1 = boundary_value(steep, 0.0, float(steep.eval(x[1])) + d).real
+            h3 = boundary_value(steep, 0.0, float(steep.eval(x[3])) - d).real
             assert abs(h1 + h3) <= 1e-12
 
 
@@ -171,10 +168,10 @@ class TestDensityAndHilbert:
         x = np.linspace(0.0, 1.0, 5)
         steep = TabulatedProfile(x, np.sinh(5.0 * (2.0 * x - 1.0)))
         lam = float(steep.eval(x[1]))
-        exact = density_and_hilbert(steep, 0.0, lam)
+        exact = boundary_value(steep, 0.0, lam)
         for t in (1e-12, 1e-10, 1e-8):
-            line = density_and_hilbert(steep, t, lam)
-            assert abs(line.rho - exact.rho) <= 1e-8 and abs(line.hilbert - exact.hilbert) <= 1e-8
+            m = boundary_value(steep, t, lam)
+            assert abs(m.imag - exact.imag) / math.pi <= 1e-8 and abs(m.real - exact.real) <= 1e-8
 
     def test_two_knot_tabulated_is_linear(self):
         # linear:lo,hi is the two-knot tabulated profile: one cubic piece, so
@@ -335,7 +332,7 @@ class TestNonFiniteLambda:
                 boundary_values(profile, 1.0, [0.0, lam])
             for t in (0.0, 1.0):
                 with pytest.raises(DomainError):
-                    density_and_hilbert(profile, t, lam)
+                    boundary_value(profile, t, lam)
 
 
 T0_PROFILES = {
@@ -377,8 +374,7 @@ class TestInitialLine:
     @pytest.mark.parametrize("name", T0_PROFILES)
     def test_exact_line(self, name):
         # H_0 the principal value at w = lam, rho_0 the profile's density up
-        # to the pi round trip, zero residuals; density_and_hilbert reads the
-        # one-point line
+        # to the pi round trip, zero residuals
         profile = T0_PROFILES[name]
         grid = self._grid(profile)
         m, res = boundary_values(profile, 0.0, grid)
@@ -386,10 +382,6 @@ class TestInitialLine:
         assert m.real.tobytes() == _resolvent_moments(profile, grid + 0j)[0].real.tobytes()
         rho0 = profile.density(grid)
         assert np.all(np.abs(m.imag / math.pi - rho0) <= np.spacing(rho0))
-        for j in (0, 7, 20, 33, 40):
-            line = density_and_hilbert(profile, 0.0, grid[j])
-            one = boundary_values(profile, 0.0, grid[j:j + 1])[0][0]
-            assert (line.rho, line.hilbert) == (one.imag / math.pi, one.real)
 
     @pytest.mark.parametrize("name", T0_PROFILES)
     def test_typed_errors(self, name):
@@ -407,24 +399,57 @@ class TestInitialLine:
 
 class TestSemicircleClosedForms:
     def test_t0_center(self):
-        assert semicircle_density(0.0, 0.0) == pytest.approx(1.0 / math.pi)
+        assert semicircle_stieltjes(0.0, 0.0).imag / math.pi == pytest.approx(1.0 / math.pi)
 
     def test_edges(self):
-        assert semicircle_density(1.0, 2.0 * math.sqrt(2.0)) == 0.0
-        assert semicircle_density(1.0, -2.0 * math.sqrt(2.0)) == 0.0
+        assert semicircle_stieltjes(1.0, 2.0 * math.sqrt(2.0)).imag == 0.0
+        assert semicircle_stieltjes(1.0, -2.0 * math.sqrt(2.0)).imag == 0.0
 
     def test_hilbert_value(self):
-        assert semicircle_hilbert(3.0, 2.0) == pytest.approx(-0.25)
+        assert semicircle_stieltjes(3.0, 2.0).real == pytest.approx(-0.25)
 
     @pytest.mark.parametrize("t,lam", [(0.0, 0.3), (0.05, -1.7), (1.0, 2.5), (4.0, -0.2)])
     def test_radius_2_bit_identical(self, t, lam):
-        # the variance r^2/4 + t is exactly 1 + t at the default radius
+        # the variance r^2/4 + t is exactly 1 + t at the default radius, and
+        # inside the support H_t is exactly -lam/(2c)
         c = 1.0 + t
-        disc = 4.0 * c - lam * lam
-        rho = math.sqrt(disc) / (2.0 * math.pi * c) if disc > 0 else 0.0
-        assert semicircle_density(t, lam) == semicircle_density(t, lam, 2.0) == rho
-        if disc > 0:
-            assert semicircle_hilbert(t, lam) == -lam / (2.0 * c)
+        m = semicircle_stieltjes(t, lam)
+        assert m == semicircle_stieltjes(t, lam, 2.0)
+        assert 4.0 * c - lam * lam > 0 and m.real == -lam / (2.0 * c)
+
+    @pytest.mark.parametrize("radius", [2.0, 4.0])
+    @pytest.mark.parametrize("t", [0.0, 0.05, 1.0])
+    def test_real_axis_against_formulas(self, radius, t):
+        # the upper boundary value H + i pi rho: inside the support
+        # rho = sqrt(4c - lam^2)/(2 pi c), and beyond it the real branch
+        # (-lam +- sqrt(lam^2 - 4c))/(2c) that decays to 0 on its side
+        c = radius * radius / 4.0 + t
+        edge = 2.0 * math.sqrt(c)
+        for lam in edge * np.linspace(-0.99, 0.99, 23):
+            m = semicircle_stieltjes(t, lam, radius)
+            rho = math.sqrt(4.0 * c - lam * lam) / (2.0 * math.pi * c)
+            assert m.real == -lam / (2.0 * c)
+            assert abs(m.imag / math.pi - rho) <= 1e-15 * (1.0 + rho)
+        for lam in (edge, -edge):
+            assert semicircle_stieltjes(t, lam, radius) == -lam / (2.0 * c)
+        for side in (1.0, -1.0):
+            for lam in side * edge * np.array([1.0 + 1e-6, 1.01, 1.5, 10.0]):
+                m = semicircle_stieltjes(t, lam, radius)
+                want = (-lam + side * math.sqrt(lam * lam - 4.0 * c)) / (2.0 * c)
+                assert m.imag == 0.0
+                assert abs(m.real - want) <= 1e-12 * abs(want)
+            lams = side * edge * np.geomspace(1.0, 1e6, 13)
+            far = [abs(semicircle_stieltjes(t, lam, radius)) for lam in lams]
+            assert far == sorted(far, reverse=True)
+            assert abs(far[-1] * abs(lams[-1]) - 1.0) <= 1e-3  # G ~ -1/lam
+
+    @pytest.mark.parametrize("t,radius", [(-1.0, 2.0), (-4.0, 4.0), (math.inf, 2.0),
+                                          (math.nan, 2.0), (0.0, math.nan), (0.0, 0.0)])
+    def test_variance_not_positive_finite(self, t, radius):
+        with pytest.raises(DomainError):
+            semicircle_stieltjes(t, 0.5, radius)
+        with pytest.raises(DomainError):
+            semicircle_stieltjes(t, 0.5 + 1j, radius)
 
     @pytest.mark.parametrize("t", [0.05, 1.0])
     def test_radius_4_matches_solver(self, t):
@@ -432,8 +457,9 @@ class TestSemicircleClosedForms:
         grid = np.linspace(-1.2 * edge, 1.2 * edge, 48)  # no point on an edge
         sol = solve_grid(SemicircleQuantileProfile(4.0), t, grid)
         for j, lam in enumerate(grid):
-            assert abs(sol.rho[j] - semicircle_density(t, lam, 4.0)) <= 1e-12
-            assert abs(sol.hilbert[j] - semicircle_hilbert(t, lam, 4.0)) <= 1e-12
+            m = semicircle_stieltjes(t, lam, 4.0)
+            assert abs(sol.rho[j] - m.imag / math.pi) <= 1e-12
+            assert abs(sol.hilbert[j] - m.real) <= 1e-12
         for z in (0.3 + 0.2j, -4.0 + 0.01j):
             m = solve_fixed_point(SemicircleQuantileProfile(4.0), t, z)
             assert abs(m - semicircle_stieltjes(t, z, 4.0)) <= 1e-12
@@ -452,7 +478,8 @@ class TestSolveGrid:
         sol = solve_grid(goe_profile, 1.0, grid)
         assert sol.residual.max() <= 1e-10
         for j, lam in enumerate(grid):
-            assert sol.rho[j] == pytest.approx(semicircle_density(1.0, lam), abs=1e-8)
+            assert sol.rho[j] == pytest.approx(semicircle_stieltjes(1.0, lam).imag / math.pi,
+                                               abs=1e-8)
         # Herglotz at every stored point
         assert np.all(sol.values.imag > 0)
 
@@ -571,10 +598,10 @@ class TestSupportBounds:
         for t in (0.01, 1.0):
             lo, hi = support_bounds(profile, t)
             for lam in (lo, hi):
-                line = density_and_hilbert(profile, t, lam)
-                assert line.rho == 0.0 and math.isfinite(line.hilbert)
-            inside = density_and_hilbert(profile, t, hi - 1e-6 * (hi - lo))
-            assert inside.rho > 0
+                m = boundary_value(profile, t, lam)
+                assert m.imag == 0.0 and math.isfinite(m.real)
+            inside = boundary_value(profile, t, hi - 1e-6 * (hi - lo))
+            assert inside.imag > 0
 
 
 class TestThetaLimit:
@@ -636,7 +663,7 @@ class TestCdfLimit:
         for lam in (-1.0, 0.5):
             d = (cdf_limit(goe_profile, 1.0, lam + h, 10.0)
                  - cdf_limit(goe_profile, 1.0, lam - h, 10.0)) / (2 * h)
-            assert d == pytest.approx(semicircle_density(1.0, lam), abs=1e-3)
+            assert d == pytest.approx(semicircle_stieltjes(1.0, lam).imag / math.pi, abs=1e-3)
 
 
 class TestProperties:
