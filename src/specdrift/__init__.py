@@ -30,7 +30,7 @@ _EXPORTS = {
                  "parse_profile"),
     "stieltjes": ("StieltjesSolution", "cdf_limit", "semicircle_stieltjes",
                   "solve_fixed_point", "solve_grid", "theta_limit"),
-    "subspace": ("WindowSpec", "distance_from_singular_values", "gram_entry_predictions",
+    "subspace": ("WindowSpec", "block_distance", "gram_entry_predictions",
                  "overlap_block", "predicted_distance", "run_subspace_experiment"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

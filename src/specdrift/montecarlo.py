@@ -3,8 +3,8 @@ diagonalize, and accumulate overlap curves, resolvent traces and the
 empirical bivariate CDF.
 
 Samples are independent work units keyed by substream index: helper
-threads may draw them ahead, the calling thread decomposes them in
-ascending order, and helpers may reduce what it cuts out (`_map_samples`).
+threads may draw them ahead, and the calling thread decomposes them and
+runs every per-sample computation in ascending order (`_map_samples`).
 Accumulators keep per-sample contributions, so merging is associative
 bit-exactly: the final reduction always runs in ascending substream order
 regardless of how partial accumulators were combined.
@@ -234,21 +234,19 @@ def _now(fn, *args) -> Future:
 
 
 def _map_samples(config: ExperimentConfig, worker, workers: int = 1, *,
-                 columns=ALL, reduce=None) -> list:
-    """[reduce(worker(k, a_k, lam_k, V_k)) for k in range(config.samples)],
-    V_k the eigenvector columns `columns` (0-based: ALL, or a tuple, maybe
-    empty) as `_decompose` gives them, reduce the identity when None.
+                 columns=ALL) -> list:
+    """[worker(k, a_k, lam_k, V_k) for k in range(config.samples)], V_k the
+    eigenvector columns `columns` (0-based: ALL, or a tuple, maybe empty) as
+    `_decompose` gives them.
 
     Every decomposition and every worker call runs on the calling thread in
-    ascending k. workers - 1 helper threads draw groups of samples, up to
-    workers - 1 groups ahead, and run `reduce`, with at most workers - 1
-    reductions pending; while the next group's draw is unfinished, the
-    calling thread reduces instead. A group is `_group_size(n)` samples
-    when at most one column is requested (`_stacked`) and one sample
-    otherwise: numpy keeps the GIL through a small eigvalsh or solve, which
-    would stall the other thread. Only one group's decomposition is alive
-    at a time, and every drawn sample is bit-identical to a serial draw.
-    workers = 1 runs all stages inline.
+    ascending k; workers - 1 helper threads only draw groups of samples, up
+    to workers - 1 groups ahead. A group is `_group_size(n)` samples when at
+    most one column is requested (`_stacked`) and one sample otherwise:
+    numpy keeps the GIL through a small eigvalsh or solve, which would stall
+    the other thread. Only one group's decomposition is alive at a time, and
+    every drawn sample is bit-identical to a serial draw. workers = 1 runs
+    all stages inline.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -260,26 +258,15 @@ def _map_samples(config: ExperimentConfig, worker, workers: int = 1, *,
     submit = pool.submit if pool else _now
     try:
         ahead = deque(submit(_draw_group, config, ks) for ks in groups[:helpers])
-        pending, results = deque(), []
+        results = []
         for i, ks in enumerate(groups):
             if i + helpers < len(groups):
                 ahead.append(submit(_draw_group, config, groups[i + helpers]))
             # one expression, so that no name keeps M_t or V alive into the
             # next group's draw and decomposition
-            parts = [worker(k, *sample)
-                     for k, sample in zip(ks, _decompose(*ahead.popleft().result(),
-                                                         columns))]
-            if reduce is None:
-                results += parts
-                continue
-            for part in parts:
-                while len(pending) >= max(helpers, 1):
-                    results.append(pending.popleft().result())
-                # while the next draw is unfinished this thread would only
-                # wait for it, so it reduces instead
-                behind = ahead and not ahead[0].done()
-                pending.append((_now if behind else submit)(reduce, part))
-        results += [done.result() for done in pending]
+            results += [worker(k, *sample)
+                        for k, sample in zip(ks, _decompose(*ahead.popleft().result(),
+                                                            columns))]
         return results
     finally:
         if pool:

@@ -403,10 +403,13 @@ def semicircle_stieltjes(t: float, z: complex, radius: float = 2.0) -> complex:
     """G(z) = (-z + sqrt(z - e) sqrt(z + e))/(2c): the branch with Im G > 0
     above the axis and G -> 0 at infinity. At a real z it is the upper
     boundary value H_t + i pi rho_t, with H_t = -z/(2c) inside the support
-    and rho_t = 0 beyond it."""
+    and rho_t = 0 beyond it. Where |z| > e it is the equal -2/(z + sqrt(z - e)
+    sqrt(z + e)), which does not cancel: the product of principal roots
+    tracks z."""
     c = radius * radius / 4.0 + t
     if not 0 < c < math.inf:
         raise DomainError(f"the semicircle variance r^2/4 + t must be positive and finite, "
                           f"got {c}")
     z, e = complex(z), 2.0 * math.sqrt(c)
-    return (-z + cmath.sqrt(z - e) * cmath.sqrt(z + e)) / (2.0 * c)
+    root = cmath.sqrt(z - e) * cmath.sqrt(z + e)
+    return -2.0 / (z + root) if abs(z) > e else (-z + root) / (2.0 * c)

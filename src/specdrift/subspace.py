@@ -1,10 +1,11 @@
 """Eigenspace stability: rectangular overlap blocks between spectral
-windows, singular-value overlap distance, and its small-t prediction.
+windows, their overlap distance, and its small-t prediction.
 
 The distance between the initial window subspace V0 (eigenvalues in
 [g-, g+]) and the enlarged perturbed subspace V1 (perturbed eigenvalues in
 [g- - delta, g+ + delta]) is minus the mean log singular value of the
-overlap block; it vanishes iff V0 is contained in V1.
+overlap block, read off the diagonal of its triangular QR factor; it
+vanishes iff V0 is contained in V1.
 """
 
 from __future__ import annotations
@@ -53,20 +54,26 @@ def select_window(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
 def overlap_block(a, lam, vecs, window: WindowSpec) -> np.ndarray:
     """Q x P block <psi_k(t)|phi_j> of one sample as `montecarlo._decompose`
     returns it (vecs[j, k] = <psi_k(t)|phi_j>), with a_j in the inner window and
-    lambda_k in the widened window."""
+    lambda_k in the widened window. An empty widened window gives a 0 x P
+    block, which is rank deficient; an empty inner window is an error."""
     cols = select_window(a, *window.inner)
-    rows = select_window(lam, *window.outer)
-    if len(cols) == 0 or len(rows) == 0:
-        raise EmptyWindowError("window selected no eigenvalues")
-    return vecs[cols][:, rows].T
+    if len(cols) == 0:
+        raise EmptyWindowError("inner window selected no eigenvalues")
+    return vecs[cols][:, select_window(lam, *window.outer)].T
 
 
-def distance_from_singular_values(s, p: int) -> float:
-    """D = -(1/P) sum ln s_k; +inf when the block is rank deficient."""
-    s = np.asarray(s, dtype=float)
-    if len(s) < p or np.any(s <= SINGULAR_VALUE_FLOOR):
+def block_distance(block: np.ndarray) -> float:
+    """D = -(1/P) sum ln s_k over the P singular values of the Q x P block,
+    taken as -(1/P) sum ln |R_kk| of its triangular QR factor R, whose
+    |det R| is their product; +inf when the block is rank deficient: Q < P,
+    or some |R_kk| <= SINGULAR_VALUE_FLOOR."""
+    q, p = block.shape
+    if q < p:
         return math.inf
-    return float(-np.sum(np.log(s[:p])) / p)
+    r = np.abs(np.diagonal(np.linalg.qr(block, mode="r")))
+    if np.any(r <= SINGULAR_VALUE_FLOOR):
+        return math.inf
+    return float(-np.sum(np.log(r)) / p)
 
 
 def determinant_distance(block: np.ndarray) -> float:
@@ -170,17 +177,12 @@ def run_subspace_experiment(config: ExperimentConfig, window: WindowSpec,
     full rank.
     """
 
-    def cut(k, *sample):
-        return overlap_block(*sample, window)
-
-    def reduce(block):
+    def worker(k, *sample):
+        block = overlap_block(*sample, window)
         q, p = block.shape
-        return distance_from_singular_values(np.linalg.svd(block, compute_uv=False), p), p, q
+        return block_distance(block), p, q
 
-    # eigh and the cut on the calling thread; the SVD, which holds the GIL,
-    # on a helper while the calling thread runs the next eigh, unless the
-    # helper is still drawing that eigh's sample
-    rows = _map_samples(config, cut, workers, reduce=reduce)
+    rows = _map_samples(config, worker, workers)
     ds = np.array([r[0] for r in rows])
     full = ds[np.isfinite(ds)]
     if len(full) == 0:

@@ -24,8 +24,8 @@ from conftest import boundary_value, draw_sample, record_acceptance
 from scipy.integrate import quad
 
 from specdrift import (ExperimentConfig, GOEInitial, OverlapAccumulator,
-                       ProfileInitial, WindowSpec, cdf_limit, distance_from_singular_values,
-                       ldos, overlap_block, overlap_full, overlap_goe, parse_profile,
+                       ProfileInitial, WindowSpec, block_distance, cdf_limit, ldos,
+                       overlap_block, overlap_full, overlap_goe, parse_profile,
                        predicted_distance, run_overlap_experiment, run_subspace_experiment,
                        semicircle_stieltjes, solve_fixed_point, solve_grid, theta_limit)
 from specdrift.cli import FIGURE_PARAMS, compare_figure
@@ -248,8 +248,8 @@ def test_criterion_9_property_suite(goe_profile):
     block = overlap_block(*draw_sample(block_config, 0), WindowSpec(-1.0, 1.0, 0.3))
     s = np.linalg.svd(block, compute_uv=False)
     checks["singular values in [0,1]"] = bool(np.all(s <= 1 + 1e-10) and np.all(s >= 0))
-    distance = distance_from_singular_values(s, block.shape[1])
-    checks["determinant identity"] = abs(determinant_distance(block) - distance) <= 1e-10
+    identity = abs(determinant_distance(block) - block_distance(block))
+    checks["determinant identity"] = identity <= 1e-10
 
     # bit-exact seed determinism
     c1 = run_overlap_experiment(config)[30]
@@ -269,5 +269,6 @@ def test_criterion_9_property_suite(goe_profile):
 
     ok = all(checks.values())
     record_acceptance("criterion 9 (property suite)", ok,
-                      ", ".join(f"{k}: {'ok' if v else 'FAIL'}" for k, v in checks.items()))
+                      ", ".join(f"{k}: {'ok' if v else 'FAIL'}" for k, v in checks.items())
+                      + f" (|determinant - QR distance| {identity:.2e})")
     assert ok

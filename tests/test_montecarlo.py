@@ -122,15 +122,13 @@ class TestMapSamples:
     def test_workers_on_calling_thread_drawing_ahead(self, monkeypatch, linear_profile,
                                                      request_name):
         # decompositions, solves and worker calls run on the calling thread in
-        # ascending k; helpers draw at most workers - 1 groups ahead; a
-        # reduction runs on a helper, or on the calling thread while the next
-        # draw is unfinished, with at most workers - 1 pending. A group is
+        # ascending k; helpers draw at most workers - 1 groups ahead. A group is
         # _group_size(n) samples with no column or one, which take one
         # eigvalsh per group and one column two solves, and one sample with
         # any other request, which takes one eigh.
         columns, width, size, eighs, eigvalshs, solves = self.REQUESTS[request_name]
         main = threading.get_ident()
-        draw, started, eighed, eigvalshed, solved, reduced = montecarlo._draw, [], [], [], [], []
+        draw, started, eighed, eigvalshed, solved = montecarlo._draw, [], [], [], []
 
         def counted(config, k, out):
             started.append(threading.get_ident())
@@ -155,41 +153,34 @@ class TestMapSamples:
             return [(main, () if size == 1 else (g,)) for g in sizes for _ in range(calls)]
 
         for workers in (1, 2, 3):
-            for log in (started, eighed, eigvalshed, solved, reduced):
+            for log in (started, eighed, eigvalshed, solved):
                 log.clear()
 
             def worker(k, a, lam, vecs):
                 assert len(started) <= min((k // size + workers) * size, config.samples)
-                assert len(reduced) >= k - k % size - (workers - 1)
                 assert vecs.shape == (config.n, width)
                 return k, threading.get_ident()
 
-            def reduce(part):
-                reduced.append((part[0], threading.get_ident()))
-                return part
-
-            rows = _map_samples(config, worker, workers, columns=columns, reduce=reduce)
+            rows = _map_samples(config, worker, workers, columns=columns)
             assert rows == [(k, main) for k in range(config.samples)]
-            assert len(started) == len(reduced) == config.samples
+            assert len(started) == config.samples
             assert eighed == per_group(eighs)
             assert eigvalshed == per_group(eigvalshs)
             assert solved == per_group(solves)
-            # with nothing left to draw, the last reduction goes to a helper
-            last = dict(reduced)[config.samples - 1]
             if workers == 1:
-                assert set(started) == {last} == {t for _, t in reduced} == {main}
+                assert set(started) == {main}
             else:
-                assert main not in started and last != main
+                assert main not in started
 
     def test_stress_more_helpers_than_cores(self, linear_profile):
         # helpers share the config and a ProfileInitial's per-n cache; with a
         # short switch interval and 8 helpers, every drawn sample still
-        # matches a serial draw bit for bit, in groups and through reductions
+        # matches a serial draw bit for bit, one at a time and in groups
         def run(workers):
             config = small_config(samples=24, initial=ProfileInitial(linear_profile))
             return (_map_samples(config, lambda k, *sample: sample, workers)
                     + _map_samples(config, lambda k, a, lam, _v: (a, lam), workers,
-                                   columns=(), reduce=lambda part: part))
+                                   columns=()))
 
         serial = run(1)
         interval = sys.getswitchinterval()

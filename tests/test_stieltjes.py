@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -441,7 +442,19 @@ class TestSemicircleClosedForms:
             lams = side * edge * np.geomspace(1.0, 1e6, 13)
             far = [abs(semicircle_stieltjes(t, lam, radius)) for lam in lams]
             assert far == sorted(far, reverse=True)
-            assert abs(far[-1] * abs(lams[-1]) - 1.0) <= 1e-3  # G ~ -1/lam
+            # G = -1/lam (1 + c/lam^2 + ...): 2.5e-13 from -1/lam at 10^6 e
+            assert abs(far[-1] * abs(lams[-1]) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("lam", [2e3, -2e3, 2e6, -2e6])
+    def test_far_field_against_mpmath(self, lam):
+        # radius 2, t = 0: G = (-lam + sign(lam) sqrt(lam^2 - 4))/2 at 50
+        # digits, where the cancellation costs 12 of them at 2e6
+        with mpmath.workdps(50):
+            x = mpmath.mpf(lam)
+            want = (-x + mpmath.sign(x) * mpmath.sqrt(x * x - 4)) / 2
+            m = semicircle_stieltjes(0.0, lam)
+            assert m.imag == 0.0
+            assert abs((m.real - want) / want) <= 1e-15
 
     @pytest.mark.parametrize("t,radius", [(-1.0, 2.0), (-4.0, 4.0), (math.inf, 2.0),
                                           (math.nan, 2.0), (0.0, math.nan), (0.0, 0.0)])

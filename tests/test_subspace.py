@@ -12,11 +12,13 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from specdrift import (DomainError, EmptyWindowError, ExperimentConfig, GOEInitial,
-                       WindowSpec, distance_from_singular_values, gram_entry_predictions,
-                       overlap_block, predicted_distance, run_subspace_experiment)
+                       ProfileInitial, WindowSpec, block_distance, gram_entry_predictions,
+                       overlap_block, parse_profile, predicted_distance,
+                       run_subspace_experiment)
 from specdrift.montecarlo import _map_samples
 from specdrift.profiles import SemicircleQuantileProfile, TabulatedProfile
-from specdrift.subspace import determinant_distance, escape_rate, select_window
+from specdrift.subspace import (SINGULAR_VALUE_FLOOR, determinant_distance, escape_rate,
+                                select_window)
 
 
 def _sample(n=80, t=0.05, seed=12345):
@@ -26,9 +28,37 @@ def _sample(n=80, t=0.05, seed=12345):
     return draw_sample(config, 0)
 
 
-def _distance(block):
-    return distance_from_singular_values(np.linalg.svd(block, compute_uv=False),
-                                         block.shape[1])
+def _svd_distance(block):
+    """The singular-value reference: -(1/P) sum ln s_k, +inf when Q < P or
+    some s_k <= SINGULAR_VALUE_FLOOR."""
+    q, p = block.shape
+    s = np.linalg.svd(block, compute_uv=False)
+    if q < p or np.any(s <= SINGULAR_VALUE_FLOOR):
+        return math.inf
+    return float(-np.sum(np.log(s)) / p)
+
+
+def _block_with(s, q, seed=None):
+    """A q x len(s) block with singular values s: [diag(s); 0] as it stands
+    (its QR factor is exact), or turned by random orthogonal factors U (q x p,
+    orthonormal columns) and V (p x p) from `seed`."""
+    p = len(s)
+    block = np.zeros((q, p))
+    block[np.arange(p), np.arange(p)] = s
+    if seed is None:
+        return block
+    gen = np.random.default_rng(seed)
+    u = np.linalg.qr(gen.standard_normal((q, p)))[0]
+    v = np.linalg.qr(gen.standard_normal((p, p)))[0]
+    return u @ block[:p] @ v.T
+
+
+def _assert_same_distances(got, want):
+    """Equal +inf entries, finite ones within 1e-12 relative."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.allclose(got[finite], want[finite], rtol=1e-12, atol=0.0)
 
 
 class TestWindowSpec:
@@ -45,22 +75,32 @@ class TestWindowSpec:
 
 
 class TestDistance:
+    """Blocks with known singular values: [diag(s); 0] exactly, and turned by
+    the orthogonal factors of seeds 1 and 2 to rounding."""
+
     def test_all_ones(self):
-        assert distance_from_singular_values(np.ones(5), 5) == 0.0
+        assert block_distance(_block_with(np.ones(5), 7)) == 0.0
+        for seed in (1, 2):
+            assert abs(block_distance(_block_with(np.ones(5), 7, seed))) <= 1e-15
 
     def test_arithmetic(self):
-        assert distance_from_singular_values([1.0, math.exp(-1.0)], 2) == pytest.approx(0.5)
+        for seed in (None, 1, 2):
+            d = block_distance(_block_with([1.0, math.exp(-1.0)], 4, seed))
+            assert d == pytest.approx(0.5, rel=1e-15)
 
     def test_rank_deficient_infinite(self):
-        assert distance_from_singular_values([1.0, 0.0], 2) == math.inf
-        assert distance_from_singular_values([1.0], 2) == math.inf
+        for seed in (None, 1, 2):
+            assert block_distance(_block_with([1.0, 0.0], 3, seed)) == math.inf
+            assert block_distance(_block_with([1.0, 1e-15], 3, seed)) == math.inf
+        for q in (0, 1):  # fewer rows than columns
+            assert block_distance(np.ones((q, 2))) == math.inf
 
 
 class TestOverlapBlock:
     def test_t0_identity_block(self):
         block = overlap_block(*_sample(n=50, t=0.0), WindowSpec(-1.0, 1.0, 1e-9))
         assert np.allclose(np.linalg.svd(block, compute_uv=False), 1.0, atol=1e-12)
-        assert _distance(block) == pytest.approx(0.0, abs=1e-12)
+        assert block_distance(block) == pytest.approx(0.0, abs=1e-12)
 
     def test_window_count_matches_density_mass(self):
         a, _lam, _vecs = _sample(n=400, t=0.0)
@@ -93,17 +133,23 @@ class TestOverlapBlock:
 
     def test_determinant_identity(self):
         block = overlap_block(*_sample(), WindowSpec(-1.0, 1.0, 0.2))
-        assert determinant_distance(block) == pytest.approx(_distance(block), abs=1e-10)
+        assert determinant_distance(block) == pytest.approx(block_distance(block), abs=1e-10)
 
     def test_empty_window(self):
         with pytest.raises(EmptyWindowError):
             overlap_block(*_sample(), WindowSpec(10.0, 11.0, 0.1))
+        # a widened window with no perturbed eigenvalue around a nonempty
+        # inner one gives a rank-deficient 0 x P block
+        a, lam = np.array([0.0, 1.0]), np.array([-2.0, 2.0])
+        block = overlap_block(a, lam, np.eye(2), WindowSpec(-0.5, 0.5, 0.1))
+        assert block.shape == (0, 1)
+        assert block_distance(block) == math.inf
 
     def test_delta_monotonicity(self):
         sample = _sample()
         prev = math.inf
         for delta in (0.05, 0.1, 0.2, 0.4):
-            d = _distance(overlap_block(*sample, WindowSpec(-1.0, 1.0, delta)))
+            d = block_distance(overlap_block(*sample, WindowSpec(-1.0, 1.0, delta)))
             assert d <= prev + 1e-12
             prev = d
 
@@ -285,17 +331,32 @@ class TestExperiment:
         assert result.distance.samples == len(finite)
         assert result.distance.value.real == pytest.approx(finite.mean(), abs=1e-15)
         assert math.isfinite(result.distance.stderr_re)
+        blocks = [overlap_block(*draw_sample(config, k), w) for k in range(config.samples)]
+        _assert_same_distances(result.distances, [_svd_distance(b) for b in blocks])
 
+    def test_empty_widened_window_counted(self):
+        # P = 1 in every sample; Q = 0 in samples 3, 5, 13 and 19, and Q
+        # sums to 17 over the 20: those four are rank deficient, not an
+        # EmptyWindowError
+        config = ExperimentConfig(n=10, t=0.5, samples=20,
+                                  initial=ProfileInitial(parse_profile("linear:-1,1")),
+                                  master_seed=1)
+        result = run_subspace_experiment(config, WindowSpec(0.0, 0.25, 0.01))
+        assert result.rank_deficient == 4
+        assert np.flatnonzero(np.isinf(result.distances)).tolist() == [3, 5, 13, 19]
+        assert result.mean_p == 1.0 and result.mean_q == 17 / 20
 
     @pytest.mark.parametrize("samples, t", [(1, 0.02), (5, 0.02), (4, 0.0)])
     def test_workers_byte_identical(self, samples, t):
-        # the SVD runs on helpers; per-sample distances, mean, standard errors
-        # and window sizes match the serial route bit for bit
+        # helpers draw ahead; per-sample distances, mean, standard errors and
+        # window sizes match the serial route bit for bit, and the serial
+        # distances match the singular-value reference to rounding
         w = WindowSpec(-1.0, 1.0, 0.3)
         config = ExperimentConfig(n=80, t=t, samples=samples, initial=GOEInitial(1.0),
                                   master_seed=11)
         blocks = [overlap_block(*draw_sample(config, k), w) for k in range(samples)]
-        serial = np.array([_distance(b) for b in blocks])
+        serial = np.array([block_distance(b) for b in blocks])
+        _assert_same_distances(serial, [_svd_distance(b) for b in blocks])
         for workers in (1, 2, 3):
             r = run_subspace_experiment(config, w, workers=workers)
             assert r.distances.tobytes() == serial.tobytes()
@@ -307,16 +368,16 @@ class TestExperiment:
             assert np.array(got).tobytes() == np.array(first).tobytes()
 
     def test_reduction_error_reaches_caller(self, monkeypatch):
-        # a LinAlgError in a helper-side SVD surfaces with its type, and no
-        # helper thread outlives the call
-        svd, calls = np.linalg.svd, itertools.count()
+        # a LinAlgError in the QR that reduces a block to its distance
+        # surfaces with its type, and no helper thread outlives the call
+        qr, calls = np.linalg.qr, itertools.count()
 
         def failing(*args, **kwargs):
             if next(calls) == 3:
-                raise np.linalg.LinAlgError("SVD did not converge")
-            return svd(*args, **kwargs)
+                raise np.linalg.LinAlgError("QR failed")
+            return qr(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", failing)
+        monkeypatch.setattr(np.linalg, "qr", failing)
         config = ExperimentConfig(n=40, t=0.02, samples=8, initial=GOEInitial(1.0),
                                   master_seed=3)
         before = threading.active_count()
@@ -326,18 +387,34 @@ class TestExperiment:
                 run_subspace_experiment(config, WindowSpec(-1.0, 1.0, 0.3), workers=workers)
             assert threading.active_count() == before
 
+    def test_no_svd(self, monkeypatch):
+        # the distance comes from a QR on the calling thread: no SVD anywhere
+        def failing(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        config = ExperimentConfig(n=40, t=0.02, samples=8, initial=GOEInitial(1.0),
+                                  master_seed=3)
+        for workers in (1, 2, 3):
+            result = run_subspace_experiment(config, WindowSpec(-1.0, 1.0, 0.3),
+                                             workers=workers)
+            assert result.distance.samples == config.samples
+
 
 class TestProperties:
-    @given(s=st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=10))
+    @given(s=st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=10),
+           extra=st.integers(min_value=0, max_value=3))
     @settings(max_examples=50, deadline=None)
-    def test_distance_nonnegative(self, s):
-        assert distance_from_singular_values(sorted(s, reverse=True), len(s)) >= 0.0
+    def test_distance_nonnegative(self, s, extra):
+        d = block_distance(_block_with(s, len(s) + extra))
+        assert d >= 0.0 and d == pytest.approx(-np.mean(np.log(s)), rel=1e-15)
 
     @given(seed=st.integers(min_value=0, max_value=2**20))
     @settings(max_examples=10, deadline=None)
     def test_identity_routes_agree(self, seed):
         block = overlap_block(*_sample(n=40, t=0.05, seed=seed), WindowSpec(-1.0, 1.0, 0.3))
-        d = _distance(block)
+        d, reference = block_distance(block), _svd_distance(block)
+        _assert_same_distances([d], [reference])
         if math.isfinite(d):
             assert determinant_distance(block) == pytest.approx(d, abs=1e-10)
 
