@@ -384,8 +384,8 @@ def default_workers() -> int:
 
 T = {"--t": dict(type=finite_float, required=True)}
 WORKERS = {"--workers": dict(type=int, default=default_workers(),
-                             help="threads: the calling one decomposes, the others "
-                                  "draw samples ahead and run subspace's SVDs "
+                             help="threads: the calling one decomposes and reduces, "
+                                  "the others draw samples ahead "
                                   "(default: %(default)s)")}
 MONTE_CARLO = {"--n": dict(type=int, required=True), **T,
                "--samples": dict(type=int, required=True), **WORKERS}

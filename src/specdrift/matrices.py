@@ -7,6 +7,7 @@ are bit-identical regardless of execution order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,8 @@ def sample_goe(n: int, variance_scale: float, rng: RngStream | np.random.Generat
     2*variance_scale/n. With variance_scale = t this is the Brownian noise
     H_t accumulated up to time t. Drawn into `out`, an n x n C-contiguous
     float array, when one is given."""
-    if variance_scale <= 0:
-        raise DomainError("variance_scale must be positive")
+    if not 0 < variance_scale < math.inf:  # NaN fails too
+        raise DomainError("variance_scale must be positive and finite")
     if n < 2:
         raise DomainError("dimension must be at least 2")
     gen = rng.generator() if isinstance(rng, RngStream) else rng

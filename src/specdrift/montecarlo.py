@@ -7,7 +7,8 @@ threads may draw them ahead, and the calling thread decomposes them and
 runs every per-sample computation in ascending order (`_map_samples`).
 Accumulators keep per-sample contributions, so merging is associative
 bit-exactly: the final reduction always runs in ascending substream order
-regardless of how partial accumulators were combined.
+regardless of how partial accumulators were combined. One helper reduces
+every estimate, curve or scalar, to its mean and standard error (`_mean_stderr`).
 
 The initial matrix is always represented in its own eigenbasis (the noise is
 rotationally invariant, so a GOE start reduces to a diagonal matrix of
@@ -107,8 +108,8 @@ class ExperimentConfig:
             raise ConfigError("n must be at least 2")
         if self.samples < 1:
             raise ConfigError("samples must be at least 1")
-        if self.t < 0:
-            raise ConfigError("t must be nonnegative")
+        if not 0 <= self.t < math.inf:  # NaN fails too
+            raise ConfigError("t must be finite and nonnegative")
         if any(i < 1 or i > self.n for i in self.target_indices):
             raise ConfigError("target indices must lie in [1, n]")
         if self.binning < 1 or self.binning > self.n:
@@ -274,7 +275,29 @@ def _map_samples(config: ExperimentConfig, worker, workers: int = 1, *,
 
 
 # ---------------------------------------------------------------------------
-# overlap curves
+# reduction and overlap curves
+
+
+def _mean_stderr(rows):
+    """(mean, stderr) over the first axis of rows: numpy's mean, which adds
+    stacked rows one after another in the order given (a 1-d array by its
+    pairwise sum), and std(ddof=1) / sqrt(count), 0 for one row; complex rows
+    give the parts' standard errors as re + i im. numpy's std, step for step,
+    but its deviations overwrite the one copy of rows instead of a second."""
+    rows = np.array(rows)
+    c = len(rows)
+    mean = rows.mean(axis=0)
+    if c == 1:
+        return mean, np.zeros_like(mean)
+
+    def stderr(part):
+        part -= part.mean(axis=0)
+        part *= part
+        return np.sqrt(part.sum(axis=0) / (c - 1)) / np.sqrt(c)
+
+    if np.iscomplexobj(rows):
+        return mean, stderr(rows.real) + 1j * stderr(rows.imag)
+    return mean, stderr(rows)
 
 
 @dataclass
@@ -313,33 +336,28 @@ class OverlapAccumulator:
         return len(self._parts)
 
     def finalize(self):
-        """(a_mean, sum, sumsq) with deterministic summation order."""
+        """(a_mean, mean, stderr) of the parts in ascending key order: `a`
+        summed without a stack (a profile start shares one `a`), and
+        `_mean_stderr` of the squared overlaps, one row per target."""
         keys = sorted(self._parts)
         if not keys:
             raise ConfigError("empty accumulator")
-        a_sum = np.zeros(self.n)
-        s = np.zeros((len(self.target_indices), self.n))
-        s2 = np.zeros_like(s)
-        for k in keys:
-            a, sq = self._parts[k]
-            a_sum += a
-            s += sq
-            s2 += sq * sq
-        c = len(keys)
-        return a_sum / c, s, s2
+        a_sum = sum((self._parts[k][0] for k in keys), np.zeros(self.n))
+        return a_sum / len(keys), *_mean_stderr([self._parts[k][1] for k in keys])
 
 
 @dataclass
 class OverlapCurve:
     """N * mean squared overlap against the (mean) initial eigenvalues."""
 
-    index: int  # 1-based target index
-    n: int
-    t: float
     a: np.ndarray
     values: np.ndarray  # N * mean
     stderr: np.ndarray  # N * standard error (1 sigma)
     samples: int
+
+    @property
+    def n(self) -> int:
+        return len(self.a)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -364,24 +382,12 @@ def accumulate_overlaps(config: ExperimentConfig, workers: int = 1) -> OverlapAc
     return acc
 
 
-def curves_from_accumulator(config: ExperimentConfig, acc: OverlapAccumulator):
-    a_mean, s, s2 = acc.finalize()
-    c = acc.count
-    curves = {}
-    for row, idx in enumerate(acc.target_indices):
-        mean = s[row] / c
-        var = np.maximum(s2[row] / c - mean ** 2, 0.0)
-        stderr = np.sqrt(var / c) if c > 1 else np.zeros_like(mean)
-        curves[idx] = OverlapCurve(index=idx, n=config.n, t=config.t,
-                                   a=a_mean, values=config.n * mean,
-                                   stderr=config.n * stderr, samples=c)
-    return curves
-
-
 def run_overlap_experiment(config: ExperimentConfig, workers: int = 1):
     """Empirical N E[<psi_i|phi_j>^2] curves for each configured target."""
     acc = accumulate_overlaps(config, workers)
-    curves = curves_from_accumulator(config, acc)
+    a_mean, mean, stderr = acc.finalize()
+    curves = {i: OverlapCurve(a_mean, config.n * m, config.n * se, acc.count)
+              for i, m, se in zip(config.target_indices, mean, stderr)}
     if config.binning > 1:
         curves = {i: bin_overlap_curve(c, config.binning) for i, c in curves.items()}
     return curves
@@ -391,41 +397,31 @@ def run_overlap_experiment(config: ExperimentConfig, workers: int = 1):
 # binning
 
 
-def _band_smoother(n: int, window: int) -> np.ndarray:
-    """Symmetric doubly stochastic n x n moving-average matrix of width
-    `window`, with reflect-boundary (half-sample) boxes.
+def bin_overlap_curve(curve: OverlapCurve, window: int) -> OverlapCurve:
+    """Moving average over index windows with reflect-boundary boxes: one
+    convolution of the curve padded by its mirror image (np.pad "symmetric":
+    index -1 - j on the left, 2n - 1 - j on the right).
 
-    Row i averages indices i - h .. i + h (window = 2h + 1); an index j
-    outside [0, n-1] is reflected to -1 - j on the left and 2n - 1 - j on the
-    right, so no mass is lost and a constant curve stays constant. An even
-    window averages the two boxes at offsets -w/2 .. w/2 - 1 and
-    -w/2 + 1 .. w/2, i.e. the centred 2 x w moving average whose end offsets
-    carry half weight. Both kernels are symmetric, so the reflected matrix
-    is exactly symmetric: weights are summed as integers (units of 1/(2w))
-    and divided once.
+    Row i averages indices i - h .. i + h (window = 2h + 1). An even window
+    averages the two boxes at offsets -w/2 .. w/2 - 1 and -w/2 + 1 .. w/2,
+    i.e. the centred 2 x w moving average whose end offsets carry half
+    weight. The weights are integers (units of 1/(2w)), divided once: the
+    symmetric doubly stochastic band matrix of these boxes, to rounding.
+    Standard errors propagate as independent errors of the padded entries,
+    so a mirrored copy counts as its own entry in the first and last h rows.
     """
-    if window < 1 or window > n:
+    if window < 1 or window > curve.n:
         raise DomainError("window must lie in [1, n]")
     h = window // 2
     weight = np.full(2 * h + 1, 2)
     if window % 2 == 0:
         weight[[0, -1]] = 1
-    j = np.arange(n)[:, None] + np.arange(-h, h + 1)
-    j = np.where(j < 0, -1 - j, np.where(j >= n, 2 * n - 1 - j, j))
-    counts = np.zeros((n, n), dtype=np.int64)
-    np.add.at(counts, (np.arange(n)[:, None], j), weight)
-    return counts / (2 * window)
 
+    def smooth(x, w):
+        return np.convolve(np.pad(x, h, mode="symmetric"), w, "valid")
 
-def bin_overlap_curve(curve: OverlapCurve, window: int) -> OverlapCurve:
-    """Moving-average smoothing over index windows with reflect-boundary
-    boxes (see `_band_smoother`; an even window uses the centred 2 x w
-    average). Mass preserving: the smoothing matrix is symmetric and doubly
-    stochastic. Standard errors propagate as independent per-index errors."""
-    k = _band_smoother(curve.n, window)
-    return OverlapCurve(index=curve.index, n=curve.n, t=curve.t, a=curve.a,
-                        values=k @ curve.values,
-                        stderr=np.sqrt(k ** 2 @ curve.stderr ** 2),
+    return OverlapCurve(a=curve.a, values=smooth(curve.values, weight) / (2 * window),
+                        stderr=np.sqrt(smooth(curve.stderr ** 2, weight ** 2)) / (2 * window),
                         samples=curve.samples)
 
 
@@ -442,16 +438,9 @@ class ScalarEstimate:
 
 
 def _scalar_estimate(values) -> ScalarEstimate:
-    arr = np.asarray(values)
-    c = len(arr)
-    mean = arr.mean()
-    if c > 1:
-        se_re = float(arr.real.std(ddof=1) / np.sqrt(c))
-        se_im = float(arr.imag.std(ddof=1) / np.sqrt(c))
-    else:
-        se_re = se_im = 0.0
-    return ScalarEstimate(value=complex(mean), stderr_re=se_re, stderr_im=se_im,
-                          samples=c)
+    mean, stderr = _mean_stderr(values)
+    return ScalarEstimate(value=complex(mean), stderr_re=float(stderr.real),
+                          stderr_im=float(stderr.imag), samples=len(values))
 
 
 def theta_sample(a, lam, vecs, z: complex, threshold: float) -> complex:
@@ -476,6 +465,8 @@ def estimate_theta(config: ExperimentConfig, z: complex, threshold: float,
     z = complex(z)
     if z.imag == 0:
         raise DomainError("z must have nonzero imaginary part")
+    if math.isnan(threshold):
+        raise DomainError("threshold must not be NaN")
     columns = () if threshold == math.inf else ALL
 
     def worker(k, a, lam, vecs):
@@ -490,6 +481,8 @@ def empirical_cdf(config: ExperimentConfig, lam: float, alpha: float,
                   workers: int = 1) -> ScalarEstimate:
     """Phi_N(lambda, alpha): mean overlap weight of pairs with
     lambda_i <= lambda and a_j <= alpha."""
+    if math.isnan(lam) or math.isnan(alpha):
+        raise DomainError("lambda and alpha must not be NaN")
 
     def worker(k, a, lams, vecs):
         return float(np.sum(vecs[np.ix_(a <= alpha, lams <= lam)] ** 2) / config.n)

@@ -332,6 +332,8 @@ def solve_grid(profile: SpectralProfile, t: float, lambdas,
 def theta_limit(profile: SpectralProfile, t: float, z: complex, threshold: float) -> complex:
     """Limit of (1/N) Tr((M_t - z)^{-1} 1(A <= threshold)): G0 clipped at the
     threshold, at the subordination point w = z + t m."""
+    if math.isnan(threshold):
+        raise DomainError("threshold must not be NaN")
     m = solve_fixed_point(profile, t, z)
     return complex(_resolvent_moments(profile, z + t * m, _rule_below(profile, threshold))[0][0])
 
@@ -356,6 +358,8 @@ def cdf_limit(profile: SpectralProfile, t: float, lam: float, alpha: float) -> f
     """
     if t <= 0:
         raise DomainError("cdf_limit needs t > 0")
+    if math.isnan(lam) or math.isnan(alpha):
+        raise DomainError("lambda and alpha must not be NaN")
     if alpha <= profile.support[0]:
         return 0.0
     (_, lower), (_, upper) = _edges(profile, t)

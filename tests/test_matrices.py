@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,11 @@ class TestSampleGOE:
     def test_invalid_scale(self, gen):
         with pytest.raises(DomainError):
             sample_goe(50, 0.0, gen)
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan])
+    def test_non_finite_scale(self, gen, scale):
+        with pytest.raises(DomainError):
+            sample_goe(50, scale, gen)
 
     def test_brownian_scaling(self):
         # same substream, t=4 draw equals 2x the t=1 draw entrywise

@@ -14,10 +14,8 @@ from specdrift import (ConfigError, DomainError, ExperimentConfig, GOEInitial,
                        WindowSpec, parse_profile, run_overlap_experiment,
                        run_subspace_experiment, solve_fixed_point)
 from specdrift import cli, montecarlo
-from specdrift.montecarlo import (OverlapCurve, _band_smoother, _map_samples,
-                                  accumulate_overlaps,
-                                  curves_from_accumulator, theta_sample,
-                                  theta_sample_resolvent)
+from specdrift.montecarlo import (OverlapCurve, _map_samples, accumulate_overlaps,
+                                  theta_sample, theta_sample_resolvent)
 
 
 def small_config(**overrides):
@@ -37,6 +35,13 @@ class TestExperimentConfig:
             small_config(target_indices=(41,))
         with pytest.raises(ConfigError):
             small_config(t=-1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_t(self, t):
+        # a NaN or infinite time would reach the eigensolver as a
+        # non-finite matrix and end in numpy's LinAlgError
+        with pytest.raises(ConfigError):
+            small_config(t=t)
 
     def test_describe_roundtrip(self):
         d = small_config().describe()
@@ -400,6 +405,15 @@ class TestOverlapExperiment:
         assert sq[19] >= 1.0 - 1e-4
         assert np.max(np.delete(sq, 19)) <= 1e-4
 
+    def test_stderr_is_sample_standard_error(self):
+        # N std(ddof=1)/sqrt(samples) of the per-sample squared overlaps, the
+        # convention of the scalar estimates
+        config = small_config()
+        curve = run_overlap_experiment(config)[20]
+        sq = np.array([draw_sample(config, k)[2][:, 19] ** 2 for k in range(config.samples)])
+        want = config.n * sq.std(axis=0, ddof=1) / math.sqrt(config.samples)
+        assert np.max(np.abs(curve.stderr - want)) <= 1e-9 * np.max(want)
+
     def test_csv_export(self, tmp_path):
         curve = run_overlap_experiment(small_config(samples=2))[20]
         path = tmp_path / "c.csv"
@@ -411,9 +425,8 @@ class TestOverlapExperiment:
 
 class TestBinning:
     def _flat_curve(self, n=50):
-        return OverlapCurve(index=1, n=n, t=1.0, a=np.linspace(-1, 1, n),
-                            values=np.full(n, 3.0), stderr=np.full(n, 0.1),
-                            samples=10)
+        return OverlapCurve(a=np.linspace(-1, 1, n), values=np.full(n, 3.0),
+                            stderr=np.full(n, 0.1), samples=10)
 
     def test_window_one_identity(self):
         c = self._flat_curve()
@@ -432,7 +445,7 @@ class TestBinning:
         assert b.values.sum() == pytest.approx(c.values.sum(), abs=1e-12)
 
     def test_window_too_large(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DomainError):
             bin_overlap_curve(self._flat_curve(), 51)
 
 
@@ -485,6 +498,10 @@ class TestTheta:
         with pytest.raises(Exception):
             estimate_theta(small_config(), 1.0 + 0j, math.inf)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(DomainError):
+            estimate_theta(small_config(samples=1), 0.5j, math.nan)
+
 
 class TestEmpiricalCdf:
     def test_total_mass(self):
@@ -499,6 +516,11 @@ class TestEmpiricalCdf:
         config = small_config(samples=4)
         v = [empirical_cdf(config, lam, 0.0).value.real for lam in (-1.0, 0.0, 1.0)]
         assert v[0] <= v[1] <= v[2]
+
+    @pytest.mark.parametrize("lam, alpha", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_rejected(self, lam, alpha):
+        with pytest.raises(DomainError):
+            empirical_cdf(small_config(samples=1), lam, alpha)
 
 
 class TestResolventDiagonal:
@@ -546,23 +568,34 @@ class TestProperties:
 
     def test_binning_mass_any_window(self):
         # every window of several sizes, odd and even: mass preserved, and the
-        # smoothing matrix is a symmetric doubly stochastic band
+        # smoothing operator, rebuilt column by column from the unit vectors,
+        # is a symmetric doubly stochastic band, equal bit for bit to the
+        # reflect-boundary box counts (units of 1/(2 window)) built by a loop
+        def binned(values, window):
+            return bin_overlap_curve(OverlapCurve(a=np.linspace(-1, 1, len(values)),
+                                                  values=values, stderr=np.zeros(len(values)),
+                                                  samples=1), window).values
+
         for n in (2, 3, 7, 60):
             gen = np.random.default_rng(n)
             i, j = np.indices((n, n))
             for window in range(1, n + 1):
-                c = OverlapCurve(index=1, n=n, t=1.0, a=np.linspace(-1, 1, n),
-                                 values=gen.uniform(0, 2, n), stderr=np.zeros(n),
-                                 samples=1)
-                b = bin_overlap_curve(c, window)
-                assert b.values.sum() == pytest.approx(c.values.sum(), abs=1e-10)
-                k = _band_smoother(n, window)
+                values = gen.uniform(0, 2, n)
+                assert binned(values, window).sum() == pytest.approx(values.sum(), abs=1e-10)
+                k = np.column_stack([binned(e, window) for e in np.eye(n)])
+                h = window // 2
+                counts = np.zeros((n, n), dtype=np.int64)
+                for row in range(n):
+                    for offset in range(-h, h + 1):
+                        col = row + offset
+                        col = -1 - col if col < 0 else 2 * n - 1 - col if col >= n else col
+                        counts[row, col] += 1 if window % 2 == 0 and abs(offset) == h else 2
+                assert np.array_equal(k, counts / (2 * window))
                 assert np.array_equal(k, k.T)
                 assert np.max(np.abs(k.sum(axis=0) - 1.0)) <= 1e-12
                 assert np.max(np.abs(k.sum(axis=1) - 1.0)) <= 1e-12
                 assert np.all(k >= 0)
                 assert np.all(k[np.abs(i - j) > window // 2] == 0)
                 if window % 2:
-                    h = window // 2
                     for row in range(h, n - h):
                         assert np.all(k[row, row - h:row + h + 1] == 1.0 / window)

@@ -624,6 +624,11 @@ class TestThetaLimit:
         theta = theta_limit(goe_profile, 1.0, z, math.inf)
         assert abs(theta - m) <= 1e-12
 
+    def test_nan_threshold_rejected(self, goe_profile):
+        # +inf is g = 1; NaN selects nothing and must not give NaN
+        with pytest.raises(DomainError):
+            theta_limit(goe_profile, 1.0, 1j, math.nan)
+
     def test_g_zero(self, goe_profile):
         # a threshold below the support leaves g = 0 on it
         assert abs(theta_limit(goe_profile, 1.0, 1j, -10.0)) <= 1e-12
@@ -655,6 +660,11 @@ class TestCdfLimit:
     def test_below_support(self, goe_profile):
         assert cdf_limit(goe_profile, 1.0, -10.0, 10.0) == 0.0
         assert cdf_limit(goe_profile, 1.0, 10.0, -10.0) == 0.0
+
+    @pytest.mark.parametrize("lam, alpha", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_rejected(self, goe_profile, lam, alpha):
+        with pytest.raises(DomainError):
+            cdf_limit(goe_profile, 1.0, lam, alpha)
 
     def test_lambda_marginal_symmetric(self, goe_profile):
         assert cdf_limit(goe_profile, 1.0, 0.0, 10.0) == pytest.approx(0.5, abs=1e-3)
