@@ -41,9 +41,9 @@ def ensure_symmetric(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def sample_goe(n: int, variance_scale: float, rng: RngStream | np.random.Generator,
+def sample_goe(n: int, variance_scale: float, gen: np.random.Generator,
                out: np.ndarray | None = None) -> np.ndarray:
-    """GOE draw: off-diagonal variance variance_scale/n, diagonal
+    """GOE draw from gen: off-diagonal variance variance_scale/n, diagonal
     2*variance_scale/n. With variance_scale = t this is the Brownian noise
     H_t accumulated up to time t. Drawn into `out`, an n x n C-contiguous
     float array, when one is given."""
@@ -51,7 +51,6 @@ def sample_goe(n: int, variance_scale: float, rng: RngStream | np.random.Generat
         raise DomainError("variance_scale must be positive and finite")
     if n < 2:
         raise DomainError("dimension must be at least 2")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
     x = gen.standard_normal((n, n), out=out)
     x += x.T  # numpy buffers the overlapping transpose: x stays exactly symmetric
     x *= np.sqrt(variance_scale / (2.0 * n))

@@ -48,16 +48,13 @@ class GOEInitial:
         """The limiting initial spectrum: semicircle of radius 2 sqrt(scale)."""
         return SemicircleQuantileProfile(2.0 * math.sqrt(self.scale))
 
-    def draw(self, gen: np.random.Generator, out: np.ndarray):
-        """Draw the initial matrix into out."""
-        sample_goe(len(out), self.scale, gen, out=out)
-
-    @staticmethod
-    def eigenvalues(drawn: np.ndarray) -> list:
-        """The eigenvalues of each drawn initial matrix of the stack drawn,
-        from one stacked eigvalsh: equal to per-matrix calls bit for bit, and
-        it releases the GIL once the group has more than 500 eigenvalues."""
-        return list(np.linalg.eigvalsh(drawn))
+    def start(self, gens, m: np.ndarray) -> list:
+        """Draw a GOE start into each matrix of the stack m with its sample's
+        generator; their eigenvalues from one stacked eigvalsh, equal to
+        per-matrix calls bit for bit (it releases the GIL past 500 values)."""
+        for gen, mk in zip(gens, m):
+            sample_goe(len(mk), self.scale, gen, out=mk)
+        return list(np.linalg.eigvalsh(m))
 
     def describe(self):
         return {"kind": "goe", "scale": self.scale}
@@ -65,28 +62,22 @@ class GOEInitial:
 
 @dataclass(frozen=True)
 class ProfileInitial:
-    """Deterministic initial matrix with eigenvalues a((i-1/2)/n).
-
-    The eigenvalues do not depend on the sample, so they are evaluated once
-    per n (one vectorized root find for quantile profiles) and shared, read
-    only, by every sample.
-    """
+    """Deterministic initial matrix with eigenvalues a((i-1/2)/n), evaluated
+    once per n (one vectorized root find for quantile profiles)."""
 
     profile: SpectralProfile
     _by_n: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def draw(self, gen: np.random.Generator, out: np.ndarray):
-        """A profile start draws nothing."""
-
-    def eigenvalues(self, drawn: np.ndarray) -> list:
-        """a((i - 1/2)/n), the same array for every sample of the group."""
-        n = drawn.shape[-1]
+    def start(self, gens, m: np.ndarray) -> list:
+        """a((i - 1/2)/n) for every sample, one array shared read only; m is
+        left as it is."""
+        n = m.shape[-1]
         a = self._by_n.get(n)
         if a is None:
             a = self.profile.quantiles(n)
             a.setflags(write=False)
             self._by_n[n] = a
-        return [a] * len(drawn)
+        return [a] * len(gens)
 
     def describe(self):
         return {"kind": "profile", "profile": self.profile.spec}
@@ -110,6 +101,8 @@ class ExperimentConfig:
             raise ConfigError("samples must be at least 1")
         if not 0 <= self.t < math.inf:  # NaN fails too
             raise ConfigError("t must be finite and nonnegative")
+        if self.master_seed < 0:
+            raise ConfigError("master seed must be nonnegative")
         if any(i < 1 or i > self.n for i in self.target_indices):
             raise ConfigError("target indices must lie in [1, n]")
         if self.binning < 1 or self.binning > self.n:
@@ -122,26 +115,16 @@ class ExperimentConfig:
                 "master_seed": self.master_seed, "binning": self.binning}
 
 
-def _draw(config: ExperimentConfig, k: int, out: np.ndarray):
-    """Substream k's generator, once it has drawn the initial matrix into the
-    n x n array out (a profile start draws nothing); its next draw is the
-    noise H_t. Shares no state between calls but ProfileInitial's per-n
-    cache, whose entries do not depend on who writes them, so helper threads
-    can draw ahead."""
-    gen = RngStream(config.master_seed, k).generator()
-    config.initial.draw(gen, out)
-    return gen
-
-
 def _draw_group(config: ExperimentConfig, ks):
     """The initial eigenvalues a_k of substreams ks and M_t = diag(a_k) + H_t
     in the initial eigenbasis, stacked into one (len(ks), n, n) array (None
-    at t = 0): one draw-ahead task. The array first holds the GOE starts, so
-    the group's only other n x n arrays are sample_goe's and eigvalsh's
-    transient ones."""
+    at t = 0): one draw-ahead task. Substream k's generator draws the start
+    into the array (`start`), then H_t over it. Shares no state between
+    calls but ProfileInitial's per-n cache, whose entries do not depend on
+    who writes them, so helper threads can draw ahead."""
     m = np.empty((len(ks), config.n, config.n))
-    gens = [_draw(config, k, mk) for k, mk in zip(ks, m)]
-    a = config.initial.eigenvalues(m)
+    gens = [RngStream(config.master_seed, k).generator() for k in ks]
+    a = config.initial.start(gens, m)
     if config.t == 0:
         return a, None
     for mk, ak, gen in zip(m, a, gens):

@@ -87,16 +87,20 @@ def _resolvent_moments(profile: SpectralProfile, w, rule=None):
         return pole_val + 0.0, pole_der + 0.0
     val, der = np.empty((2, len(w)), dtype=complex)
     # one temporary for all blocks: a fresh one per block pays its page faults
-    buf = np.empty((min(len(w), BLOCK), rule.s.size), dtype=complex)
+    buf = np.empty((max(2, min(len(w), BLOCK)), rule.s.size), dtype=complex)
     for b in range(0, len(w), BLOCK):
         wb = w[b:b + BLOCK]
-        plain = buf[:len(wb)]
+        k = len(wb)
+        plain = buf[:k]
         np.reciprocal(np.subtract(rule.s.ravel(), wb[:, None], out=plain), out=plain)
         lo, hi = np.searchsorted(rows, (b, b + BLOCK))  # zero the pole pieces' nodes
-        plain.reshape(len(wb), *rule.s.shape)[rows[lo:hi] - b, pieces[lo:hi]] = 0.0
-        val[b:b + BLOCK] = plain @ rule.ws.ravel() + pole_val[b:b + BLOCK]
+        plain.reshape(k, *rule.s.shape)[rows[lo:hi] - b, pieces[lo:hi]] = 0.0
+        if k == 1:  # numpy sums one row in another order than a block's rows: add a copy
+            buf[1] = buf[0]
+            plain = buf[:2]
+        val[b:b + k] = (plain @ rule.ws.ravel())[:k] + pole_val[b:b + k]
         plain *= plain
-        der[b:b + BLOCK] = plain @ rule.ws.ravel() + pole_der[b:b + BLOCK]
+        der[b:b + k] = (plain @ rule.ws.ravel())[:k] + pole_der[b:b + k]
     return val, der
 
 
@@ -163,8 +167,8 @@ def solve_fixed_point(profile: SpectralProfile, t: float, z: complex) -> complex
     z = complex(z)
     if z.imag == 0:
         raise DomainError("z must have nonzero imaginary part")
-    if t < 0:
-        raise DomainError("t must be nonnegative")
+    if not 0 <= t < math.inf:  # NaN fails too
+        raise DomainError("t must be finite and nonnegative")
     m, _ = _solve(profile, t, np.array([z]), None, DEFAULT_TOL)
     return complex(m[0])
 
@@ -182,10 +186,10 @@ def _edges(profile: SpectralProfile, t: float):
     t/(x - end)^2, so the root of t G0'(x) = 1 lies within sqrt(t) of the
     end. It is bracketed on a log grid and the bracket zoomed to rounding,
     at both ends at once: one moments call per round. lam = x - t G0(x) is
-    stationary in x there. A t that is not positive is a DomainError.
+    stationary in x there. A t outside (0, inf) is a DomainError.
     """
-    if not t > 0:
-        raise DomainError(f"the time-t support needs t > 0, got t={t}")
+    if not 0 < t < math.inf:  # NaN fails too
+        raise DomainError(f"the time-t support needs 0 < t < inf, got t={t}")
     lo0, hi0 = profile.support
     ends, sides = np.array([lo0, hi0]), np.array([-1.0, 1.0])
     delta = np.array([np.geomspace(np.spacing(max(1.0, abs(end))), math.sqrt(t), EDGE_GRID)
@@ -356,13 +360,11 @@ def cdf_limit(profile: SpectralProfile, t: float, lam: float, alpha: float) -> f
     Im(w)/|s - w|^2 and Im w = t pi rho_t at w = xi + t m(xi), rho_t times
     the inner one is Im G0(w)/pi, G0 clipped at alpha: one call for all xi.
     """
-    if t <= 0:
-        raise DomainError("cdf_limit needs t > 0")
     if math.isnan(lam) or math.isnan(alpha):
         raise DomainError("lambda and alpha must not be NaN")
+    (_, lower), (_, upper) = _edges(profile, t)  # a t outside (0, inf) is a DomainError
     if alpha <= profile.support[0]:
         return 0.0
-    (_, lower), (_, upper) = _edges(profile, t)
     top = min(lam, upper)
     if top <= lower:
         return 0.0

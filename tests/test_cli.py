@@ -504,6 +504,15 @@ EDGE_INPUT_ARGV = {
 }
 
 
+NEGATIVE_SEED_ARGV = {
+    "simulate": ["simulate", *_MC, "--t", "1", "--index", "10"],
+    "reproduce": ["reproduce", "fig1", "--samples", "1"],
+    "subspace": ["subspace", *_MC, "--t", "0.02", "--gamma", "-1", "1", "--delta", "0.2"],
+    "theta": ["theta", *_MC, "--t", "1", "--z", "0", "1"],
+    "cdf": ["cdf", *_MC, "--t", "1", "--lambda", "0", "--alpha", "0"],
+}
+
+
 class TestEdgeInputs:
     """The edge inputs beyond t: lambda on and by the support edges, n = 2,
     one sample, empty and narrow windows, a vanishing margin, even binning
@@ -518,6 +527,14 @@ class TestEdgeInputs:
         assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_ACCEPTANCE, EXIT_SOLVER)
         for path in tmp_path.glob("*.csv"):
             assert all(math.isfinite(v) for v in _csv_numbers(path)), path
+
+    @pytest.mark.parametrize("command", NEGATIVE_SEED_ARGV)
+    def test_negative_seed_exit2(self, tmp_path, command):
+        # numpy's SeedSequence refuses a negative seed with a ValueError in
+        # the first draw; the experiment config refuses it before any draw
+        rc = main([*NEGATIVE_SEED_ARGV[command], "--seed", "-1", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.json"))
 
     @pytest.mark.parametrize("step", ["1e-300", "1e-7"])
     @pytest.mark.parametrize("command", ["predict", "stieltjes"])
@@ -647,7 +664,7 @@ class TestImports:
         assert codes == [0, EXIT_OK, EXIT_OK]
         assert "specdrift.stieltjes" in modules
         skipped = {"specdrift.montecarlo", "specdrift.subspace", "specdrift.matrices",
-                   "concurrent.futures", "configparser", "numpy.polynomial"}
+                   "concurrent.futures", "configparser", "numpy.polynomial", "numpy.random"}
         assert modules & skipped == set()
 
     def test_program_run_freezes_start_up_heap(self, tmp_path):

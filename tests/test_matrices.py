@@ -56,8 +56,8 @@ class TestSampleGOE:
 
     def test_brownian_scaling(self):
         # same substream, t=4 draw equals 2x the t=1 draw entrywise
-        h1 = sample_goe(20, 1.0, RngStream(5, 0))
-        h4 = sample_goe(20, 4.0, RngStream(5, 0))
+        h1 = sample_goe(20, 1.0, RngStream(5, 0).generator())
+        h4 = sample_goe(20, 4.0, RngStream(5, 0).generator())
         assert np.allclose(h4, 2.0 * h1, atol=1e-14)
 
     def test_noisy_spectrum_radius(self, gen):

@@ -43,6 +43,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             small_config(t=t)
 
+    def test_negative_seed(self):
+        # numpy's SeedSequence refuses a negative entropy with a ValueError,
+        # raised only once a sample is drawn, maybe in a helper thread
+        with pytest.raises(ConfigError):
+            small_config(master_seed=-1)
+
     def test_describe_roundtrip(self):
         d = small_config().describe()
         assert d["n"] == 40 and d["target_indices"] == [20]
@@ -133,11 +139,12 @@ class TestMapSamples:
         # any other request, which takes one eigh.
         columns, width, size, eighs, eigvalshs, solves = self.REQUESTS[request_name]
         main = threading.get_ident()
-        draw, started, eighed, eigvalshed, solved = montecarlo._draw, [], [], [], []
+        stream, started, eighed, eigvalshed, solved = montecarlo.RngStream, [], [], [], []
 
-        def counted(config, k, out):
+        def counted(master_seed, k):
+            # one stream per sample, made on the thread that draws it
             started.append(threading.get_ident())
-            return draw(config, k, out)
+            return stream(master_seed, k)
 
         def on_thread(log, fn):
             # the calling thread and the stack shape of the matrix argument
@@ -146,7 +153,7 @@ class TestMapSamples:
                 return fn(m, *args, **kwargs)
             return call
 
-        monkeypatch.setattr(montecarlo, "_draw", counted)
+        monkeypatch.setattr(montecarlo, "RngStream", counted)
         monkeypatch.setattr(np.linalg, "eigh", on_thread(eighed, np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", on_thread(eigvalshed, np.linalg.eigvalsh))
         monkeypatch.setattr(np.linalg, "solve", on_thread(solved, np.linalg.solve))
@@ -199,14 +206,14 @@ class TestMapSamples:
                 assert x.tobytes() == y.tobytes()
 
     def test_draw_error_reaches_caller(self, monkeypatch):
-        draw = montecarlo._draw
+        stream = montecarlo.RngStream
 
-        def failing(config, k, out):
+        def failing(master_seed, k):
             if k == 3:
                 raise KeyError(k)
-            return draw(config, k, out)
+            return stream(master_seed, k)
 
-        monkeypatch.setattr(montecarlo, "_draw", failing)
+        monkeypatch.setattr(montecarlo, "RngStream", failing)
         before = threading.active_count()
         for workers in (1, 2, 3):
             with pytest.raises(KeyError):

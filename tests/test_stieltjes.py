@@ -86,6 +86,20 @@ class TestSolveFixedPoint:
             assert abs(m + 1.0 / z) <= 2.0 / abs(z) ** 2
 
 
+@pytest.mark.parametrize("call", [
+    lambda p: solve_fixed_point(p, math.inf, 1j),
+    lambda p: solve_fixed_point(p, math.nan, 1j),
+    lambda p: theta_limit(p, math.nan, 1j, 0.0),
+    lambda p: boundary_values(p, math.inf, [0.0]),
+    lambda p: cdf_limit(p, math.inf, 0.0, 0.0),
+], ids=["solve-inf", "solve-nan", "theta-nan", "line-inf", "cdf-inf"])
+def test_non_finite_t_rejected(goe_profile, call):
+    # a NaN or infinite t is refused before any Newton step, which would
+    # meet it as numpy's invalid-value RuntimeWarning (an error in this suite)
+    with pytest.raises(DomainError):
+        call(goe_profile)
+
+
 class TestDensityAndHilbert:
     @pytest.mark.parametrize("t,lam", [(1.0, 0.0), (1.0, 1.0), (0.5, -0.7), (4.0, 2.0)])
     def test_goe_closed_forms(self, goe_profile, t, lam):
@@ -483,6 +497,33 @@ class TestSemicircleClosedForms:
         m = semicircle_oracle(z)
         assert m == pytest.approx(1j * (math.sqrt(5.0) - 1.0) / 2.0, abs=1e-14)
         assert abs(m * (-z - m) - 1.0) <= 1e-14
+
+
+class TestOnePointCalls:
+    """A one-point call sums as a block does, so predict's one-point line and
+    the same lambda in a grid agree bit for bit (numpy's one-row product
+    takes another summation order than its many-row one)."""
+
+    LAMS = np.linspace(-1.5, 1.5, 41)
+
+    def test_moments(self):
+        profile = sine_profile()
+        w = self.LAMS + 0.01j
+        block = _resolvent_moments(profile, w)
+        for i, wi in enumerate(w):
+            one = _resolvent_moments(profile, wi)
+            assert [x.tobytes() for x in one] == [x[i:i + 1].tobytes() for x in block]
+
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_line(self, t):
+        # every lambda inside the t = 0.5 support (+-1.744), and the exact
+        # t = 0 line on and beyond the initial one (+-1)
+        profile = sine_profile()
+        m, res = boundary_values(profile, t, self.LAMS)
+        for i, lam in enumerate(self.LAMS):
+            m1, res1 = boundary_values(profile, t, [lam])
+            assert m1.tobytes() == m[i:i + 1].tobytes()
+            assert res1.tobytes() == res[i:i + 1].tobytes()
 
 
 class TestSolveGrid:
