@@ -20,7 +20,8 @@ from typing import NamedTuple
 # One BLAS thread unless the user set a count: --workers overlaps draws with
 # decompositions instead, and the eigensolver's rounding depends on the
 # count. The variables only take effect before numpy is first imported.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import numpy as np
@@ -372,14 +373,18 @@ def cmd_cdf(args, out) -> Done:
 # ---------------------------------------------------------------------------
 # option table and runner
 
+def available_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def default_workers() -> int:
     """Two pipeline stages, so two threads when two CPUs are available: one
     draws the next sample while the calling thread decomposes this one."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(2, cpus)
+    return min(2, available_cpus())
 
 
 T = {"--t": dict(type=finite_float, required=True)}
@@ -463,6 +468,30 @@ def _apply_config_file(argv):
     return [sub] + injected + argv[1:]
 
 
+def _environment(args) -> dict:
+    """The numeric environment of a run: the Python and numpy versions,
+    numpy's BLAS, the BLAS thread variables as the run saw them, --workers,
+    the CPUs available, and the eigen route of the Monte Carlo ("lapack" or
+    "numpy", `matrices.eigen_route`; None for a subcommand without
+    --workers, which runs none)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy before 1.26 only prints its config
+        blas = {}
+    workers = getattr(args, "workers", None)
+    if workers is not None:  # a Monte Carlo subcommand: matrices is loaded
+        from .matrices import eigen_route
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "workers": workers,
+        "cpus": available_cpus(),
+        "eigen_route": None if workers is None else eigen_route(),
+    }
+
+
 def _run(args) -> int:
     """Run one subcommand: time it, create --out-dir, write its manifest
     and print its message; returns its exit code."""
@@ -480,6 +509,7 @@ def _run(args) -> int:
         "duration_seconds": time.time() - started,
         "outputs": [str(p) for p in done.outputs],
         "tolerances": done.tolerances or {},
+        "environment": _environment(args),
     }, sort_keys=True)
     print(done.message)
     return done.code

@@ -12,8 +12,8 @@ every estimate, curve or scalar, to its mean and standard error (`_mean_stderr`)
 
 The initial matrix is always represented in its own eigenbasis (the noise is
 rotationally invariant, so a GOE start reduces to a diagonal matrix of
-sorted GOE eigenvalues). Overlaps <psi_i(t)|phi_j> are then just eigenvector
-components of M_t.
+sorted GOE eigenvalues, drawn from the start's tridiagonal model). Overlaps
+<psi_i(t)|phi_j> are then just eigenvector components of M_t.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .matrices import RngStream, sample_goe
+from .matrices import RngStream, eigenpair, goe_spectrum, sample_goe
 from .profiles import SemicircleQuantileProfile, SpectralProfile
 
 ROW_SUM_TOL = 1e-10
@@ -48,13 +48,10 @@ class GOEInitial:
         """The limiting initial spectrum: semicircle of radius 2 sqrt(scale)."""
         return SemicircleQuantileProfile(2.0 * math.sqrt(self.scale))
 
-    def start(self, gens, m: np.ndarray) -> list:
-        """Draw a GOE start into each matrix of the stack m with its sample's
-        generator; their eigenvalues from one stacked eigvalsh, equal to
-        per-matrix calls bit for bit (it releases the GIL past 500 values)."""
-        for gen, mk in zip(gens, m):
-            sample_goe(len(mk), self.scale, gen, out=mk)
-        return list(np.linalg.eigvalsh(m))
+    def start(self, gens, n: int) -> list:
+        """The eigenvalues of a GOE start of dimension n for each sample's
+        generator, from its tridiagonal model (`goe_spectrum`)."""
+        return [goe_spectrum(n, self.scale, gen) for gen in gens]
 
     def describe(self):
         return {"kind": "goe", "scale": self.scale}
@@ -68,10 +65,8 @@ class ProfileInitial:
     profile: SpectralProfile
     _by_n: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def start(self, gens, m: np.ndarray) -> list:
-        """a((i - 1/2)/n) for every sample, one array shared read only; m is
-        left as it is."""
-        n = m.shape[-1]
+    def start(self, gens, n: int) -> list:
+        """a((i - 1/2)/n) for every sample, one array shared read only."""
         a = self._by_n.get(n)
         if a is None:
             a = self.profile.quantiles(n)
@@ -119,14 +114,14 @@ def _draw_group(config: ExperimentConfig, ks):
     """The initial eigenvalues a_k of substreams ks and M_t = diag(a_k) + H_t
     in the initial eigenbasis, stacked into one (len(ks), n, n) array (None
     at t = 0): one draw-ahead task. Substream k's generator draws the start
-    into the array (`start`), then H_t over it. Shares no state between
-    calls but ProfileInitial's per-n cache, whose entries do not depend on
-    who writes them, so helper threads can draw ahead."""
-    m = np.empty((len(ks), config.n, config.n))
+    (`start`), then H_t. Shares no state between calls but ProfileInitial's
+    per-n cache, whose entries do not depend on who writes them, so helper
+    threads can draw ahead."""
     gens = [RngStream(config.master_seed, k).generator() for k in ks]
-    a = config.initial.start(gens, m)
+    a = config.initial.start(gens, config.n)
     if config.t == 0:
         return a, None
+    m = np.empty((len(ks), config.n, config.n))
     for mk, ak, gen in zip(m, a, gens):
         sample_goe(config.n, config.t, gen, out=mk)
         mk[np.diag_indices(config.n)] += ak
@@ -138,10 +133,9 @@ ALL = slice(None)
 
 
 def _stacked(columns) -> bool:
-    """Whether a request asks for at most one eigenvector column: then a
-    group of `_group_size(n)` samples takes one stacked eigvalsh, not one
-    eigh per sample."""
-    return columns != ALL and len(columns) <= 1
+    """Whether a request asks for eigenvalues only: then a group of
+    `_group_size(n)` samples takes one stacked eigvalsh."""
+    return columns == ()
 
 
 def _decompose(a, m, columns=ALL) -> list:
@@ -150,52 +144,19 @@ def _decompose(a, m, columns=ALL) -> list:
     initial eigenbasis, V_k[j, c] = <psi_i(t)|phi_j> for i = columns[c]: an
     n x n array for ALL, n x k for k columns, n x 0 for none.
 
-    A `_stacked` request, no column or one, takes one stacked eigvalsh,
-    which equals per-matrix calls bit for bit; the column then comes from
-    `_inverse_iteration`, or from eigh for the whole group when one of its
-    guards trips. Any other request takes one eigh per sample."""
+    A values-only request (`_stacked`) takes one stacked eigvalsh, which
+    equals per-matrix calls bit for bit. One column i takes `eigenpair`, a
+    group of one sample, and lam_k is then lambda_i alone. Any other request
+    takes one eigh per sample. At t = 0 (m is None) lam_k is a_k and V_k the
+    identity's columns."""
     if m is None:
         v = np.eye(len(a[0]))[:, columns]
         return [(ak, ak.copy(), v) for ak in a]
-    if not _stacked(columns):
-        return [(ak, lk, vk[:, columns]) for ak, (lk, vk) in zip(a, map(np.linalg.eigh, m))]
-    lam = np.linalg.eigvalsh(m)
-    v = _inverse_iteration(m, lam, *columns) if columns else np.empty(m.shape[:2] + (0,))
-    if v is None:
-        v = [np.linalg.eigh(mk)[1][:, columns] for mk in m]
-    return list(zip(a, lam, v))
-
-
-def _inverse_iteration(m, lam, column: int):
-    """Eigenvector `column` of each matrix of the stack m, as a (G, n, 1)
-    array, from two steps of inverse iteration shifted at its eigenvalue
-    lam[:, column] (Ipsen, SIAM Review 39:254, 1997): a stacked solve with
-    M - lam_i I, then a normalization, from a constant start. None when a
-    guard trips: an exactly singular shift, a non-finite vector, or a
-    residual |(M - lam_i I) v|_inf above n eps max|lam|.
-
-    m is shifted in place and its diagonal restored on return, so no n x n
-    copy is made; a group of more than 500 values releases the GIL in the
-    solve as in eigvalsh."""
-    g, n, _ = m.shape
-    diagonal = np.arange(n)
-    saved = m[:, diagonal, diagonal]
-    m[:, diagonal, diagonal] -= lam[:, [column]]
-    try:
-        v = np.ones((g, n, 1))
-        for _ in range(2):
-            v = np.linalg.solve(m, v)
-            norm = np.linalg.norm(v, axis=1, keepdims=True)
-            if not np.isfinite(norm).all():
-                return None
-            v /= norm
-        residual = np.max(np.abs(m @ v), axis=(1, 2))
-    except np.linalg.LinAlgError:  # a zero pivot
-        return None
-    finally:
-        m[:, diagonal, diagonal] = saved
-    bound = n * np.finfo(float).eps * np.max(np.abs(lam), axis=1)
-    return v if np.all(residual <= bound) else None
+    if _stacked(columns):
+        return [(ak, lk, np.empty((len(ak), 0))) for ak, lk in zip(a, np.linalg.eigvalsh(m))]
+    if columns != ALL and len(columns) == 1:
+        return [(ak, *eigenpair(mk, *columns)) for ak, mk in zip(a, m)]
+    return [(ak, lk, vk[:, columns]) for ak, (lk, vk) in zip(a, map(np.linalg.eigh, m))]
 
 
 # numpy.linalg keeps the GIL through a call whose output has at most this
@@ -204,8 +165,8 @@ GIL_HELD_OUTPUT = 500
 
 
 def _group_size(n: int) -> int:
-    """Samples per stacked decomposition: the smallest G with G n > 500, so
-    that one stacked eigvalsh or one-column solve releases the GIL."""
+    """Samples per stacked eigvalsh: the smallest G with G n > 500, so that
+    the call releases the GIL."""
     return GIL_HELD_OUTPUT // n + 1
 
 
@@ -225,12 +186,12 @@ def _map_samples(config: ExperimentConfig, worker, workers: int = 1, *,
 
     Every decomposition and every worker call runs on the calling thread in
     ascending k; workers - 1 helper threads only draw groups of samples, up
-    to workers - 1 groups ahead. A group is `_group_size(n)` samples when at
-    most one column is requested (`_stacked`) and one sample otherwise:
-    numpy keeps the GIL through a small eigvalsh or solve, which would stall
-    the other thread. Only one group's decomposition is alive at a time, and
-    every drawn sample is bit-identical to a serial draw. workers = 1 runs
-    all stages inline.
+    to workers - 1 groups ahead. A group is `_group_size(n)` samples for a
+    values-only request (`_stacked`) and one sample otherwise: numpy keeps
+    the GIL through a small eigvalsh, which would stall the other thread.
+    Only one group's decomposition is alive at a time, and every drawn
+    sample is bit-identical to a serial draw. workers = 1 runs all stages
+    inline.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")

@@ -225,24 +225,30 @@ def _outside(profile, t, lams, x_edge, upper, tol):
     above the upper edge (concave below the lower), so the iterates move
     monotonically onto the root, and they are clamped at the edge x. Every
     point has its own edge x_edge and side (upper), so both sides take one
-    Newton."""
+    Newton. Each point steps until its own residual is within tol, as in
+    `_solve`, so its value does not depend on the other points; then all
+    take one more step, kept where it lowers the residual."""
     m = np.zeros(len(lams))
     bound = (x_edge - lams) / t
-    F, dF = _resolvent_moments(profile, lams + t * m)
-    g = F.real - m
-    res, done = np.abs(g), False
+    F, dF = _resolvent_moments(profile, lams)
+    g, dF = F.real - m, dF.real
+    res = np.abs(g)
     with np.errstate(all="ignore"):
         for _ in range(MAX_ITER):
-            step = g / (1.0 - t * dF.real)
-            cand = m + np.where(np.isfinite(step), step, 0.0)
-            cand = np.where(upper, np.maximum(cand, bound), np.minimum(cand, bound))
-            F, dF = _resolvent_moments(profile, lams + t * cand)
-            g = F.real - cand
-            if done:  # one step past convergence, kept where it lowers the residual
-                better = np.abs(g) < res
-                return np.where(better, cand, m), np.where(better, np.abs(g), res)
-            m, res = cand, np.abs(g)
-            done = bool(np.all(res <= tol))
+            act = np.flatnonzero(~(res <= tol))
+            last = act.size == 0
+            if last:  # one step past convergence
+                act = np.arange(len(lams))
+            step = g[act] / (1.0 - t * dF[act])
+            cand = m[act] + np.where(np.isfinite(step), step, 0.0)
+            cand = np.where(upper[act], np.maximum(cand, bound[act]),
+                            np.minimum(cand, bound[act]))
+            F, dFc = _resolvent_moments(profile, lams[act] + t * cand)
+            gc = F.real - cand
+            if last:
+                better = np.abs(gc) < res
+                return np.where(better, cand, m), np.where(better, np.abs(gc), res)
+            m[act], g[act], dF[act], res[act] = cand, gc, dFc.real, np.abs(gc)
     worst = int(np.argmax(res))
     raise ConvergenceError(f"real fixed point not converged at lambda={lams[worst]} "
                            f"(residual {res[worst]:.3e})",

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specdrift import overlap_full, overlap_goe, semicircle_stieltjes
+from specdrift import cli, matrices, overlap_full, overlap_goe, semicircle_stieltjes
 from specdrift.cli import (COMMANDS, EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK,
                            EXIT_SOLVER, default_workers, finite_float, main, parse_grid)
 from specdrift.errors import ConfigError
@@ -444,6 +445,12 @@ _GOE_EDGE = 2.0 * math.sqrt(2.0)
 _LIN_EDGE = math.sqrt(1.5) + 0.25 * math.log((math.sqrt(1.5) + 1.0) / (math.sqrt(1.5) - 1.0))
 _LIN = ["--profile", "linear:-1,1"]
 _MC = ["--n", "20", "--samples", "2"]
+SINGLE_TARGET_ARGV = {
+    "simulate-first-index": ["simulate", *_MC, "--t", "1", "--index", "1"],
+    "simulate-last-index": ["simulate", *_MC, "--t", "1", "--index", "20"],
+    **{f"simulate-n2-index{i}": ["simulate", "--n", "2", "--samples", "3", "--t", "1",
+                                 "--index", i] for i in ("1", "2")},
+}
 EDGE_INPUT_ARGV = {
     # lambda on and within 1e-9 of a time-t edge, or of the initial one (cauchy)
     **{f"predict-goe-{where}": ["predict", "--t", "1", "--lambda", _off(_GOE_EDGE, d)]
@@ -480,6 +487,8 @@ EDGE_INPUT_ARGV = {
     "cdf-n2": ["cdf", "--n", "2", "--samples", "1", "--t", "1", "--lambda", "0", "--alpha", "0"],
     "subspace-n2": ["subspace", "--n", "2", "--samples", "1", "--t", "0.02", "--gamma", "-1", "1",
                     "--delta", "0.2"],
+    # one target at either end of the spectrum, and at n = 2: one eigenpair each
+    **SINGLE_TARGET_ARGV,
     "predict-n2-index": ["predict", "--n", "2", "--index", "1", "--t", "1"],
     "predict-n2-last-index": ["predict", *_LIN, "--n", "2", "--index", "2", "--t", "0.5"],
     # empty windows and a margin of 1e-300
@@ -527,6 +536,17 @@ class TestEdgeInputs:
         assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DOMAIN, EXIT_ACCEPTANCE, EXIT_SOLVER)
         for path in tmp_path.glob("*.csv"):
             assert all(math.isfinite(v) for v in _csv_numbers(path)), path
+
+    @pytest.mark.parametrize("case", SINGLE_TARGET_ARGV)
+    def test_single_target_ends(self, tmp_path, case):
+        # the first and the last eigenvector, and both at n = 2: a unit row
+        # of squared overlaps, N * mean summing to N to the CSV's 12 digits
+        argv = SINGLE_TARGET_ARGV[case]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == EXIT_OK
+        n, index = int(argv[argv.index("--n") + 1]), argv[-1]
+        with (tmp_path / f"overlap_i{index}.csv").open() as fh:
+            values = [float(row["overlap_mean_timesN"]) for row in csv.DictReader(fh)]
+        assert len(values) == n and math.isclose(sum(values), n, rel_tol=1e-10)
 
     @pytest.mark.parametrize("command", NEGATIVE_SEED_ARGV)
     def test_negative_seed_exit2(self, tmp_path, command):
@@ -753,7 +773,8 @@ NAMESPACES = {
     "cdf": {"subcommand": "cdf", **MC, "lam": 0.0, "alpha": 0.0, **START},
 }
 MANIFEST_KEYS = {"subcommand", "config", "master_seed", "toolkit_version",
-                 "duration_seconds", "outputs", "tolerances"}
+                 "duration_seconds", "outputs", "tolerances", "environment"}
+ENVIRONMENT_KEYS = {"python", "numpy", "blas", "threads", "workers", "cpus", "eigen_route"}
 
 
 class TestContract:
@@ -778,6 +799,21 @@ class TestContract:
             # simulate and reproduce put the experiment's config block under "config"
             if key != "config" or name not in ("simulate", "reproduce"):
                 assert echo[key] == value, key
+
+    @pytest.mark.parametrize("name", sorted(MINIMAL_ARGV))
+    def test_manifest_environment(self, tmp_path, name):
+        # the numeric environment of the run; the Monte Carlo subcommands
+        # name their eigen route, the limit-route ones have none
+        assert main([*MINIMAL_ARGV[name], "--out-dir", str(tmp_path)]) == EXIT_OK
+        env = json.loads((tmp_path / f"{name}_manifest.json").read_text())["environment"]
+        assert set(env) == ENVIRONMENT_KEYS
+        assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        assert env["threads"] == {var: os.environ.get(var) for var in cli.THREAD_VARS}
+        assert env["workers"] == NAMESPACES[name].get("workers")
+        assert env["cpus"] == cli.available_cpus() >= 1
+        monte_carlo = "workers" in NAMESPACES[name]
+        assert env["eigen_route"] == (matrices.eigen_route() if monte_carlo else None)
 
 
 class TestConfigValues:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdrift import DomainError, RngStream
-from specdrift.matrices import ensure_symmetric, sample_goe
+from specdrift import matrices
+from specdrift.matrices import eigenpair, ensure_symmetric, goe_spectrum, sample_goe
 
 
 class TestRngStream:
@@ -70,6 +71,76 @@ class TestSampleGOE:
         # the noise H_t at time t = 0 is sample_goe at scale 0
         with pytest.raises(DomainError):
             sample_goe(20, 0.0, gen)
+
+
+def tridiagonal_model(n, scale, gen):
+    """The diagonal d and off-diagonal e that goe_spectrum draws from gen,
+    drawn and scaled as it does."""
+    d = gen.standard_normal(n) * math.sqrt(2.0 * scale / n)
+    e = np.sqrt(gen.chisquare(np.arange(n - 1, 0, -1))) * math.sqrt(scale / n)
+    return d, e
+
+
+class TestGOESpectrum:
+    @pytest.mark.parametrize("n, scale", [(2, 1.0), (3, 0.5), (50, 1.0), (400, 1.0), (400, 4.0)])
+    def test_trace_identities(self, n, scale):
+        # per draw, the traces of T and T^2: sum lam = sum d and
+        # sum lam^2 = sum d^2 + 2 sum e^2, to rounding; ascending values
+        eps = np.finfo(float).eps
+        for k in range(5):
+            d, e = tridiagonal_model(n, scale, RngStream(11, k).generator())
+            lam = goe_spectrum(n, scale, RngStream(11, k).generator())
+            assert lam.shape == (n,) and np.all(np.diff(lam) >= 0)
+            assert abs(lam.sum() - d.sum()) <= 4 * n * eps * np.max(np.abs(lam))
+            squares = np.sum(d ** 2) + 2 * np.sum(e ** 2)
+            assert abs(np.sum(lam ** 2) - squares) <= 4 * n * eps * squares
+
+    def test_law_against_dense_draws(self):
+        # two-sample KS tests at n = 100, 2000 draws a side at fixed seeds:
+        # lambda_min, the median, lambda_max and sum lam^2 of the tridiagonal
+        # model against those of dense GOE draws decomposed by eigvalsh
+        stats = pytest.importorskip("scipy.stats")
+        n, draws = 100, 2000
+
+        def features(spectra):
+            spectra = np.array(spectra)
+            return (spectra[:, 0], np.median(spectra, axis=1), spectra[:, -1],
+                    np.sum(spectra ** 2, axis=1))
+
+        tridiagonal = features([goe_spectrum(n, 1.0, RngStream(3, k).generator())
+                                for k in range(draws)])
+        dense = features([np.linalg.eigvalsh(sample_goe(n, 1.0, RngStream(4, k).generator()))
+                          for k in range(draws)])
+        for x, y in zip(tridiagonal, dense):
+            assert stats.ks_2samp(x, y).pvalue > 0.01
+        # E sum lam^2 = E tr H^2 = n + 1 at scale 1
+        assert np.mean(tridiagonal[3]) == pytest.approx(n + 1, rel=0.01)
+
+    @pytest.mark.parametrize("n, scale", [(1, 1.0), (50, 0.0), (50, math.nan)])
+    def test_invalid_arguments(self, gen, n, scale):
+        with pytest.raises(DomainError):
+            goe_spectrum(n, scale, gen)
+
+
+class TestNumpyFallback:
+    """Where numpy ships no LAPACKE, both calls take numpy.linalg: the same
+    values to rounding."""
+
+    def test_fallback_matches_lapack(self, monkeypatch):
+        if matrices.eigen_route() != "lapack":
+            pytest.skip("this numpy ships no LAPACKE to compare with")
+        spectrum = goe_spectrum(400, 1.0, RngStream(8, 0).generator())
+        m = sample_goe(400, 1.0, RngStream(8, 1).generator()) + np.diag(spectrum)
+        pairs = [eigenpair(m.copy(), i) for i in (0, 199, 399)]
+        monkeypatch.setattr(matrices, "_lapack", lambda: None)
+        assert matrices.eigen_route() == "numpy"
+        fallback = goe_spectrum(400, 1.0, RngStream(8, 0).generator())
+        assert np.max(np.abs(fallback - spectrum)) <= 1e-13
+        for i, (lam, v) in zip((0, 199, 399), pairs):
+            lam_np, v_np = eigenpair(m.copy(), i)
+            assert lam_np.shape == (1,) and v_np.shape == (400, 1)
+            assert abs(lam_np[0] - lam[0]) <= 1e-13
+            assert np.max(np.abs(v_np ** 2 - v ** 2)) <= 1e-12
 
 
 class TestEnsureSymmetric:

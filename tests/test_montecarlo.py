@@ -13,7 +13,7 @@ from specdrift import (ConfigError, DomainError, ExperimentConfig, GOEInitial,
                        empirical_cdf, estimate_theta, resolvent_diagonal,
                        WindowSpec, parse_profile, run_overlap_experiment,
                        run_subspace_experiment, solve_fixed_point)
-from specdrift import cli, montecarlo
+from specdrift import cli, matrices, montecarlo
 from specdrift.montecarlo import (OverlapCurve, _map_samples, accumulate_overlaps,
                                   theta_sample, theta_sample_resolvent)
 
@@ -125,21 +125,24 @@ class TestMapSamples:
         assert ahead.values[19] == config.n and np.count_nonzero(ahead.values) == 1
 
     # columns -> (V's columns, samples per group at n = 200, eigh, eigvalsh
-    # and solve calls per group)
+    # and eigenpair calls per group); eigenpair's numpy fallback is one eigh
     REQUESTS = {"all": (montecarlo.ALL, 200, 1, 1, 0, 0), "none": ((), 0, 3, 0, 1, 0),
-                "one": ((19,), 1, 3, 0, 1, 2), "two": ((19, 39), 2, 1, 1, 0, 0)}
+                "one": ((19,), 1, 1, int(matrices.eigen_route() == "numpy"), 0, 1),
+                "two": ((19, 39), 2, 1, 1, 0, 0)}
 
     @pytest.mark.parametrize("request_name", REQUESTS)
     def test_workers_on_calling_thread_drawing_ahead(self, monkeypatch, linear_profile,
                                                      request_name):
-        # decompositions, solves and worker calls run on the calling thread in
-        # ascending k; helpers draw at most workers - 1 groups ahead. A group is
-        # _group_size(n) samples with no column or one, which take one
-        # eigvalsh per group and one column two solves, and one sample with
-        # any other request, which takes one eigh.
-        columns, width, size, eighs, eigvalshs, solves = self.REQUESTS[request_name]
+        # decompositions and worker calls run on the calling thread in
+        # ascending k; helpers draw at most workers - 1 groups ahead. A group
+        # is _group_size(n) samples with no column, which take one eigvalsh
+        # per group, and one sample with any other request: one eigenpair
+        # for one column, whose lam is lambda_i alone, one eigh otherwise.
+        # No request solves a linear system
+        columns, width, size, eighs, eigvalshs, pairs = self.REQUESTS[request_name]
         main = threading.get_ident()
-        stream, started, eighed, eigvalshed, solved = montecarlo.RngStream, [], [], [], []
+        stream, started, eighed, eigvalshed, solved, paired = (
+            montecarlo.RngStream, [], [], [], [], [])
 
         def counted(master_seed, k):
             # one stream per sample, made on the thread that draws it
@@ -157,7 +160,8 @@ class TestMapSamples:
         monkeypatch.setattr(np.linalg, "eigh", on_thread(eighed, np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", on_thread(eigvalshed, np.linalg.eigvalsh))
         monkeypatch.setattr(np.linalg, "solve", on_thread(solved, np.linalg.solve))
-        # a profile start draws no eigvalsh; at n = 200 groups are 3, 3 and 2
+        monkeypatch.setattr(montecarlo, "eigenpair", on_thread(paired, montecarlo.eigenpair))
+        # a profile start draws no eigenvalues; at n = 200 groups are 3, 3 and 2
         config = small_config(n=200, samples=8, initial=ProfileInitial(linear_profile))
         sizes = [min(size, config.samples - s) for s in range(0, config.samples, size)]
 
@@ -165,12 +169,13 @@ class TestMapSamples:
             return [(main, () if size == 1 else (g,)) for g in sizes for _ in range(calls)]
 
         for workers in (1, 2, 3):
-            for log in (started, eighed, eigvalshed, solved):
+            for log in (started, eighed, eigvalshed, solved, paired):
                 log.clear()
 
             def worker(k, a, lam, vecs):
                 assert len(started) <= min((k // size + workers) * size, config.samples)
                 assert vecs.shape == (config.n, width)
+                assert lam.shape == ((1,) if width == 1 else (config.n,))
                 return k, threading.get_ident()
 
             rows = _map_samples(config, worker, workers, columns=columns)
@@ -178,7 +183,8 @@ class TestMapSamples:
             assert len(started) == config.samples
             assert eighed == per_group(eighs)
             assert eigvalshed == per_group(eigvalshs)
-            assert solved == per_group(solves)
+            assert paired == per_group(pairs)
+            assert solved == []
             if workers == 1:
                 assert set(started) == {main}
             else:
@@ -257,14 +263,13 @@ class TestValuesOnlyGroups:
 
 
 class TestSingleColumn:
-    """One target: per group of _group_size(n) samples, one stacked eigvalsh
-    and two inverse-iteration solves instead of one eigh per sample."""
+    """One target: one `eigenpair` per sample instead of one eigh."""
 
     @pytest.mark.parametrize("n, t, samples", [(260, 0.5, 1), (260, 0.5, 7), (260, 0.5, 20),
                                                (260, 0.0, 7), (2, 0.5, 9), (2, 0.0, 3)])
     def test_workers_byte_identical_and_eigh_agree(self, n, t, samples):
-        # groups of 2 at n = 260 (odd counts end in a group of one), of
-        # 251 > samples at n = 2; t = 0 has no M_t and keeps the identity
+        # one sample per group at any n, drawn ahead by up to two helpers;
+        # t = 0 has no M_t and keeps the identity
         config = small_config(n=n, t=t, samples=samples, target_indices=(n // 2,))
         parts = [accumulate_overlaps(config, workers)._parts for workers in (1, 2, 3)]
         for other in parts[1:]:
@@ -277,48 +282,40 @@ class TestSingleColumn:
             assert sq.shape == (1, n)
             assert np.max(np.abs(sq[0] - vecs[:, n // 2 - 1] ** 2)) <= 1e-12
 
+    @staticmethod
+    def assert_eigh_column(m, columns):
+        # eigenpair's eigenvalue and squared vector against eigh's; eigenpair
+        # overwrites a triangle of its argument, so it gets a copy
+        lam, vecs = np.linalg.eigh(m)
+        for column in columns:
+            got_lam, got_v = matrices.eigenpair(m.copy(), column)
+            assert got_lam.shape == (1,) and got_v.shape == (len(m), 1)
+            assert abs(got_lam[0] - lam[column]) <= 1e-13 * np.max(np.abs(lam))
+            assert np.max(np.abs(got_v[:, 0] ** 2 - vecs[:, column] ** 2)) <= 1e-12
+
     @pytest.mark.parametrize("initial, t", [
         (GOEInitial(1.0), 1.0), (GOEInitial(1.0), 0.01),
         (ProfileInitial(parse_profile("linear:-1,1")), 1e-4),
         (ProfileInitial(parse_profile("linear:-1,1")), 1.0)])
-    def test_inverse_iteration_matches_eigh(self, initial, t):
-        # no guard trips here; the shifted diagonal is restored bit for bit
+    def test_eigenpair_matches_eigh(self, initial, t):
+        # both ends of the spectrum and its middle, at a large t and at
+        # small ones, where M_t is nearly diagonal
         config = small_config(n=400, t=t, samples=4, initial=initial)
-        for ks in ([0, 1], [2, 3]):
-            _a, m = montecarlo._draw_group(config, ks)
-            before = m.copy()
-            lam = np.linalg.eigvalsh(m)
-            for column in (0, 199, 399):
-                v = montecarlo._inverse_iteration(m, lam, column)
-                assert v is not None and v.shape == (2, 400, 1)
-                assert m.tobytes() == before.tobytes()
-                for vk, mk in zip(v, m):
-                    want = np.linalg.eigh(mk)[1][:, column] ** 2
-                    assert np.max(np.abs(vk[:, 0] ** 2 - want)) <= 1e-12
+        _a, m = montecarlo._draw_group(config, range(4))
+        for mk in m:
+            self.assert_eigh_column(mk, (0, 199, 399))
 
-    def test_residual_guard(self):
-        # a shift midway between two eigenvalues is no eigenvalue: the
-        # residual stays far above n eps max|lam|
-        _a, m = montecarlo._draw_group(small_config(), [0, 1])
-        lam = np.linalg.eigvalsh(m)
-        lam[:, 19] = (lam[:, 19] + lam[:, 20]) / 2
-        assert montecarlo._inverse_iteration(m, lam, 19) is None
-
-    def test_singular_shift_takes_eigh(self):
-        # substream 301 of fig1 at the default seed: M - lam_200 I is exactly
-        # singular for numpy's LU, so the solve raises and the group takes
-        # eigh's column
+    def test_fig1_substreams_match_eigh(self):
+        # fig1 at the default seed; its substream 301 made M - lam_200 I
+        # exactly singular for numpy's LU under the draw before the
+        # tridiagonal start
         params = cli.FIGURE_PARAMS["fig1"]
         config = ExperimentConfig(n=params["n"], t=params["t"], samples=params["samples"],
                                   initial=GOEInitial(1.0), target_indices=(params["index"],),
                                   master_seed=cli.DEFAULT_SEED)
-        column = params["index"] - 1
-        a, m = montecarlo._draw_group(config, [301])
-        want = np.linalg.eigh(m[0])[1][:, column] ** 2
-        lam = np.linalg.eigvalsh(m)
-        assert montecarlo._inverse_iteration(m, lam, column) is None
-        (_a, _lam, v), = montecarlo._decompose(a, m, (column,))
-        assert np.max(np.abs(v[:, 0] ** 2 - want)) <= 1e-13
+        for k in (0, 301):
+            _a, (m,) = montecarlo._draw_group(config, [k])
+            self.assert_eigh_column(m, (0, params["index"] - 1, 399))
 
 
 class TestAccumulator:

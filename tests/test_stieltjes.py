@@ -525,6 +525,18 @@ class TestOnePointCalls:
             assert m1.tobytes() == m[i:i + 1].tobytes()
             assert res1.tobytes() == res[i:i + 1].tobytes()
 
+    @pytest.mark.parametrize("t, lam", [(0.5, 1.9), (1.0, 2.5), (1.0, -2.5)])
+    def test_line_beyond_the_edges(self, t, lam):
+        # beyond the time-t edges (+-1.744 at t = 0.5, +-2.241 at t = 1) each
+        # point stops at its own convergence, so the one-point value is the
+        # 41-point one (it differed by 3.3e-16 at t = 0.5, lambda = 1.9 when
+        # every point stepped until all had converged)
+        profile = sine_profile()
+        grid = np.append(np.linspace(-3.0, 3.0, 40), lam)
+        m, res = boundary_values(profile, t, grid)
+        m1, res1 = boundary_values(profile, t, [lam])
+        assert m1.tobytes() == m[-1:].tobytes() and res1.tobytes() == res[-1:].tobytes()
+
 
 class TestSolveGrid:
     def test_residuals_and_extrapolation(self, goe_profile):
