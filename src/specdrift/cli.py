@@ -339,8 +339,9 @@ def cmd_theta(args, out) -> Done:
     z = complex(args.z[0], args.z[1])
     threshold = parse_g(args.g)
     config = _experiment_config(args)
-    est = montecarlo.estimate_theta(config, z, threshold, workers=args.workers)
+    # the limit first: a limit it refuses ends the run before the Monte Carlo
     limit = stieltjes.theta_limit(config.initial.profile, args.t, z, threshold)
+    est = montecarlo.estimate_theta(config, z, threshold, workers=args.workers)
     report = {
         "z": [z.real, z.imag], "g": args.g,
         "empirical": [est.value.real, est.value.imag],
@@ -357,8 +358,9 @@ def cmd_theta(args, out) -> Done:
 def cmd_cdf(args, out) -> Done:
     from . import montecarlo
     config = _experiment_config(args)
-    est = montecarlo.empirical_cdf(config, args.lam, args.alpha, workers=args.workers)
+    # the limit first: a limit it refuses ends the run before the Monte Carlo
     limit = stieltjes.cdf_limit(config.initial.profile, args.t, args.lam, args.alpha)
+    est = montecarlo.empirical_cdf(config, args.lam, args.alpha, workers=args.workers)
     report = {
         "lambda": args.lam, "alpha": args.alpha,
         "empirical": est.value.real, "stderr": est.stderr_re,

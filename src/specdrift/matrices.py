@@ -1,16 +1,18 @@
-"""Seeded GOE sampling, and the two LAPACK calls of the Monte Carlo.
+"""Seeded GOE sampling, and the LAPACK calls of the Monte Carlo.
 
 All randomness flows through RngStream: a (master_seed, substream_index)
 pair mapped to an independent counter-based generator, so per-sample draws
 are bit-identical regardless of execution order.
 
 A GOE start needs only its eigenvalues (`goe_spectrum`), and a
-single-target run only one eigenpair of M_t (`eigenpair`). Both come from
-LAPACK routines of the OpenBLAS that numpy's wheels ship and load already,
-`dsterf` and `dsyevr` through their ILP64 LAPACKE entry points, called by
-ctypes: no new library loads, and ctypes drops the GIL for the call. A
-numpy without that library takes numpy.linalg instead, equal to rounding
-(`eigen_route`).
+single-target run only one eigenpair of M_t (`eigenpair`). A run that needs
+every eigenvector takes eigh in two stages, so that two threads can share
+it: the reduction to tridiagonal form (`tridiagonalize`) and the rest
+(`finish_eigh`). All come from LAPACK routines of the OpenBLAS that numpy's
+wheels ship and load already, `dsterf`, `dsyevr`, `dsytrd`, `dstedc` and
+`dormtr` through their ILP64 LAPACKE entry points, called by ctypes: no new
+library loads, and ctypes drops the GIL for each call. A numpy without that
+library takes numpy.linalg instead, equal to rounding (`eigen_route`).
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,36 +82,56 @@ def sample_goe(n: int, variance_scale: float, gen: np.random.Generator,
 _COL_MAJOR = 102  # LAPACKE's matrix_layout for column-major storage
 
 
+class Lapack(NamedTuple):
+    """The LAPACKE entry points the Monte Carlo calls, bound by `_lapack`."""
+
+    dsterf: Callable[..., int]
+    dsyevr: Callable[..., int]
+    dsytrd: Callable[..., int]
+    dstedc: Callable[..., int]
+    dormtr: Callable[..., int]
+
+
 @functools.cache
-def _lapack():
-    """(dsterf, dsyevr): the ILP64 LAPACKE entry points of the OpenBLAS a
-    numpy wheel ships beside itself (numpy.libs, or numpy/.dylibs on macOS),
-    with their argument types, bound on first use; None where numpy ships no
-    such library."""
+def _lapack() -> Lapack | None:
+    """The ILP64 LAPACKE entry points of the OpenBLAS a numpy wheel ships
+    beside itself (numpy.libs, or numpy/.dylibs on macOS), with their
+    argument types, bound on first use; None where numpy ships no such
+    library."""
     root = Path(np.__file__).parent
     for path in sorted([*root.parent.glob("numpy.libs/*scipy_openblas64_*"),
                         *root.glob(".dylibs/*scipy_openblas64_*")]):
         try:
             lib = ctypes.CDLL(str(path))
-            dsterf, dsyevr = lib.scipy_LAPACKE_dsterf64_, lib.scipy_LAPACKE_dsyevr64_
+            lapack = Lapack(*(getattr(lib, f"scipy_LAPACKE_{name}64_")
+                              for name in Lapack._fields))
         except (OSError, AttributeError):
             continue
-        i64, char, real = ctypes.c_int64, ctypes.c_char, ctypes.c_double
+        layout, i64, char, real = ctypes.c_int, ctypes.c_int64, ctypes.c_char, ctypes.c_double
         array = np.ctypeslib.ndpointer(np.float64, flags=("C", "W"))
-        dsterf.restype = dsyevr.restype = i64
-        dsterf.argtypes = [i64, array, array]  # n, d, e
+        for routine in lapack:
+            routine.restype = i64
+        lapack.dsterf.argtypes = [i64, array, array]  # n, d, e
         # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w,
         # z, ldz, isuppz
-        dsyevr.argtypes = [ctypes.c_int, char, char, char, i64, array, i64, real, real,
-                           i64, i64, real, ctypes.POINTER(i64), array, array, i64,
-                           np.ctypeslib.ndpointer(np.int64, flags=("C", "W"))]
-        return dsterf, dsyevr
+        lapack.dsyevr.argtypes = [layout, char, char, char, i64, array, i64, real, real,
+                                  i64, i64, real, ctypes.POINTER(i64), array, array, i64,
+                                  np.ctypeslib.ndpointer(np.int64, flags=("C", "W"))]
+        # layout, uplo, n, a, lda, d, e, tau
+        lapack.dsytrd.argtypes = [layout, char, i64, array, i64, array, array, array]
+        # layout, compz, n, d, e, z, ldz
+        lapack.dstedc.argtypes = [layout, char, i64, array, array, array, i64]
+        # layout, side, uplo, trans, m, n, a, lda, tau, c, ldc
+        lapack.dormtr.argtypes = [layout, char, char, char, i64, i64, array, i64, array,
+                                  array, i64]
+        return lapack
     return None
 
 
 def eigen_route() -> str:
-    """"lapack" when goe_spectrum and eigenpair call LAPACK directly,
-    "numpy" when they fall back to numpy.linalg."""
+    """"lapack" when goe_spectrum (dsterf), eigenpair (dsyevr),
+    tridiagonalize (dsytrd) and finish_eigh (dstedc, dormtr) call LAPACK
+    directly, "numpy" when they fall back to numpy.linalg."""
     return "numpy" if _lapack() is None else "lapack"
 
 
@@ -126,7 +150,7 @@ def goe_spectrum(n: int, scale: float, gen: np.random.Generator) -> np.ndarray:
     lapack = _lapack()
     if lapack is None:
         return np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-    info = lapack[0](n, d, e)
+    info = lapack.dsterf(n, d, e)
     if info:
         raise ConvergenceError(f"dsterf failed (info {info}) at n={n}")
     return d
@@ -149,8 +173,48 @@ def eigenpair(m: np.ndarray, i: int):
         return lam[i:i + 1], v[:, i:i + 1]
     w, v = np.empty(n), np.empty((n, 1))
     found = ctypes.c_int64()
-    info = lapack[1](_COL_MAJOR, b"V", b"I", b"U", n, m, n, 0.0, 0.0, i + 1, i + 1, 0.0,
-                     ctypes.byref(found), w, v, n, np.empty(2, np.int64))
+    info = lapack.dsyevr(_COL_MAJOR, b"V", b"I", b"U", n, m, n, 0.0, 0.0, i + 1, i + 1, 0.0,
+                         ctypes.byref(found), w, v, n, np.empty(2, np.int64))
     if info:
         raise ConvergenceError(f"dsyevr failed (info {info}) for eigenpair {i} at n={n}")
     return w[:1], v
+
+
+def tridiagonalize(m: np.ndarray) -> tuple:
+    """The first stage of eigh on the symmetric matrix m, C-contiguous:
+    (m, d, e, tau), m reduced in place to the tridiagonal matrix with
+    diagonal d and off-diagonal e by LAPACK dsytrd, its triangle overwritten
+    by the Householder reflectors that tau scales. UPLO = L on m read as the
+    column-major matrix it stores: the triangle, and the reduction, of
+    numpy's eigh (dsyevd). Where numpy ships no LAPACKE, (m,) untouched."""
+    n = m.shape[0]
+    lapack = _lapack()
+    if lapack is None:
+        return (m,)
+    d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+    info = lapack.dsytrd(_COL_MAJOR, b"L", n, m, n, d, e, tau)
+    if info:
+        raise ConvergenceError(f"dsytrd failed (info {info}) at n={n}")
+    return m, d, e, tau
+
+
+def finish_eigh(m: np.ndarray, *tridiagonal) -> tuple:
+    """(lam, V) of the matrix `tridiagonalize` reduced to (m, *tridiagonal),
+    as eigh gives them: ascending eigenvalues and the unit eigenvectors as
+    V's columns. The rest of dsyevd: divide and conquer on the tridiagonal
+    matrix (dstedc, COMPZ = I), then its reflectors applied to the vectors
+    (dormtr). Its eigenvalues equal eigh's bit for bit; V is the transpose
+    of a C-contiguous array. From (m,) alone, eigh(m)."""
+    if not tridiagonal:
+        return np.linalg.eigh(m)
+    d, e, tau = tridiagonal
+    n = len(d)
+    lapack = _lapack()
+    z = np.empty((n, n))
+    info = lapack.dstedc(_COL_MAJOR, b"I", n, d, e, z, n)
+    if info:
+        raise ConvergenceError(f"dstedc failed (info {info}) at n={n}")
+    info = lapack.dormtr(_COL_MAJOR, b"L", b"L", b"N", n, n, m, n, tau, z, n)
+    if info:
+        raise ConvergenceError(f"dormtr failed (info {info}) at n={n}")
+    return d, z.T

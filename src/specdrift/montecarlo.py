@@ -3,8 +3,9 @@ diagonalize, and accumulate overlap curves, resolvent traces and the
 empirical bivariate CDF.
 
 Samples are independent work units keyed by substream index: helper
-threads may draw them ahead, and the calling thread decomposes them and
-runs every per-sample computation in ascending order (`_map_samples`).
+threads may draw them ahead (and start an eigh by the reduction to
+tridiagonal form), and the calling thread decomposes them and runs every
+per-sample computation in ascending order (`_map_samples`).
 Accumulators keep per-sample contributions, so merging is associative
 bit-exactly: the final reduction always runs in ascending substream order
 regardless of how partial accumulators were combined. One helper reduces
@@ -23,11 +24,13 @@ import math
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import starmap
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .matrices import RngStream, eigenpair, goe_spectrum, sample_goe
+from .matrices import (RngStream, eigenpair, finish_eigh, goe_spectrum, sample_goe,
+                       tridiagonalize)
 from .profiles import SemicircleQuantileProfile, SpectralProfile
 
 ROW_SUM_TOL = 1e-10
@@ -110,24 +113,6 @@ class ExperimentConfig:
                 "master_seed": self.master_seed, "binning": self.binning}
 
 
-def _draw_group(config: ExperimentConfig, ks):
-    """The initial eigenvalues a_k of substreams ks and M_t = diag(a_k) + H_t
-    in the initial eigenbasis, stacked into one (len(ks), n, n) array (None
-    at t = 0): one draw-ahead task. Substream k's generator draws the start
-    (`start`), then H_t. Shares no state between calls but ProfileInitial's
-    per-n cache, whose entries do not depend on who writes them, so helper
-    threads can draw ahead."""
-    gens = [RngStream(config.master_seed, k).generator() for k in ks]
-    a = config.initial.start(gens, config.n)
-    if config.t == 0:
-        return a, None
-    m = np.empty((len(ks), config.n, config.n))
-    for mk, ak, gen in zip(m, a, gens):
-        sample_goe(config.n, config.t, gen, out=mk)
-        mk[np.diag_indices(config.n)] += ak
-    return a, m
-
-
 #: The eigenvector request for every column.
 ALL = slice(None)
 
@@ -138,25 +123,54 @@ def _stacked(columns) -> bool:
     return columns == ()
 
 
+def _split(columns) -> bool:
+    """Whether a request takes eigh (every column, or two or more): then
+    its first stage, the reduction to tridiagonal form, runs with the draw."""
+    return columns == ALL or len(columns) > 1
+
+
+def _draw_group(config: ExperimentConfig, ks, columns=ALL):
+    """The initial eigenvalues a_k of substreams ks and M_t = diag(a_k) + H_t
+    in the initial eigenbasis, stacked into one (len(ks), n, n) array (None
+    at t = 0): one draw-ahead task for the request `columns`. For an eigh
+    request (`_split`) each M_t leaves reduced by `tridiagonalize`, in a
+    list. Substream k's generator draws the start (`start`), then H_t.
+    Shares no state between calls but ProfileInitial's per-n cache, whose
+    entries do not depend on who writes them, so helper threads can draw
+    ahead."""
+    gens = [RngStream(config.master_seed, k).generator() for k in ks]
+    a = config.initial.start(gens, config.n)
+    if config.t == 0:
+        return a, None
+    m = np.empty((len(ks), config.n, config.n))
+    for mk, ak, gen in zip(m, a, gens):
+        sample_goe(config.n, config.t, gen, out=mk)
+        mk[np.diag_indices(config.n)] += ak
+    if _split(columns):
+        return a, [tridiagonalize(mk) for mk in m]
+    return a, m
+
+
 def _decompose(a, m, columns=ALL) -> list:
-    """[(a_k, lam_k, V_k)] for a drawn group: the initial eigenvalues, the
-    eigenvalues of M_t and the eigenvector columns `columns` of M_t in the
-    initial eigenbasis, V_k[j, c] = <psi_i(t)|phi_j> for i = columns[c]: an
-    n x n array for ALL, n x k for k columns, n x 0 for none.
+    """[(a_k, lam_k, V_k)] for a group `_draw_group` drew for the request
+    `columns`: the initial eigenvalues, the eigenvalues of M_t and the
+    eigenvector columns `columns` of M_t in the initial eigenbasis,
+    V_k[j, c] = <psi_i(t)|phi_j> for i = columns[c]: an n x n array for ALL,
+    n x k for k columns, n x 0 for none.
 
     A values-only request (`_stacked`) takes one stacked eigvalsh, which
     equals per-matrix calls bit for bit. One column i takes `eigenpair`, a
     group of one sample, and lam_k is then lambda_i alone. Any other request
-    takes one eigh per sample. At t = 0 (m is None) lam_k is a_k and V_k the
-    identity's columns."""
+    finishes each sample's eigh from its reduction (`finish_eigh`). At t = 0
+    (m is None) lam_k is a_k and V_k the identity's columns."""
     if m is None:
         v = np.eye(len(a[0]))[:, columns]
         return [(ak, ak.copy(), v) for ak in a]
     if _stacked(columns):
         return [(ak, lk, np.empty((len(ak), 0))) for ak, lk in zip(a, np.linalg.eigvalsh(m))]
-    if columns != ALL and len(columns) == 1:
+    if not _split(columns):
         return [(ak, *eigenpair(mk, *columns)) for ak, mk in zip(a, m)]
-    return [(ak, lk, vk[:, columns]) for ak, (lk, vk) in zip(a, map(np.linalg.eigh, m))]
+    return [(ak, lk, vk[:, columns]) for ak, (lk, vk) in zip(a, starmap(finish_eigh, m))]
 
 
 # numpy.linalg keeps the GIL through a call whose output has at most this
@@ -184,14 +198,15 @@ def _map_samples(config: ExperimentConfig, worker, workers: int = 1, *,
     eigenvector columns `columns` (0-based: ALL, or a tuple, maybe empty) as
     `_decompose` gives them.
 
-    Every decomposition and every worker call runs on the calling thread in
-    ascending k; workers - 1 helper threads only draw groups of samples, up
-    to workers - 1 groups ahead. A group is `_group_size(n)` samples for a
-    values-only request (`_stacked`) and one sample otherwise: numpy keeps
-    the GIL through a small eigvalsh, which would stall the other thread.
-    Only one group's decomposition is alive at a time, and every drawn
-    sample is bit-identical to a serial draw. workers = 1 runs all stages
-    inline.
+    workers - 1 helper threads draw groups of samples (`_draw_group`), up to
+    workers - 1 groups ahead, and reduce each M_t of an eigh request to
+    tridiagonal form; every other stage of a decomposition and every worker
+    call runs on the calling thread in ascending k. A group is
+    `_group_size(n)` samples for a values-only request (`_stacked`) and one
+    sample otherwise: numpy keeps the GIL through a small eigvalsh, which
+    would stall the other thread. Only one group's decomposition is alive
+    at a time, and every drawn sample is bit-identical to a serial draw.
+    workers = 1 runs all stages inline.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -202,11 +217,11 @@ def _map_samples(config: ExperimentConfig, worker, workers: int = 1, *,
     pool = ThreadPoolExecutor(max_workers=helpers) if helpers else None
     submit = pool.submit if pool else _now
     try:
-        ahead = deque(submit(_draw_group, config, ks) for ks in groups[:helpers])
+        ahead = deque(submit(_draw_group, config, ks, columns) for ks in groups[:helpers])
         results = []
         for i, ks in enumerate(groups):
             if i + helpers < len(groups):
-                ahead.append(submit(_draw_group, config, groups[i + helpers]))
+                ahead.append(submit(_draw_group, config, groups[i + helpers], columns))
             # one expression, so that no name keeps M_t or V alive into the
             # next group's draw and decomposition
             results += [worker(k, *sample)

@@ -297,6 +297,23 @@ class TestThetaCdfCmds:
         report = json.loads((tmp_path / "cdf.json").read_text())
         assert abs(report["empirical"] - report["limit"]) <= 0.1
 
+    def test_refused_limit_exits_before_monte_carlo(self, tmp_path, monkeypatch):
+        # cdf_limit refuses t = 0 (no time-t support): the run ends with
+        # exit 3 before a single sample is drawn
+        from specdrift import montecarlo
+        drawn = []
+
+        def counted(master_seed, k):
+            drawn.append(k)
+            return matrices.RngStream(master_seed, k)
+
+        monkeypatch.setattr(montecarlo, "RngStream", counted)
+        rc = main(["cdf", "--profile", "goe", "--n", "400", "--t", "0", "--samples", "100",
+                   "--lambda", "0", "--alpha", "0", "--out-dir", str(tmp_path)])
+        assert rc == EXIT_DOMAIN
+        assert drawn == []
+        assert not (tmp_path / "cdf.json").exists()
+
 
 class TestConfigFile:
     def test_ini_defaults_with_flag_override(self, tmp_path):

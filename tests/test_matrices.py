@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdrift import DomainError, RngStream
+from specdrift import ConvergenceError, DomainError, RngStream, parse_profile
 from specdrift import matrices
-from specdrift.matrices import eigenpair, ensure_symmetric, goe_spectrum, sample_goe
+from specdrift.matrices import (eigenpair, ensure_symmetric, finish_eigh, goe_spectrum,
+                                sample_goe, tridiagonalize)
 
 
 class TestRngStream:
@@ -120,6 +121,65 @@ class TestGOESpectrum:
     def test_invalid_arguments(self, gen, n, scale):
         with pytest.raises(DomainError):
             goe_spectrum(n, scale, gen)
+
+
+def noisy_start(start, n, t, k):
+    """M_t = diag(a) + H_t of substream k as the Monte Carlo draws it: a GOE
+    start ("goe") or the linear:-1,1 profile's quantiles ("profile")."""
+    gen = RngStream(21, k).generator()
+    if start == "goe":
+        a = goe_spectrum(n, 1.0, gen)
+    else:
+        a = parse_profile("linear:-1,1").quantiles(n)
+    m = sample_goe(n, t, gen)
+    m[np.diag_indices(n)] += a
+    return m
+
+
+class TestSplitEigh:
+    """eigh in two stages, tridiagonalize then finish_eigh: the stages of
+    numpy's dsyevd, so the same eigenvalues bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 400])
+    @pytest.mark.parametrize("start, t", [("goe", 1.0), ("goe", 0.02), ("profile", 1.0)])
+    def test_matches_eigh(self, start, t, n):
+        for k in range(3):
+            m = noisy_start(start, n, t, k)
+            lam, vecs = np.linalg.eigh(m)
+            got_lam, got_v = finish_eigh(*tridiagonalize(m.copy()))
+            assert got_lam.tobytes() == lam.tobytes()
+            assert got_v.shape == (n, n)
+            assert np.max(np.abs(got_v ** 2 - vecs ** 2)) <= 1e-13
+
+    def test_reduction_in_place(self):
+        # the reduction overwrites its argument and returns it first
+        m = noisy_start("goe", 50, 1.0, 0)
+        reduced = tridiagonalize(m)
+        assert reduced[0] is m
+        if matrices.eigen_route() == "lapack":
+            assert [len(x) for x in reduced[1:]] == [50, 49, 49]
+
+    def test_fallback_matches_lapack(self, monkeypatch):
+        if matrices.eigen_route() != "lapack":
+            pytest.skip("this numpy ships no LAPACKE to compare with")
+        m = noisy_start("goe", 400, 1.0, 0)
+        lam, v = finish_eigh(*tridiagonalize(m.copy()))
+        monkeypatch.setattr(matrices, "_lapack", lambda: None)
+        reduced = tridiagonalize(m.copy())
+        assert len(reduced) == 1 and np.array_equal(reduced[0], m)
+        lam_np, v_np = finish_eigh(*reduced)
+        assert np.max(np.abs(lam_np - lam)) <= 1e-13
+        assert np.max(np.abs(v_np ** 2 - v ** 2)) <= 1e-13
+
+    @pytest.mark.parametrize("routine", ["dsytrd", "dstedc", "dormtr"])
+    def test_nonzero_info_raises(self, monkeypatch, routine):
+        lapack = matrices._lapack()
+        if lapack is None:
+            pytest.skip("this numpy ships no LAPACKE")
+        failing = lapack._replace(**{routine: lambda *args: 7})
+        monkeypatch.setattr(matrices, "_lapack", lambda: failing)
+        with pytest.raises(ConvergenceError, match=f"{routine} failed \\(info 7\\)"):
+            finish_eigh(*tridiagonalize(noisy_start("goe", 20, 1.0, 0)))
 
 
 class TestNumpyFallback:

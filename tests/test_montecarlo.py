@@ -124,11 +124,15 @@ class TestMapSamples:
         # at t = 0 the target eigenvector is the initial one
         assert ahead.values[19] == config.n and np.count_nonzero(ahead.values) == 1
 
-    # columns -> (V's columns, samples per group at n = 200, eigh, eigvalsh
-    # and eigenpair calls per group); eigenpair's numpy fallback is one eigh
-    REQUESTS = {"all": (montecarlo.ALL, 200, 1, 1, 0, 0), "none": ((), 0, 3, 0, 1, 0),
-                "one": ((19,), 1, 1, int(matrices.eigen_route() == "numpy"), 0, 1),
-                "two": ((19, 39), 2, 1, 1, 0, 0)}
+    # columns -> (V's columns, samples per group at n = 200, and calls per
+    # group of eigh, eigvalsh, eigenpair and of each stage of a split eigh:
+    # tridiagonalize and finish_eigh); on the numpy route eigenpair and
+    # finish_eigh each take one eigh
+    NUMPY = int(matrices.eigen_route() == "numpy")
+    REQUESTS = {"all": (montecarlo.ALL, 200, 1, NUMPY, 0, 0, 1),
+                "none": ((), 0, 3, 0, 1, 0, 0),
+                "one": ((19,), 1, 1, NUMPY, 0, 1, 0),
+                "two": ((19, 39), 2, 1, NUMPY, 0, 0, 1)}
 
     @pytest.mark.parametrize("request_name", REQUESTS)
     def test_workers_on_calling_thread_drawing_ahead(self, monkeypatch, linear_profile,
@@ -137,12 +141,14 @@ class TestMapSamples:
         # ascending k; helpers draw at most workers - 1 groups ahead. A group
         # is _group_size(n) samples with no column, which take one eigvalsh
         # per group, and one sample with any other request: one eigenpair
-        # for one column, whose lam is lambda_i alone, one eigh otherwise.
-        # No request solves a linear system
-        columns, width, size, eighs, eigvalshs, pairs = self.REQUESTS[request_name]
+        # for one column, whose lam is lambda_i alone, and an eigh in two
+        # stages otherwise, reduced to tridiagonal form where it is drawn
+        # and finished on the calling thread, never by numpy's eigh on the
+        # LAPACK route. No request solves a linear system
+        columns, width, size, eighs, eigvalshs, pairs, splits = self.REQUESTS[request_name]
         main = threading.get_ident()
-        stream, started, eighed, eigvalshed, solved, paired = (
-            montecarlo.RngStream, [], [], [], [], [])
+        stream, started, eighed, eigvalshed, solved, paired, reduced, finished = (
+            montecarlo.RngStream, [], [], [], [], [], [], [])
 
         def counted(master_seed, k):
             # one stream per sample, made on the thread that draws it
@@ -161,6 +167,9 @@ class TestMapSamples:
         monkeypatch.setattr(np.linalg, "eigvalsh", on_thread(eigvalshed, np.linalg.eigvalsh))
         monkeypatch.setattr(np.linalg, "solve", on_thread(solved, np.linalg.solve))
         monkeypatch.setattr(montecarlo, "eigenpair", on_thread(paired, montecarlo.eigenpair))
+        monkeypatch.setattr(montecarlo, "tridiagonalize",
+                            on_thread(reduced, montecarlo.tridiagonalize))
+        monkeypatch.setattr(montecarlo, "finish_eigh", on_thread(finished, montecarlo.finish_eigh))
         # a profile start draws no eigenvalues; at n = 200 groups are 3, 3 and 2
         config = small_config(n=200, samples=8, initial=ProfileInitial(linear_profile))
         sizes = [min(size, config.samples - s) for s in range(0, config.samples, size)]
@@ -169,11 +178,13 @@ class TestMapSamples:
             return [(main, () if size == 1 else (g,)) for g in sizes for _ in range(calls)]
 
         for workers in (1, 2, 3):
-            for log in (started, eighed, eigvalshed, solved, paired):
+            for log in (started, eighed, eigvalshed, solved, paired, reduced, finished):
                 log.clear()
 
             def worker(k, a, lam, vecs):
                 assert len(started) <= min((k // size + workers) * size, config.samples)
+                # sample k finished, and no later one
+                assert len(finished) == splits * (k + 1)
                 assert vecs.shape == (config.n, width)
                 assert lam.shape == ((1,) if width == 1 else (config.n,))
                 return k, threading.get_ident()
@@ -184,11 +195,15 @@ class TestMapSamples:
             assert eighed == per_group(eighs)
             assert eigvalshed == per_group(eigvalshs)
             assert paired == per_group(pairs)
+            assert finished == per_group(splits)
             assert solved == []
             if workers == 1:
                 assert set(started) == {main}
+                assert reduced == per_group(splits)
             else:
                 assert main not in started
+                assert len(reduced) == len(per_group(splits))
+                assert main not in {thread for thread, _shape in reduced}
 
     def test_stress_more_helpers_than_cores(self, linear_profile):
         # helpers share the config and a ProfileInitial's per-n cache; with a
@@ -250,7 +265,7 @@ class TestValuesOnlyGroups:
         z = 0.3 + 0.2j
 
         def per_matrix(k):
-            (a,), m = montecarlo._draw_group(config, [k])
+            (a,), m = montecarlo._draw_group(config, [k], columns=())
             lam = a.copy() if m is None else np.linalg.eigvalsh(m[0])
             return complex(np.sum(1.0 / (lam - z)) / n)
 
@@ -301,7 +316,7 @@ class TestSingleColumn:
         # both ends of the spectrum and its middle, at a large t and at
         # small ones, where M_t is nearly diagonal
         config = small_config(n=400, t=t, samples=4, initial=initial)
-        _a, m = montecarlo._draw_group(config, range(4))
+        _a, m = montecarlo._draw_group(config, range(4), columns=(0,))
         for mk in m:
             self.assert_eigh_column(mk, (0, 199, 399))
 
@@ -314,7 +329,7 @@ class TestSingleColumn:
                                   initial=GOEInitial(1.0), target_indices=(params["index"],),
                                   master_seed=cli.DEFAULT_SEED)
         for k in (0, 301):
-            _a, (m,) = montecarlo._draw_group(config, [k])
+            _a, (m,) = montecarlo._draw_group(config, [k], columns=(0,))
             self.assert_eigh_column(m, (0, params["index"] - 1, 399))
 
 
@@ -339,7 +354,7 @@ class TestAccumulator:
             assert np.array_equal(x, y)
 
     def test_two_targets_are_eigh_columns(self):
-        # two targets take one eigh per sample and keep its two columns
+        # two targets take one split eigh per sample and keep its two columns
         config = small_config(samples=5, target_indices=(20, 40))
         for workers in (1, 2, 3):
             parts = accumulate_overlaps(config, workers)._parts
@@ -525,6 +540,29 @@ class TestEmpiricalCdf:
     def test_nan_rejected(self, lam, alpha):
         with pytest.raises(DomainError):
             empirical_cdf(small_config(samples=1), lam, alpha)
+
+    def test_no_eigh(self, monkeypatch):
+        # every sample's eigh runs in two LAPACK stages, never numpy's eigh;
+        # the estimate agrees with eigh's to rounding
+        if matrices.eigen_route() != "lapack":
+            pytest.skip("without LAPACKE the split eigh finishes by numpy's eigh")
+        config = small_config(samples=6)
+
+        def by_eigh(k):
+            (a,), (m,) = montecarlo._draw_group(config, [k], columns=())
+            lam, vecs = np.linalg.eigh(m)
+            return np.sum(vecs[np.ix_(a <= 0.0, lam <= 0.0)] ** 2) / config.n
+
+        want = np.mean([by_eigh(k) for k in range(config.samples)])
+
+        def failing(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        for workers in (1, 2, 3):
+            est = empirical_cdf(config, 0.0, 0.0, workers)
+            assert est.samples == config.samples
+            assert abs(est.value.real - want) <= 1e-13
 
 
 class TestResolventDiagonal:

@@ -15,6 +15,7 @@ from specdrift import (DomainError, EmptyWindowError, ExperimentConfig, GOEIniti
                        ProfileInitial, WindowSpec, block_distance, gram_entry_predictions,
                        overlap_block, parse_profile, predicted_distance,
                        run_subspace_experiment)
+from specdrift import matrices, montecarlo
 from specdrift.montecarlo import _map_samples
 from specdrift.profiles import SemicircleQuantileProfile, TabulatedProfile
 from specdrift.subspace import (SINGULAR_VALUE_FLOOR, determinant_distance, escape_rate,
@@ -399,6 +400,30 @@ class TestExperiment:
             result = run_subspace_experiment(config, WindowSpec(-1.0, 1.0, 0.3),
                                              workers=workers)
             assert result.distance.samples == config.samples
+
+    def test_no_eigh(self, monkeypatch):
+        # every sample's eigh runs in two LAPACK stages, never numpy's eigh;
+        # the distances agree with eigh's to rounding
+        if matrices.eigen_route() != "lapack":
+            pytest.skip("without LAPACKE the split eigh finishes by numpy's eigh")
+        config = ExperimentConfig(n=40, t=0.02, samples=8, initial=GOEInitial(1.0),
+                                  master_seed=3)
+        window = WindowSpec(-1.0, 1.0, 0.3)
+
+        def by_eigh(k):
+            (a,), (m,) = montecarlo._draw_group(config, [k], columns=())
+            return block_distance(overlap_block(a, *np.linalg.eigh(m), window))
+
+        want = [by_eigh(k) for k in range(config.samples)]
+
+        def failing(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        for workers in (1, 2, 3):
+            result = run_subspace_experiment(config, window, workers=workers)
+            assert result.distance.samples == config.samples
+            assert np.max(np.abs(result.distances - want)) <= 1e-13
 
 
 class TestProperties:
