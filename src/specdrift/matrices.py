@@ -5,9 +5,10 @@ pair mapped to an independent counter-based generator, so per-sample draws
 are bit-identical regardless of execution order.
 
 A GOE start needs only its eigenvalues (`goe_spectrum`), and a
-single-target run only one eigenpair of M_t (`eigenpair`). A run that needs
-every eigenvector takes eigh in two stages, so that two threads can share
-it: the reduction to tridiagonal form (`tridiagonalize`) and the rest
+single-target run only one eigenpair of M_t (`eigenpair`). Every other
+decomposition starts by the reduction to tridiagonal form
+(`tridiagonalize`), so that two threads can share an eigh, and finishes with
+the eigenvalues alone (`finish_eigvalsh`) or with every eigenvector
 (`finish_eigh`). All come from LAPACK routines of the OpenBLAS that numpy's
 wheels ship and load already, `dsterf`, `dsyevr`, `dsytrd`, `dstedc` and
 `dormtr` through their ILP64 LAPACKE entry points, called by ctypes: no new
@@ -63,14 +64,12 @@ def _check_goe(n: int, variance_scale: float):
         raise DomainError("dimension must be at least 2")
 
 
-def sample_goe(n: int, variance_scale: float, gen: np.random.Generator,
-               out: np.ndarray | None = None) -> np.ndarray:
+def sample_goe(n: int, variance_scale: float, gen: np.random.Generator) -> np.ndarray:
     """GOE draw from gen: off-diagonal variance variance_scale/n, diagonal
     2*variance_scale/n. With variance_scale = t this is the Brownian noise
-    H_t accumulated up to time t. Drawn into `out`, an n x n C-contiguous
-    float array, when one is given."""
+    H_t accumulated up to time t."""
     _check_goe(n, variance_scale)
-    x = gen.standard_normal((n, n), out=out)
+    x = gen.standard_normal((n, n))
     x += x.T  # numpy buffers the overlapping transpose: x stays exactly symmetric
     x *= np.sqrt(variance_scale / (2.0 * n))
     return x
@@ -129,10 +128,21 @@ def _lapack() -> Lapack | None:
 
 
 def eigen_route() -> str:
-    """"lapack" when goe_spectrum (dsterf), eigenpair (dsyevr),
-    tridiagonalize (dsytrd) and finish_eigh (dstedc, dormtr) call LAPACK
-    directly, "numpy" when they fall back to numpy.linalg."""
+    """"lapack" when goe_spectrum and finish_eigvalsh (dsterf), eigenpair
+    (dsyevr), tridiagonalize (dsytrd) and finish_eigh (dstedc, dormtr) call
+    LAPACK directly, "numpy" when they fall back to numpy.linalg."""
     return "numpy" if _lapack() is None else "lapack"
+
+
+def _dsterf(lapack: Lapack, d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """d overwritten by the ascending eigenvalues of the symmetric
+    tridiagonal matrix with diagonal d and off-diagonal e (LAPACK dsterf,
+    which destroys e)."""
+    n = len(d)
+    info = lapack.dsterf(n, d, e)
+    if info:
+        raise ConvergenceError(f"dsterf failed (info {info}) at n={n}")
+    return d
 
 
 def goe_spectrum(n: int, scale: float, gen: np.random.Generator) -> np.ndarray:
@@ -150,10 +160,7 @@ def goe_spectrum(n: int, scale: float, gen: np.random.Generator) -> np.ndarray:
     lapack = _lapack()
     if lapack is None:
         return np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-    info = lapack.dsterf(n, d, e)
-    if info:
-        raise ConvergenceError(f"dsterf failed (info {info}) at n={n}")
-    return d
+    return _dsterf(lapack, d, e)
 
 
 def eigenpair(m: np.ndarray, i: int):
@@ -198,13 +205,26 @@ def tridiagonalize(m: np.ndarray) -> tuple:
     return m, d, e, tau
 
 
+def finish_eigvalsh(m: np.ndarray, *tridiagonal) -> np.ndarray:
+    """The ascending eigenvalues of the matrix `tridiagonalize` reduced to
+    (m, *tridiagonal), as eigvalsh gives them: the rest of dsyevd without
+    vectors, dsterf on the tridiagonal matrix. They equal eigvalsh's bit for
+    bit, as long as dsyevd does not rescale m (its largest entry lies within
+    about 1e-146 to 1e146). From (m,) alone, eigvalsh(m)."""
+    if not tridiagonal:
+        return np.linalg.eigvalsh(m)
+    d, e, _tau = tridiagonal
+    return _dsterf(_lapack(), d, e)
+
+
 def finish_eigh(m: np.ndarray, *tridiagonal) -> tuple:
     """(lam, V) of the matrix `tridiagonalize` reduced to (m, *tridiagonal),
     as eigh gives them: ascending eigenvalues and the unit eigenvectors as
     V's columns. The rest of dsyevd: divide and conquer on the tridiagonal
     matrix (dstedc, COMPZ = I), then its reflectors applied to the vectors
-    (dormtr). Its eigenvalues equal eigh's bit for bit; V is the transpose
-    of a C-contiguous array. From (m,) alone, eigh(m)."""
+    (dormtr). Its eigenvalues equal eigh's bit for bit where dsyevd does not
+    rescale m (`finish_eigvalsh`); V is the transpose of a C-contiguous
+    array. From (m,) alone, eigh(m)."""
     if not tridiagonal:
         return np.linalg.eigh(m)
     d, e, tau = tridiagonal

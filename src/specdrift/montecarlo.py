@@ -24,13 +24,12 @@ import math
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import starmap
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .matrices import (RngStream, eigenpair, finish_eigh, goe_spectrum, sample_goe,
-                       tridiagonalize)
+from .matrices import (RngStream, eigenpair, finish_eigh, finish_eigvalsh, goe_spectrum,
+                       sample_goe, tridiagonalize)
 from .profiles import SemicircleQuantileProfile, SpectralProfile
 
 ROW_SUM_TOL = 1e-10
@@ -51,10 +50,10 @@ class GOEInitial:
         """The limiting initial spectrum: semicircle of radius 2 sqrt(scale)."""
         return SemicircleQuantileProfile(2.0 * math.sqrt(self.scale))
 
-    def start(self, gens, n: int) -> list:
-        """The eigenvalues of a GOE start of dimension n for each sample's
-        generator, from its tridiagonal model (`goe_spectrum`)."""
-        return [goe_spectrum(n, self.scale, gen) for gen in gens]
+    def start(self, gen, n: int) -> np.ndarray:
+        """The eigenvalues of a GOE start of dimension n drawn from the
+        sample's generator, by its tridiagonal model (`goe_spectrum`)."""
+        return goe_spectrum(n, self.scale, gen)
 
     def describe(self):
         return {"kind": "goe", "scale": self.scale}
@@ -68,14 +67,14 @@ class ProfileInitial:
     profile: SpectralProfile
     _by_n: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def start(self, gens, n: int) -> list:
-        """a((i - 1/2)/n) for every sample, one array shared read only."""
+    def start(self, gen, n: int) -> np.ndarray:
+        """a((i - 1/2)/n), one array shared read only by every sample."""
         a = self._by_n.get(n)
         if a is None:
             a = self.profile.quantiles(n)
             a.setflags(write=False)
             self._by_n[n] = a
-        return [a] * len(gens)
+        return a
 
     def describe(self):
         return {"kind": "profile", "profile": self.profile.spec}
@@ -103,6 +102,8 @@ class ExperimentConfig:
             raise ConfigError("master seed must be nonnegative")
         if any(i < 1 or i > self.n for i in self.target_indices):
             raise ConfigError("target indices must lie in [1, n]")
+        if len(set(self.target_indices)) < len(self.target_indices):
+            raise ConfigError("target indices must not repeat")
         if self.binning < 1 or self.binning > self.n:
             raise ConfigError("binning window must lie in [1, n]")
 
@@ -117,71 +118,49 @@ class ExperimentConfig:
 ALL = slice(None)
 
 
-def _stacked(columns) -> bool:
-    """Whether a request asks for eigenvalues only: then a group of
-    `_group_size(n)` samples takes one stacked eigvalsh."""
-    return columns == ()
-
-
 def _split(columns) -> bool:
     """Whether a request takes eigh (every column, or two or more): then
     its first stage, the reduction to tridiagonal form, runs with the draw."""
     return columns == ALL or len(columns) > 1
 
 
-def _draw_group(config: ExperimentConfig, ks, columns=ALL):
-    """The initial eigenvalues a_k of substreams ks and M_t = diag(a_k) + H_t
-    in the initial eigenbasis, stacked into one (len(ks), n, n) array (None
-    at t = 0): one draw-ahead task for the request `columns`. For an eigh
-    request (`_split`) each M_t leaves reduced by `tridiagonalize`, in a
-    list. Substream k's generator draws the start (`start`), then H_t.
-    Shares no state between calls but ProfileInitial's per-n cache, whose
-    entries do not depend on who writes them, so helper threads can draw
-    ahead."""
-    gens = [RngStream(config.master_seed, k).generator() for k in ks]
-    a = config.initial.start(gens, config.n)
+def _draw(config: ExperimentConfig, k: int, columns=ALL):
+    """The initial eigenvalues a of substream k and M_t = diag(a) + H_t in
+    the initial eigenbasis, one n x n array (None at t = 0): one draw-ahead
+    task for the request `columns`. For an eigh request (`_split`) M_t
+    leaves reduced by `tridiagonalize`, as its tuple. The substream's
+    generator draws the start (`start`), then H_t. Shares no state between
+    calls but ProfileInitial's per-n cache, whose entries do not depend on
+    who writes them, so helper threads can draw ahead."""
+    gen = RngStream(config.master_seed, k).generator()
+    a = config.initial.start(gen, config.n)
     if config.t == 0:
         return a, None
-    m = np.empty((len(ks), config.n, config.n))
-    for mk, ak, gen in zip(m, a, gens):
-        sample_goe(config.n, config.t, gen, out=mk)
-        mk[np.diag_indices(config.n)] += ak
-    if _split(columns):
-        return a, [tridiagonalize(mk) for mk in m]
-    return a, m
+    m = sample_goe(config.n, config.t, gen)
+    m[np.diag_indices(config.n)] += a
+    return a, tridiagonalize(m) if _split(columns) else m
 
 
-def _decompose(a, m, columns=ALL) -> list:
-    """[(a_k, lam_k, V_k)] for a group `_draw_group` drew for the request
-    `columns`: the initial eigenvalues, the eigenvalues of M_t and the
-    eigenvector columns `columns` of M_t in the initial eigenbasis,
-    V_k[j, c] = <psi_i(t)|phi_j> for i = columns[c]: an n x n array for ALL,
-    n x k for k columns, n x 0 for none.
+def _decompose(a, m, columns=ALL) -> tuple:
+    """(a, lam, V) for a sample `_draw` drew for the request `columns`: the
+    initial eigenvalues, the eigenvalues of M_t and the eigenvector columns
+    `columns` of M_t in the initial eigenbasis, V[j, c] = <psi_i(t)|phi_j>
+    for i = columns[c]: an n x n array for ALL, n x k for k columns, n x 0
+    for none.
 
-    A values-only request (`_stacked`) takes one stacked eigvalsh, which
-    equals per-matrix calls bit for bit. One column i takes `eigenpair`, a
-    group of one sample, and lam_k is then lambda_i alone. Any other request
-    finishes each sample's eigh from its reduction (`finish_eigh`). At t = 0
-    (m is None) lam_k is a_k and V_k the identity's columns."""
+    A values-only request reduces M_t to tridiagonal form here and takes its
+    eigenvalues by `finish_eigvalsh`, equal to eigvalsh's bit for bit. One
+    column i takes `eigenpair`, and lam is then lambda_i alone. Any other
+    request finishes the eigh that the draw began (`finish_eigh`). At t = 0
+    (m is None) lam is a and V the identity's columns."""
     if m is None:
-        v = np.eye(len(a[0]))[:, columns]
-        return [(ak, ak.copy(), v) for ak in a]
-    if _stacked(columns):
-        return [(ak, lk, np.empty((len(ak), 0))) for ak, lk in zip(a, np.linalg.eigvalsh(m))]
+        return a, a.copy(), np.eye(len(a))[:, columns]
+    if columns == ():
+        return a, finish_eigvalsh(*tridiagonalize(m)), np.empty((len(a), 0))
     if not _split(columns):
-        return [(ak, *eigenpair(mk, *columns)) for ak, mk in zip(a, m)]
-    return [(ak, lk, vk[:, columns]) for ak, (lk, vk) in zip(a, starmap(finish_eigh, m))]
-
-
-# numpy.linalg keeps the GIL through a call whose output has at most this
-# many elements, so a helper thread cannot draw while it runs.
-GIL_HELD_OUTPUT = 500
-
-
-def _group_size(n: int) -> int:
-    """Samples per stacked eigvalsh: the smallest G with G n > 500, so that
-    the call releases the GIL."""
-    return GIL_HELD_OUTPUT // n + 1
+        return a, *eigenpair(m, *columns)
+    lam, v = finish_eigh(*m)
+    return a, lam, v[:, columns]
 
 
 def _now(fn, *args) -> Future:
@@ -198,35 +177,28 @@ def _map_samples(config: ExperimentConfig, worker, workers: int = 1, *,
     eigenvector columns `columns` (0-based: ALL, or a tuple, maybe empty) as
     `_decompose` gives them.
 
-    workers - 1 helper threads draw groups of samples (`_draw_group`), up to
-    workers - 1 groups ahead, and reduce each M_t of an eigh request to
-    tridiagonal form; every other stage of a decomposition and every worker
-    call runs on the calling thread in ascending k. A group is
-    `_group_size(n)` samples for a values-only request (`_stacked`) and one
-    sample otherwise: numpy keeps the GIL through a small eigvalsh, which
-    would stall the other thread. Only one group's decomposition is alive
-    at a time, and every drawn sample is bit-identical to a serial draw.
+    workers - 1 helper threads draw samples (`_draw`), up to workers - 1
+    ahead, and reduce each M_t of an eigh request to tridiagonal form; every
+    other stage of a decomposition and every worker call runs on the calling
+    thread in ascending k. Only one sample's decomposition is alive at a
+    time, and every drawn sample is bit-identical to a serial draw.
     workers = 1 runs all stages inline.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    size = _group_size(config.n) if _stacked(columns) else 1
-    indices = range(config.samples)
-    groups = [indices[s:s + size] for s in indices[::size]]
     helpers = workers - 1
     pool = ThreadPoolExecutor(max_workers=helpers) if helpers else None
     submit = pool.submit if pool else _now
     try:
-        ahead = deque(submit(_draw_group, config, ks, columns) for ks in groups[:helpers])
+        ahead = deque(submit(_draw, config, k, columns)
+                      for k in range(min(helpers, config.samples)))
         results = []
-        for i, ks in enumerate(groups):
-            if i + helpers < len(groups):
-                ahead.append(submit(_draw_group, config, groups[i + helpers], columns))
+        for k in range(config.samples):
+            if k + helpers < config.samples:
+                ahead.append(submit(_draw, config, k + helpers, columns))
             # one expression, so that no name keeps M_t or V alive into the
-            # next group's draw and decomposition
-            results += [worker(k, *sample)
-                        for k, sample in zip(ks, _decompose(*ahead.popleft().result(),
-                                                            columns))]
+            # next sample's draw and decomposition
+            results.append(worker(k, *_decompose(*ahead.popleft().result(), columns)))
         return results
     finally:
         if pool:

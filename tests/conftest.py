@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from specdrift import RngStream, SemicircleQuantileProfile, parse_profile
-from specdrift.montecarlo import _decompose, _draw_group
+from specdrift.montecarlo import _decompose, _draw
 from specdrift.stieltjes import _edges, boundary_values
 
 #: one line per acceptance criterion, echoed in the terminal summary
@@ -51,7 +51,7 @@ def draw_sample(config, k):
     eigenvector matrix V of M_t in the initial eigenbasis (V[j, i] =
     <psi_i(t)|phi_j>) of substream k, drawn and decomposed as the pipeline
     does."""
-    return _decompose(*_draw_group(config, [k]))[0]
+    return _decompose(*_draw(config, k))
 
 
 def assert_close(a, b, tol, msg=""):

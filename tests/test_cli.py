@@ -596,7 +596,10 @@ class TestEdgeInputs:
         [*PROFILE_COMMANDS["theta"], "--scale", "4"],
         # --index would override --lambda
         ["predict", "--t", "1", "--index", "200", "--n", "400", "--lambda", "1.5",
-         "--grid=0:0:1"]], ids=["scale-with-profile-start", "predict-index-and-lambda"])
+         "--grid=0:0:1"],
+        # a repeated --index would write one CSV for two manifest targets
+        ["simulate", *_MC, "--t", "1", "--index", "2", "2"]],
+        ids=["scale-with-profile-start", "predict-index-and-lambda", "simulate-repeated-index"])
     def test_refused_combination_exit2(self, tmp_path, argv):
         assert main([*argv, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
         assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.json"))

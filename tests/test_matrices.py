@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from specdrift import ConvergenceError, DomainError, RngStream, parse_profile
 from specdrift import matrices
-from specdrift.matrices import (eigenpair, ensure_symmetric, finish_eigh, goe_spectrum,
-                                sample_goe, tridiagonalize)
+from specdrift.matrices import (eigenpair, ensure_symmetric, finish_eigh, finish_eigvalsh,
+                                goe_spectrum, sample_goe, tridiagonalize)
 
 
 class TestRngStream:
@@ -180,6 +180,40 @@ class TestSplitEigh:
         monkeypatch.setattr(matrices, "_lapack", lambda: failing)
         with pytest.raises(ConvergenceError, match=f"{routine} failed \\(info 7\\)"):
             finish_eigh(*tridiagonalize(noisy_start("goe", 20, 1.0, 0)))
+
+
+class TestValuesFinish:
+    """The eigenvalues alone, tridiagonalize then finish_eigvalsh: the stages
+    of numpy's dsyevd without vectors, so eigvalsh's eigenvalues bit for
+    bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 400, 501])
+    @pytest.mark.parametrize("start, t", [("goe", 1.0), ("goe", 0.02), ("profile", 1.0)])
+    def test_matches_eigvalsh(self, start, t, n):
+        for k in range(3):
+            m = noisy_start(start, n, t, k)
+            got = finish_eigvalsh(*tridiagonalize(m.copy()))
+            assert got.tobytes() == np.linalg.eigvalsh(m).tobytes()
+
+    def test_fallback_matches_lapack(self, monkeypatch):
+        if matrices.eigen_route() != "lapack":
+            pytest.skip("this numpy ships no LAPACKE to compare with")
+        m = noisy_start("goe", 400, 1.0, 0)
+        lam = finish_eigvalsh(*tridiagonalize(m.copy()))
+        monkeypatch.setattr(matrices, "_lapack", lambda: None)
+        reduced = tridiagonalize(m.copy())
+        assert len(reduced) == 1
+        assert finish_eigvalsh(*reduced).tobytes() == lam.tobytes()
+
+    @pytest.mark.parametrize("routine", ["dsytrd", "dsterf"])
+    def test_nonzero_info_raises(self, monkeypatch, routine):
+        lapack = matrices._lapack()
+        if lapack is None:
+            pytest.skip("this numpy ships no LAPACKE")
+        failing = lapack._replace(**{routine: lambda *args: 7})
+        monkeypatch.setattr(matrices, "_lapack", lambda: failing)
+        with pytest.raises(ConvergenceError, match=f"{routine} failed \\(info 7\\)"):
+            finish_eigvalsh(*tridiagonalize(noisy_start("goe", 20, 1.0, 0)))
 
 
 class TestNumpyFallback:

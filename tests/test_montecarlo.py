@@ -34,6 +34,8 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             small_config(target_indices=(41,))
         with pytest.raises(ConfigError):
+            small_config(target_indices=(20, 7, 20))
+        with pytest.raises(ConfigError):
             small_config(t=-1.0)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
@@ -124,31 +126,31 @@ class TestMapSamples:
         # at t = 0 the target eigenvector is the initial one
         assert ahead.values[19] == config.n and np.count_nonzero(ahead.values) == 1
 
-    # columns -> (V's columns, samples per group at n = 200, and calls per
-    # group of eigh, eigvalsh, eigenpair and of each stage of a split eigh:
-    # tridiagonalize and finish_eigh); on the numpy route eigenpair and
-    # finish_eigh each take one eigh
+    # columns -> (V's columns, and calls per sample of eigh, eigvalsh,
+    # eigenpair, of each stage of a split eigh, tridiagonalize and
+    # finish_eigh, and of finish_eigvalsh); on the numpy route eigenpair and
+    # finish_eigh each take one eigh and finish_eigvalsh one eigvalsh, and on
+    # the LAPACK route no request calls either
     NUMPY = int(matrices.eigen_route() == "numpy")
-    REQUESTS = {"all": (montecarlo.ALL, 200, 1, NUMPY, 0, 0, 1),
-                "none": ((), 0, 3, 0, 1, 0, 0),
-                "one": ((19,), 1, 1, NUMPY, 0, 1, 0),
-                "two": ((19, 39), 2, 1, NUMPY, 0, 0, 1)}
+    REQUESTS = {"all": (montecarlo.ALL, 200, NUMPY, 0, 0, 1, 0),
+                "none": ((), 0, 0, NUMPY, 0, 0, 1),
+                "one": ((19,), 1, NUMPY, 0, 1, 0, 0),
+                "two": ((19, 39), 2, NUMPY, 0, 0, 1, 0)}
 
     @pytest.mark.parametrize("request_name", REQUESTS)
     def test_workers_on_calling_thread_drawing_ahead(self, monkeypatch, linear_profile,
                                                      request_name):
         # decompositions and worker calls run on the calling thread in
-        # ascending k; helpers draw at most workers - 1 groups ahead. A group
-        # is _group_size(n) samples with no column, which take one eigvalsh
-        # per group, and one sample with any other request: one eigenpair
-        # for one column, whose lam is lambda_i alone, and an eigh in two
-        # stages otherwise, reduced to tridiagonal form where it is drawn
-        # and finished on the calling thread, never by numpy's eigh on the
-        # LAPACK route. No request solves a linear system
-        columns, width, size, eighs, eigvalshs, pairs, splits = self.REQUESTS[request_name]
+        # ascending k, one n x n matrix at a time; helpers draw at most
+        # workers - 1 samples ahead. No column takes the values-only finish,
+        # reduced to tridiagonal form on the calling thread; one column one
+        # eigenpair, whose lam is lambda_i alone; any other request an eigh
+        # in two stages, reduced to tridiagonal form where it is drawn and
+        # finished on the calling thread. No request solves a linear system
+        columns, width, eighs, eigvalshs, pairs, splits, values = self.REQUESTS[request_name]
         main = threading.get_ident()
-        stream, started, eighed, eigvalshed, solved, paired, reduced, finished = (
-            montecarlo.RngStream, [], [], [], [], [], [], [])
+        stream, started, eighed, eigvalshed, solved, paired, reduced, finished, valued = (
+            montecarlo.RngStream, [], [], [], [], [], [], [], [])
 
         def counted(master_seed, k):
             # one stream per sample, made on the thread that draws it
@@ -170,21 +172,23 @@ class TestMapSamples:
         monkeypatch.setattr(montecarlo, "tridiagonalize",
                             on_thread(reduced, montecarlo.tridiagonalize))
         monkeypatch.setattr(montecarlo, "finish_eigh", on_thread(finished, montecarlo.finish_eigh))
-        # a profile start draws no eigenvalues; at n = 200 groups are 3, 3 and 2
+        monkeypatch.setattr(montecarlo, "finish_eigvalsh",
+                            on_thread(valued, montecarlo.finish_eigvalsh))
+        # a profile start draws no eigenvalues
         config = small_config(n=200, samples=8, initial=ProfileInitial(linear_profile))
-        sizes = [min(size, config.samples - s) for s in range(0, config.samples, size)]
 
-        def per_group(calls):
-            return [(main, () if size == 1 else (g,)) for g in sizes for _ in range(calls)]
+        def per_sample(calls):
+            return [(main, ()) for _ in range(config.samples) for _ in range(calls)]
 
         for workers in (1, 2, 3):
-            for log in (started, eighed, eigvalshed, solved, paired, reduced, finished):
+            for log in (started, eighed, eigvalshed, solved, paired, reduced, finished, valued):
                 log.clear()
 
             def worker(k, a, lam, vecs):
-                assert len(started) <= min((k // size + workers) * size, config.samples)
+                assert len(started) <= min(k + workers, config.samples)
                 # sample k finished, and no later one
                 assert len(finished) == splits * (k + 1)
+                assert len(valued) == values * (k + 1)
                 assert vecs.shape == (config.n, width)
                 assert lam.shape == ((1,) if width == 1 else (config.n,))
                 return k, threading.get_ident()
@@ -192,23 +196,25 @@ class TestMapSamples:
             rows = _map_samples(config, worker, workers, columns=columns)
             assert rows == [(k, main) for k in range(config.samples)]
             assert len(started) == config.samples
-            assert eighed == per_group(eighs)
-            assert eigvalshed == per_group(eigvalshs)
-            assert paired == per_group(pairs)
-            assert finished == per_group(splits)
+            assert eighed == per_sample(eighs)
+            assert eigvalshed == per_sample(eigvalshs)
+            assert paired == per_sample(pairs)
+            assert finished == per_sample(splits)
+            assert valued == per_sample(values)
             assert solved == []
             if workers == 1:
                 assert set(started) == {main}
-                assert reduced == per_group(splits)
+                assert reduced == per_sample(splits + values)
             else:
                 assert main not in started
-                assert len(reduced) == len(per_group(splits))
-                assert main not in {thread for thread, _shape in reduced}
+                assert len(reduced) == len(per_sample(splits + values))
+                on_main = [thread == main for thread, _shape in reduced]
+                assert on_main == [bool(values)] * len(reduced)
 
     def test_stress_more_helpers_than_cores(self, linear_profile):
         # helpers share the config and a ProfileInitial's per-n cache; with a
         # short switch interval and 8 helpers, every drawn sample still
-        # matches a serial draw bit for bit, one at a time and in groups
+        # matches a serial draw bit for bit, for every column and for none
         def run(workers):
             config = small_config(samples=24, initial=ProfileInitial(linear_profile))
             return (_map_samples(config, lambda k, *sample: sample, workers)
@@ -248,25 +254,18 @@ class TestMapSamples:
 
 
 class TestValuesOnlyGroups:
-    @pytest.mark.parametrize("n", [2, 60, 200, 250, 400, 500, 501])
-    def test_group_rule(self, n):
-        # the smallest group whose stacked eigvalsh output exceeds 500 elements
-        g = montecarlo._group_size(n)
-        assert g * n > 500 and (g - 1) * n <= 500
-
     @pytest.mark.parametrize("n, t, samples", [(200, 0.5, 7), (200, 0.5, 1), (200, 0.0, 5),
                                                (60, 0.5, 20), (2, 0.5, 9)])
     def test_theta_g_one_matches_per_matrix_eigvalsh(self, n, t, samples):
-        # groups of 3 at n = 200 (a partial last group at 7 samples), of 9 at
-        # n = 60, of 251 > samples at n = 2; t = 0 has no M_t to stack. The
-        # stacked eigvalsh equals one call per matrix bit for bit, whatever
-        # the number of threads
+        # the values-only finish (dsterf after dsytrd on the LAPACK route)
+        # equals one eigvalsh per matrix bit for bit, whatever the number of
+        # threads, at n = 2 and on one, odd and many samples; t = 0 has no M_t
         config = small_config(n=n, t=t, samples=samples, target_indices=())
         z = 0.3 + 0.2j
 
         def per_matrix(k):
-            (a,), m = montecarlo._draw_group(config, [k], columns=())
-            lam = a.copy() if m is None else np.linalg.eigvalsh(m[0])
+            a, m = montecarlo._draw(config, k, columns=())
+            lam = a.copy() if m is None else np.linalg.eigvalsh(m)
             return complex(np.sum(1.0 / (lam - z)) / n)
 
         want = montecarlo._scalar_estimate([per_matrix(k) for k in range(samples)])
@@ -283,7 +282,7 @@ class TestSingleColumn:
     @pytest.mark.parametrize("n, t, samples", [(260, 0.5, 1), (260, 0.5, 7), (260, 0.5, 20),
                                                (260, 0.0, 7), (2, 0.5, 9), (2, 0.0, 3)])
     def test_workers_byte_identical_and_eigh_agree(self, n, t, samples):
-        # one sample per group at any n, drawn ahead by up to two helpers;
+        # one sample at a time at any n, drawn ahead by up to two helpers;
         # t = 0 has no M_t and keeps the identity
         config = small_config(n=n, t=t, samples=samples, target_indices=(n // 2,))
         parts = [accumulate_overlaps(config, workers)._parts for workers in (1, 2, 3)]
@@ -316,9 +315,9 @@ class TestSingleColumn:
         # both ends of the spectrum and its middle, at a large t and at
         # small ones, where M_t is nearly diagonal
         config = small_config(n=400, t=t, samples=4, initial=initial)
-        _a, m = montecarlo._draw_group(config, range(4), columns=(0,))
-        for mk in m:
-            self.assert_eigh_column(mk, (0, 199, 399))
+        for k in range(4):
+            _a, m = montecarlo._draw(config, k, columns=(0,))
+            self.assert_eigh_column(m, (0, 199, 399))
 
     def test_fig1_substreams_match_eigh(self):
         # fig1 at the default seed; its substream 301 made M - lam_200 I
@@ -329,7 +328,7 @@ class TestSingleColumn:
                                   initial=GOEInitial(1.0), target_indices=(params["index"],),
                                   master_seed=cli.DEFAULT_SEED)
         for k in (0, 301):
-            _a, (m,) = montecarlo._draw_group(config, [k], columns=(0,))
+            _a, m = montecarlo._draw(config, k, columns=(0,))
             self.assert_eigh_column(m, (0, params["index"] - 1, 399))
 
 
@@ -549,7 +548,7 @@ class TestEmpiricalCdf:
         config = small_config(samples=6)
 
         def by_eigh(k):
-            (a,), (m,) = montecarlo._draw_group(config, [k], columns=())
+            a, m = montecarlo._draw(config, k, columns=())
             lam, vecs = np.linalg.eigh(m)
             return np.sum(vecs[np.ix_(a <= 0.0, lam <= 0.0)] ** 2) / config.n
 

@@ -411,7 +411,7 @@ class TestExperiment:
         window = WindowSpec(-1.0, 1.0, 0.3)
 
         def by_eigh(k):
-            (a,), (m,) = montecarlo._draw_group(config, [k], columns=())
+            a, m = montecarlo._draw(config, k, columns=())
             return block_distance(overlap_block(a, *np.linalg.eigh(m), window))
 
         want = [by_eigh(k) for k in range(config.samples)]
